@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize
 
 from .bsm import ACCEPTED_OUTCOMES, BsmModel, BsmOutcome, bsm_apply
 from .linkgeom import (
@@ -698,17 +697,61 @@ class CalibrationError(RuntimeError):
 
 
 def _solve_bounded(fun, lo: float, hi: float) -> tuple[float, float]:
-    """Root of a monotone scalar target-residual on [lo, hi]; falls back to
-    the closer bound (returning the residual there) when no root exists."""
-    f_lo, f_hi = fun(lo), fun(hi)
-    if f_lo == 0.0:
+    """Root of a monotone scalar target-residual on [lo, hi] and the residual
+    there; falls back to the closer bound (returning the residual there)
+    when no root exists.
+
+    The root comes from Brent's method (Brent 1973, ch. 4) to an absolute
+    tolerance of 1e-12, step for step the iteration of scipy's `brentq`:
+    secant or inverse quadratic steps, and a bisection whenever such a step
+    would not shrink the bracket fast enough.
+    """
+    x_pre, x_cur = lo, hi
+    f_pre, f_cur = fun(lo), fun(hi)
+    if f_pre == 0.0:
         return lo, 0.0
-    if f_hi == 0.0:
+    if f_cur == 0.0:
         return hi, 0.0
-    if np.sign(f_lo) != np.sign(f_hi):
-        root = optimize.brentq(fun, lo, hi, xtol=1e-12)
-        return float(root), float(fun(root))
-    return (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+    if (f_pre < 0.0) == (f_cur < 0.0):
+        return (lo, f_pre) if abs(f_pre) <= abs(f_cur) else (hi, f_cur)
+    # x_cur is the best estimate, x_blk the contrapoint that brackets the
+    # root with it and x_pre the previous estimate; s_cur and s_pre are the
+    # last two steps.
+    xtol, rtol = 1e-12, 4.0 * np.finfo(float).eps
+    for _ in range(100):
+        if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
+            # The last step crossed the root: the previous estimate becomes
+            # the contrapoint.
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (xtol + rtol * abs(x_cur)) / 2.0
+        s_bis = (x_blk - x_cur) / 2.0
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return float(x_cur), float(f_cur)
+        trial = None
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:
+                trial = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                trial = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (
+                    d_blk * d_pre * (f_blk - f_pre)
+                )
+        if trial is not None and 2.0 * abs(trial) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+            s_pre, s_cur = s_cur, trial
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        if abs(s_cur) > delta:
+            x_cur += s_cur
+        else:
+            x_cur += delta if s_bis > 0.0 else -delta
+        f_cur = fun(x_cur)
+    raise RuntimeError("Brent iteration did not converge in 100 steps")
 
 
 def calibrate(

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .qstate import (
     KET_H,
@@ -81,21 +80,14 @@ def _waveplate_state(hwp_angle: float, qwp_angle: float) -> PureState:
     return apply_unitary(prepared, jones_hwp(hwp_angle))
 
 
-def _plate_overlap_sq(target: np.ndarray, hwp: np.ndarray, qwp: np.ndarray) -> np.ndarray:
-    """|<target| HWP(h) QWP(q) |H>|^2 on a broadcast grid of angles."""
-    # First column of HWP(h) @ QWP(q): the plates act on (1, 0).
-    c2h, s2h = np.cos(2 * hwp), np.sin(2 * hwp)
-    cq, sq = np.cos(qwp), np.sin(qwp)
-    # QWP(q) |H> = (cq^2 + i sq^2, cq sq (1 - i))
-    top = cq**2 + 1j * sq**2
-    bot = cq * sq * (1.0 - 1j)
-    out0 = c2h * top + s2h * bot
-    out1 = s2h * top - c2h * bot
-    return np.abs(np.conj(target[0]) * out0 + np.conj(target[1]) * out1) ** 2
-
-
 def prepare_input(alpha: complex, beta: complex) -> PreparedInput:
-    """Prepare alpha|H> + beta|V>, recovering waveplate angles numerically.
+    """Prepare alpha|H> + beta|V>, with the waveplate angles in closed form.
+
+    On the Poincare sphere the target has Stokes azimuth
+    psi = atan2(S2, S1)/2 and ellipticity chi = asin(S3)/2.  A quarter-wave
+    plate at chi turns |H> into the ellipse of azimuth chi and ellipticity
+    -chi; a half-wave plate at h mirrors it to azimuth 2h - chi and
+    ellipticity chi, so h = (psi + chi)/2 (Hecht, Optics, ch. 8).
 
     The amplitudes are normalized (with a warning if they are off by more
     than 1e-10); both amplitudes zero is rejected.
@@ -108,24 +100,18 @@ def prepare_input(alpha: complex, beta: complex) -> PreparedInput:
             f"|alpha|^2 + |beta|^2 = {norm_sq:.6g}, renormalizing", stacklevel=2
         )
     target = PureState([alpha, beta])
-    tvec = target.amplitudes
-
-    def infidelity(angles: np.ndarray) -> float:
-        return 1.0 - float(_plate_overlap_sq(tvec, angles[0], angles[1]))
-
-    # Coarse scan over both plate angles, then a local polish.
-    grid = np.linspace(0.0, np.pi, 48, endpoint=False)
-    hh, qq = np.meshgrid(grid, grid, indexing="ij")
-    coarse = _plate_overlap_sq(tvec, hh, qq)
-    i, j = np.unravel_index(np.argmax(coarse), coarse.shape)
-    res = optimize.minimize(
-        infidelity, x0=np.array([grid[i], grid[j]]), method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
-    )
-    hwp, qwp = (float(a) % np.pi for a in res.x)
-    # Confirm through the full Jones pipeline, not the fast objective.
+    a, b = target.amplitudes
+    cross = np.conj(a) * b
+    psi = 0.5 * np.arctan2(2.0 * cross.real, abs(a) ** 2 - abs(b) ** 2)
+    # S3 of a normalized state can exceed 1 by rounding at the circular poles.
+    chi = 0.5 * np.arcsin(np.clip(2.0 * cross.imag, -1.0, 1.0))
+    # The second % maps a tiny negative angle, which one % rounds up to
+    # exactly pi, to 0, so both angles lie in [0, pi).
+    hwp = float(0.5 * (psi + chi) % np.pi % np.pi)
+    qwp = float(chi % np.pi % np.pi)
+    # Confirm through the full Jones pipeline.
     if fidelity(target, _waveplate_state(hwp, qwp).density()) < 1 - 1e-10:
-        raise RuntimeError("waveplate angle search failed to converge")
+        raise RuntimeError("closed-form waveplate angles do not reproduce the target")
     return PreparedInput(state=target, hwp_angle=hwp, qwp_angle=qwp)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -272,3 +276,20 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as err:
             main(["teleport-me"])
         assert err.value.code == 2
+
+
+def test_import_loads_no_scipy():
+    # A fresh interpreter, so that modules imported by other tests do not count.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, uplinksim, uplinksim.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

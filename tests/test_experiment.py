@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import optimize
 
 from uplinksim.bsm import BsmModel
 from uplinksim.experiment import (
@@ -22,6 +25,7 @@ from uplinksim.experiment import (
     run_campaign,
     run_orbit,
     STATE_LABELS,
+    _solve_bounded,
 )
 from uplinksim.photonsrc import SourceModel
 from uplinksim.qstate import PureState, mub_states
@@ -320,6 +324,44 @@ class TestCalibrate:
         cfg = result.apply(default_config())
         assert cfg.bsm.mode_overlap == result.params["mode_overlap"]
         assert cfg.link.zenith_transmittance == result.params["zenith_transmittance"]
+
+
+class TestSolveBounded:
+    @staticmethod
+    def counted(fun):
+        calls = []
+
+        def wrapped(x):
+            calls.append(x)
+            return fun(x)
+
+        return wrapped, calls
+
+    @pytest.mark.parametrize(
+        "fun, lo, hi",
+        [
+            (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),  # smooth
+            (lambda x: math.tanh(200.0 * (x - 0.3)), 0.0, 1.0),  # steep
+            (lambda x: x**2 - (1.0 - 5e-10) ** 2, 0.0, 1.0),  # root near hi
+            (lambda x: x * (x + 1.0), 0.0, 1.0),  # exactly zero at lo
+        ],
+        ids=["smooth", "steep", "root-near-bound", "zero-at-lo"],
+    )
+    def test_matches_brentq_oracle(self, fun, lo, hi):
+        wrapped, calls = self.counted(fun)
+        root, residual = _solve_bounded(wrapped, lo, hi)
+        expected, info = optimize.brentq(fun, lo, hi, xtol=1e-12, full_output=True)
+        assert root == pytest.approx(expected, abs=1e-12)
+        assert len(calls) <= info.function_calls + 1
+        assert residual == fun(root)
+
+    @pytest.mark.parametrize(
+        "fun, expected", [(lambda x: x + 1.0, (0.0, 1.0)), (lambda x: x - 5.0, (1.0, -4.0))]
+    )
+    def test_no_sign_change_returns_closer_bound(self, fun, expected):
+        wrapped, calls = self.counted(fun)
+        assert _solve_bounded(wrapped, 0.0, 1.0) == expected
+        assert calls == [0.0, 1.0]
 
 
 class TestClassicalBaseline:

@@ -66,6 +66,27 @@ class TestPrepareInput:
             )
             assert fidelity(prep.state, rebuilt.density()) > 1 - 1e-10
 
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [
+            (1.0, 0.0),  # |H>, a pole
+            (0.0, 1.0),  # |V>, the other pole
+            (1 / np.sqrt(2), 1j / np.sqrt(2)),  # |R>, S3 = +1
+            (1 / np.sqrt(2), -1j / np.sqrt(2)),  # |L>, S3 = -1
+            (np.exp(0.7j) * 0.6, np.exp(0.7j) * 0.8j),  # global phase
+            (0.0, 1j),  # beta only
+            (1.0, -1e-17j),  # ellipticity a tiny negative angle
+        ],
+    )
+    def test_edge_targets_give_reduced_angles(self, alpha, beta):
+        prep = prepare_input(alpha, beta)
+        for angle in (prep.hwp_angle, prep.qwp_angle):
+            assert 0.0 <= angle < np.pi
+        rebuilt = apply_unitary(
+            apply_unitary(KET_H, jones_qwp(prep.qwp_angle)), jones_hwp(prep.hwp_angle)
+        )
+        assert fidelity(prep.state, rebuilt.density()) > 1 - 1e-10
+
     def test_unnormalized_warns(self):
         with pytest.warns(UserWarning):
             prep = prepare_input(1.0, 1.0)
