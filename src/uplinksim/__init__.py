@@ -14,15 +14,7 @@ from .qstate import (
     partial_trace,
     tensor,
 )
-from .photonsrc import (
-    EmissionEvent,
-    PreparedInput,
-    SourceModel,
-    multiplex_rate,
-    prepare_input,
-    sample_emission,
-    werner_pair,
-)
+from .photonsrc import PreparedInput, SourceModel, prepare_input, werner_pair
 from .bsm import (
     BsmModel,
     BsmOutcome,
@@ -38,6 +30,7 @@ from .linkgeom import (
     elevation_profile,
     link_loss_db,
     loss_profile,
+    polarization_channel,
     polarization_distortion,
     slant_range,
 )
@@ -55,6 +48,7 @@ from .experiment import (
     CampaignConfig,
     CampaignResult,
     NoiseToggles,
+    SimulationError,
     analytic_mean_fidelity,
     calibrate,
     classical_baseline,

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: simulate, loss-profile, calibrate, error-budget,
-classical-baseline, fibre-compare.  Exit codes: 0 success, 2 configuration
-error, 3 I/O error, 4 calibration non-convergence.
+classical-baseline, fibre-compare, write-config.  Exit codes: 0 success,
+2 configuration error, 3 I/O error, 4 calibration non-convergence,
+5 simulation error (a valid configuration the model cannot simulate).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .experiment import (
     BUDGET_SOURCES,
     CalibrationError,
     CampaignConfig,
+    SimulationError,
     analytic_mean_fidelity,
     calibrate,
     classical_baseline,
@@ -39,6 +41,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NO_CONVERGENCE = 4
+EXIT_SIMULATION = 5
 
 
 def _load_config(args) -> CampaignConfig:
@@ -247,6 +250,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
+    except SimulationError as err:
+        print(f"simulation error: {err}", file=sys.stderr)
+        return EXIT_SIMULATION
 
 
 if __name__ == "__main__":

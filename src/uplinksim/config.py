@@ -38,12 +38,7 @@ _CAMPAIGN_FIELDS = {
 
 _SECTION_FIELDS = {
     "source": {
-        "rep_rate_hz": (int, float),
-        "trigger_rate_hz": (int, float),
-        "pair_rate_hz": (int, float),
-        "entangled_fidelity": (int, float),
         "double_pair_fraction": (int, float),
-        "num_modules": (int,),
         "fourfold_ground_rate_hz": (int, float),
     },
     "bsm": {"mode_overlap": (int, float)},
@@ -76,14 +71,7 @@ _SECTION_FIELDS = {
     },
 }
 
-_FIELD_RENAMES = {
-    "source": {
-        "rep_rate_hz": "rep_rate",
-        "trigger_rate_hz": "trigger_rate",
-        "pair_rate_hz": "pair_rate",
-        "fourfold_ground_rate_hz": "fourfold_ground_rate",
-    },
-}
+_FIELD_RENAMES = {"source": {"fourfold_ground_rate_hz": "fourfold_ground_rate"}}
 
 
 def _read_json(path: str | Path) -> dict:
@@ -263,14 +251,10 @@ def default_config_dict(seed: int | None = None) -> dict:
             "min_elevation_deg": cfg.min_elevation_deg,
             "orbit_altitude_km": cfg.orbit_altitude_km,
             "schedule": "round_robin",
+            "resource_fidelity": cfg.resource_fidelity,
         },
         "source": {
-            "rep_rate_hz": cfg.source.rep_rate,
-            "trigger_rate_hz": cfg.source.trigger_rate,
-            "pair_rate_hz": cfg.source.pair_rate,
-            "entangled_fidelity": cfg.source.entangled_fidelity,
             "double_pair_fraction": cfg.source.double_pair_fraction,
-            "num_modules": cfg.source.num_modules,
             "fourfold_ground_rate_hz": cfg.source.fourfold_ground_rate,
         },
         "bsm": {"mode_overlap": cfg.bsm.mode_overlap},

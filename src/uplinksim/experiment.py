@@ -22,7 +22,7 @@ from .linkgeom import (
     PassGeometry,
     link_loss_db,
     loss_profile,
-    polarization_distortion,
+    polarization_channel,
 )
 from .photonsrc import SourceModel, werner_pair
 from .qstate import PureState, mub_states, tensor
@@ -34,6 +34,11 @@ STATE_LABELS = ("+", "-", "R", "L", "H", "V")
 
 PORT_SIGNAL = "signal"
 PORT_ORTHOGONAL = "orthogonal"
+
+
+class SimulationError(RuntimeError):
+    """A valid configuration the model cannot simulate (for example a
+    campaign that collects no events for some input state)."""
 
 
 @dataclass(frozen=True)
@@ -230,6 +235,7 @@ def default_config(seed: int = DEFAULT_SEED, **overrides) -> CampaignConfig:
 class OrbitExposure:
     live_time_s: float
     transmit_integral_s: float  # integral of channel transmittance over the pass
+    transmittance: np.ndarray  # per-second channel transmittance (read-only)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -245,11 +251,13 @@ def _exposure(
         max_elevation_deg=max_elevation_deg,
         min_elevation_deg=min_elevation_deg,
     )
-    rows = loss_profile(geometry, link, duration_s)
-    loss = np.array([r[3] for r in rows])
+    loss = np.array([r[3] for r in loss_profile(geometry, link, duration_s)])
+    transmittance = 10.0 ** (-loss / 10.0)
+    transmittance.flags.writeable = False  # shared by every cache hit
     return OrbitExposure(
-        live_time_s=float(len(rows)),
-        transmit_integral_s=float(np.sum(10.0 ** (-loss / 10.0))),
+        live_time_s=float(len(transmittance)),
+        transmit_integral_s=float(np.sum(transmittance)),
+        transmittance=transmittance,
     )
 
 
@@ -286,17 +294,6 @@ def expected_accidental_count(config: CampaignConfig, orbit: OrbitPlan) -> float
 # Quantum pipeline shared by the analytic tier and the Monte Carlo tier.
 
 
-def _distortion_unitaries(delta: float, jitter_sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes (weights, unitaries stacked) for the expected
-    rotation channel; a single unit-weight node when jitter is zero."""
-    if jitter_sigma == 0.0:
-        return np.array([1.0]), np.stack([polarization_distortion(delta, 0.0)])
-    nodes, weights = np.polynomial.hermite.hermgauss(21)
-    angles = delta + np.sqrt(2.0) * jitter_sigma * nodes
-    units = np.stack([polarization_distortion(a, 0.0) for a in angles])
-    return weights / np.sqrt(np.pi), units
-
-
 @dataclass(frozen=True)
 class EventModel:
     """Per-event branch data for one scheduled input state."""
@@ -323,14 +320,11 @@ def build_event_model(
     chi = input_state if input_state is not None else mub_states()[state_label]
     resource = werner_pair(config.resource_fidelity)
     branches = bsm_apply(tensor(chi, resource), BsmModel(config.mode_overlap_eff))
-    weights, units = _distortion_unitaries(
-        config.polarization_delta_eff, config.polarization_jitter_eff
-    )
 
     accepted = {b.outcome: b for b in branches if b.outcome in ACCEPTED_OUTCOMES}
     total_accepted = sum(b.probability for b in accepted.values())
     if total_accepted <= 0:
-        raise RuntimeError("no accepted analyzer outcomes for this input")
+        raise SimulationError("no accepted analyzer outcomes for this input")
 
     z_fid = abs(np.vdot(chi.amplitudes, np.diag([1, -1]) @ chi.amplitudes)) ** 2
     if z_fid > 1 - 1e-9:
@@ -348,8 +342,11 @@ def build_event_model(
     psi = chi.amplitudes
     for outcome, branch in accepted.items():
         out_prob[outcome] = branch.probability / total_accepted
-        rho = branch.conditional.matrix
-        distorted = np.einsum("k,kij,jl,kml->im", weights, units, rho, units.conj())
+        distorted = polarization_channel(
+            branch.conditional.matrix,
+            config.polarization_delta_eff,
+            config.polarization_jitter_eff,
+        )
         port_prob[outcome] = float(np.real(psi.conj() @ distorted @ psi))
         if outcome is BsmOutcome.PHI_PLUS or not feed_forward:
             correct[outcome] = PORT_SIGNAL
@@ -435,18 +432,21 @@ class OrbitRecord:
 def run_orbit(config: CampaignConfig, orbit_index: int, rng: np.random.Generator) -> OrbitRecord:
     """Simulate one pass: Poisson event arrivals thinned by the loss
     profile, analyzer outcomes, uplink distortion, and accidental
-    coincidences, recorded as raw (outcome, port) fourfold counts."""
+    coincidences, recorded as raw (outcome, port) fourfold counts.
+
+    Each event lands in the signal port with the event model's probability.
+    Under polarization jitter that is the jitter-averaged channel, which is
+    exact in distribution because every event draws its angle afresh.
+    """
     orbit = config.orbits[orbit_index]
     state_label = config.input_schedule[orbit_index]
-    geometry = config.geometry(orbit)
-    rows = loss_profile(geometry, config.link, config.orbit_duration_s)
-    loss = np.array([r[3] for r in rows])
-    live_time = float(len(rows))
+    exposure = orbit_exposure(config, orbit)
+    live_time = exposure.live_time_s
 
     sig_means = (
         config.source.fourfold_ground_rate
         * config.detection.receiver_efficiency
-        * 10.0 ** (-loss / 10.0)
+        * exposure.transmittance
     )
     n_signal = int(rng.poisson(sig_means).sum())
     acc_rate = accidental_rate(
@@ -457,7 +457,6 @@ def run_orbit(config: CampaignConfig, orbit_index: int, rng: np.random.Generator
     n_accidental = int(rng.poisson(acc_rate * live_time))
 
     model = build_event_model(config, state_label)
-    jitter = config.polarization_jitter_eff
     outcomes = list(model.outcome_probabilities)
     out_p = np.array([model.outcome_probabilities[o] for o in outcomes])
     d = config.double_pair_fraction_eff
@@ -467,27 +466,11 @@ def run_orbit(config: CampaignConfig, orbit_index: int, rng: np.random.Generator
         for o in ACCEPTED_OUTCOMES
         for port in (PORT_SIGNAL, PORT_ORTHOGONAL)
     }
-    chi = model.input_state.amplitudes
-
-    if jitter > 0:
-        # Re-derive undistorted conditionals once; distort per event below.
-        branches = {
-            b.outcome: b.conditional.matrix
-            for b in bsm_apply(
-                tensor(model.input_state, werner_pair(config.resource_fidelity)),
-                BsmModel(config.mode_overlap_eff),
-            )
-            if b.outcome in ACCEPTED_OUTCOMES
-        }
 
     for _ in range(n_signal):
         outcome = outcomes[rng.choice(len(outcomes), p=out_p)]
         if rng.random() < d:
             p_signal_port = 0.5
-        elif jitter > 0:
-            u = polarization_distortion(config.polarization_delta_eff, jitter, rng)
-            rho = u @ branches[outcome] @ u.conj().T
-            p_signal_port = float(np.real(chi.conj() @ rho @ chi))
         else:
             p_signal_port = model.signal_port_probability[outcome]
         port = PORT_SIGNAL if rng.random() < p_signal_port else PORT_ORTHOGONAL
@@ -598,7 +581,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                     else:
                         n_wrong += n
         if n_correct + n_wrong == 0:
-            raise RuntimeError(
+            raise SimulationError(
                 f"campaign accumulated no fourfold events for input {label!r}; "
                 "extend the schedule or raise the rates"
             )

@@ -5,7 +5,8 @@ rotation and eccentricity shift a 350 s pass by well under the dB-level
 accuracy of the loss model.  The loss budget combines a top-hat far-field
 geometric factor, a Rayleigh pointing-jitter factor whose jitter grows
 with the mount slew rate (alt-az mounts slew hardest through culmination),
-and a plane-parallel atmosphere.
+and a plane-parallel atmosphere.  The signal wavelength is 780 nm
+(degenerate down-conversion of the 390 nm pump).
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from .qstate import PAULI_X, PAULI_Y
 EARTH_RADIUS_KM = 6371.0
 GM_EARTH_KM3_S2 = 398600.4418
 
-# Signal wavelength is 780 nm (degenerate down-conversion of the 390 nm
-# pump); it enters no formula below but is recorded for documentation.
-SIGNAL_WAVELENGTH_NM = 780.0
+# Fixed equatorial rotation axis of the uplink polarization distortion,
+# midway between the diagonal and circular axes.
+ROTATION_AXIS = (PAULI_X + PAULI_Y) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -210,8 +211,21 @@ def polarization_distortion(
         if rng is None:
             raise ValueError("jitter requires a random generator")
         angle += rng.normal(0.0, jitter_sigma)
-    axis = (PAULI_X + PAULI_Y) / np.sqrt(2.0)
-    return np.cos(angle) * np.eye(2, dtype=complex) - 1j * np.sin(angle) * axis
+    return np.cos(angle) * np.eye(2, dtype=complex) - 1j * np.sin(angle) * ROTATION_AXIS
+
+
+def polarization_channel(rho: np.ndarray, delta: float, jitter_sigma: float) -> np.ndarray:
+    """Average of the distortion over Gaussian angle jitter, in closed form.
+
+    A rotation by 2a with a ~ N(delta, sigma^2) leaves the Bloch component
+    along the axis n alone and turns the rest by 2 delta while damping it by
+    E[cos 2a]/cos 2delta = exp(-2 sigma^2), so the channel is
+    lam U rho U^dag + (1 - lam) (rho + n rho n)/2 with lam = exp(-2 sigma^2).
+    """
+    u = polarization_distortion(delta, 0.0)
+    lam = np.exp(-2.0 * jitter_sigma**2)
+    dephased = (rho + ROTATION_AXIS @ rho @ ROTATION_AXIS) / 2.0
+    return lam * (u @ rho @ u.conj().T) + (1.0 - lam) * dephased
 
 
 def loss_profile(

@@ -2,14 +2,12 @@
 
 One collinear module heralds the single photon whose state gets prepared
 with waveplates; one non-collinear module supplies the entangled resource
-pair.  Emission is sampled at the event level from the measured count
-rates rather than pulse by pulse: with tens of expected detections per
-pass, simulating 2.8e10 pump pulses would be waste.
+pair.  Only the measured operating point enters the campaign: events are
+drawn from the fourfold rate, not pulse by pulse.
 """
 
 from __future__ import annotations
 
-import enum
 import warnings
 from dataclasses import dataclass
 
@@ -31,35 +29,20 @@ from .qstate import (
 class SourceModel:
     """Measured operating point of the multiplexed four-photon source.
 
-    Rates are counts per second on the ground bench; `double_pair_fraction`
-    is the fraction of heralded events caused by a same-crystal double pair,
-    and `entangled_fidelity` the bench fidelity of the resource pair.
+    `fourfold_ground_rate` is the bench fourfold count rate per second;
+    `double_pair_fraction` is the fraction of heralded events caused by a
+    same-crystal double pair.  The resource-pair fidelity is a campaign
+    parameter (`CampaignConfig.resource_fidelity`).
     """
 
-    rep_rate: float = 80e6
-    trigger_rate: float = 5.7e5
-    pair_rate: float = 1.0e6
-    entangled_fidelity: float = 0.933
     double_pair_fraction: float = 0.0
-    num_modules: int = 2
     fourfold_ground_rate: float = 8210.0
 
     def __post_init__(self):
-        for name in ("rep_rate", "trigger_rate", "pair_rate", "fourfold_ground_rate"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if not 0.25 <= self.entangled_fidelity <= 1.0:
-            raise ValueError("entangled_fidelity must lie in [1/4, 1]")
+        if self.fourfold_ground_rate < 0:
+            raise ValueError("fourfold_ground_rate must be non-negative")
         if not 0.0 <= self.double_pair_fraction < 1.0:
             raise ValueError("double_pair_fraction must lie in [0, 1)")
-        if self.num_modules < 1:
-            raise ValueError("num_modules must be >= 1")
-
-
-class EmissionEvent(enum.Enum):
-    NONE = "none"
-    SINGLE_PAIR = "single_pair"
-    DOUBLE_PAIR = "double_pair"
 
 
 @dataclass(frozen=True)
@@ -126,24 +109,3 @@ def werner_pair(f_ent: float) -> DensityMatrix:
     p = (4.0 * f_ent - 1.0) / 3.0
     phi = BellState.PHI_PLUS.state.density().matrix
     return DensityMatrix(p * phi + (1.0 - p) * np.eye(4) / 4.0)
-
-
-def sample_emission(source: SourceModel, rng: np.random.Generator) -> EmissionEvent:
-    """Draw one pump-pulse emission outcome from the rate model.
-
-    An emission happens with probability pair_rate/rep_rate; conditional on
-    emitting, the double-pair branch is taken with double_pair_fraction.
-    """
-    p_emit = min(source.pair_rate / source.rep_rate, 1.0) if source.rep_rate > 0 else 0.0
-    if rng.random() >= p_emit:
-        return EmissionEvent.NONE
-    if rng.random() < source.double_pair_fraction:
-        return EmissionEvent.DOUBLE_PAIR
-    return EmissionEvent.SINGLE_PAIR
-
-
-def multiplex_rate(rates: list[float] | tuple[float, ...]) -> float:
-    """Combined rate of independent source modules sharing one pump."""
-    if any(r < 0 for r in rates):
-        raise ValueError("rates must be non-negative")
-    return float(sum(rates))

@@ -13,7 +13,7 @@ from uplinksim.config import (
     load_campaign_config,
     load_calibration_targets,
 )
-from uplinksim.experiment import default_config, error_budget
+from uplinksim.experiment import analytic_mean_fidelity, default_config, error_budget
 
 
 @pytest.fixture()
@@ -96,6 +96,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_campaign_config(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rep_rate_hz", 80e6),
+            ("trigger_rate_hz", 5.7e5),
+            ("pair_rate_hz", 1.0e6),
+            ("entangled_fidelity", 0.933),
+            ("num_modules", 2),
+        ],
+    )
+    def test_removed_source_field_rejected(self, tmp_path, field, value):
+        payload = default_config_dict()
+        payload["source"][field] = value
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=field):
+            load_campaign_config(path)
+
     def test_type_errors_rejected(self, tmp_path):
         payload = default_config_dict()
         payload["bsm"]["mode_overlap"] = "high"
@@ -147,6 +165,19 @@ class TestSimulate:
             "--out", str(tmp_path / "o"), "--seed", str(2**64),
         ])
         assert code == 2
+
+    def test_eventless_campaign_exits_5(self, tmp_path, capsys):
+        # A 1 s pass collects well under one event, so some input state
+        # ends the campaign with no fourfolds at all.
+        payload = default_config_dict()
+        payload["campaign"].update(orbit_duration_s=1.0, orbits=6)
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(payload))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert err.startswith("simulation error: campaign accumulated no fourfold events")
+        assert "Traceback" not in err
 
 
 class TestLossProfile:
@@ -271,6 +302,18 @@ class TestOtherCommands:
         assert code == 0
         cfg = load_campaign_config(out / "campaign_config.json")
         assert cfg.seed == 11
+
+    def test_written_resource_fidelity_acts(self, tmp_path):
+        assert main(["write-config", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "campaign_config.json"
+        payload = json.loads(path.read_text())
+        assert payload["campaign"]["resource_fidelity"] == 1.0
+        assert load_campaign_config(path).resource_fidelity == 1.0
+        payload["campaign"]["resource_fidelity"] = 0.9
+        path.write_text(json.dumps(payload))
+        cfg = load_campaign_config(path)
+        assert cfg.resource_fidelity == 0.9
+        assert analytic_mean_fidelity(cfg) < analytic_mean_fidelity(default_config()) - 0.01
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:

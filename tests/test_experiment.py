@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from uplinksim.bsm import BsmModel
+from uplinksim import experiment
+from uplinksim.bsm import ACCEPTED_OUTCOMES, BsmModel, bsm_apply
 from uplinksim.experiment import (
     CALIBRATED,
     CalibrationError,
@@ -22,13 +23,16 @@ from uplinksim.experiment import (
     expected_accidental_count,
     expected_signal_count,
     fibre_comparison,
+    orbit_exposure,
     run_campaign,
     run_orbit,
     STATE_LABELS,
+    OrbitRecord,
     _solve_bounded,
 )
-from uplinksim.photonsrc import SourceModel
-from uplinksim.qstate import PureState, mub_states
+from uplinksim.linkgeom import polarization_distortion
+from uplinksim.photonsrc import SourceModel, werner_pair
+from uplinksim.qstate import PureState, mub_states, tensor
 
 from dataclasses import replace
 
@@ -36,6 +40,78 @@ from dataclasses import replace
 def quiet_config(**overrides) -> CampaignConfig:
     """Calibrated geometry and rates with every noise source disabled."""
     return default_config(toggles=NoiseToggles.all_off(), **overrides)
+
+
+def undistorted_conditionals(config: CampaignConfig, state_label: str) -> dict:
+    """Accepted analyzer outcome -> conditional state before the uplink."""
+    chi = mub_states()[state_label]
+    branches = bsm_apply(
+        tensor(chi, werner_pair(config.resource_fidelity)),
+        BsmModel(config.mode_overlap_eff),
+    )
+    return {b.outcome: b.conditional.matrix for b in branches if b.outcome in ACCEPTED_OUTCOMES}
+
+
+def quadrature_port_probabilities(config: CampaignConfig, state_label: str) -> dict:
+    """Oracle for the jitter-averaged channel: 21-node Gauss-Hermite
+    quadrature of the rotation over the Gaussian angle."""
+    nodes, weights = np.polynomial.hermite.hermgauss(21)
+    angles = config.polarization_delta_eff + np.sqrt(2.0) * config.polarization_jitter_eff * nodes
+    units = np.stack([polarization_distortion(a, 0.0) for a in angles])
+    psi = mub_states()[state_label].amplitudes
+    out = {}
+    for outcome, rho in undistorted_conditionals(config, state_label).items():
+        distorted = np.einsum("k,kij,jl,kml->im", weights / np.sqrt(np.pi), units, rho, units.conj())
+        out[outcome] = float(np.real(psi.conj() @ distorted @ psi))
+    return out
+
+
+def run_orbit_per_event_jitter(
+    config: CampaignConfig, orbit_index: int, rng: np.random.Generator
+) -> OrbitRecord:
+    """Oracle for `run_orbit` under polarization jitter: every event that is
+    not a double pair draws its own rotation angle and distorts the
+    undistorted analyzer conditional with it."""
+    orbit = config.orbits[orbit_index]
+    state_label = config.input_schedule[orbit_index]
+    exposure = orbit_exposure(config, orbit)
+    n_signal = int(
+        rng.poisson(
+            config.source.fourfold_ground_rate
+            * config.detection.receiver_efficiency
+            * exposure.transmittance
+        ).sum()
+    )
+    n_accidental = int(rng.poisson(expected_accidental_count(config, orbit)))
+    model = build_event_model(config, state_label)
+    branches = undistorted_conditionals(config, state_label)
+    outcomes = list(model.outcome_probabilities)
+    out_p = np.array([model.outcome_probabilities[o] for o in outcomes])
+    chi = model.input_state.amplitudes
+    counts = {(o.value, port): 0 for o in ACCEPTED_OUTCOMES for port in ("signal", "orthogonal")}
+    for _ in range(n_signal):
+        outcome = outcomes[rng.choice(len(outcomes), p=out_p)]
+        if rng.random() < config.double_pair_fraction_eff:
+            p_signal_port = 0.5
+        else:
+            u = polarization_distortion(
+                config.polarization_delta_eff, config.polarization_jitter_eff, rng
+            )
+            rho = u @ branches[outcome] @ u.conj().T
+            p_signal_port = float(np.real(chi.conj() @ rho @ chi))
+        counts[(outcome.value, "signal" if rng.random() < p_signal_port else "orthogonal")] += 1
+    for _ in range(n_accidental):
+        outcome = outcomes[rng.choice(len(outcomes), p=out_p)]
+        counts[(outcome.value, "signal" if rng.random() < 0.5 else "orthogonal")] += 1
+    return OrbitRecord(
+        label=orbit.label,
+        state_label=state_label,
+        max_elevation_deg=orbit.max_elevation_deg,
+        live_time_s=exposure.live_time_s,
+        counts=counts,
+        n_signal_truth=n_signal,
+        n_accidental_truth=n_accidental,
+    )
 
 
 class TestConfig:
@@ -55,6 +131,10 @@ class TestConfig:
         assert cfg.mode_overlap_eff == 1.0
         assert cfg.polarization_delta_eff == 0.0
         assert cfg.background_rate_eff == 0.0
+
+    def test_bad_resource_fidelity_rejected(self):
+        with pytest.raises(ValueError):
+            default_config(resource_fidelity=0.1)
 
     def test_noise_toggle_only(self):
         t = NoiseToggles.only("polarization")
@@ -159,9 +239,11 @@ class TestRunCampaign:
         for label, summary in res.per_state.items():
             assert abs(summary.fidelity - expected[label]) < 3 * summary.sigma
 
-    def test_jittered_polarization_sampling_matches_quadrature(self):
-        # Per-event angle draws (Monte Carlo) against the Gauss-Hermite
-        # expectation of the rotation channel (analytic tier).
+    def test_jittered_polarization_sampling_matches_quadrature(self, monkeypatch):
+        # Per-event angle draws (the oracle sampler, run through the
+        # campaign's seeding and aggregation) against the jitter-averaged
+        # rotation channel of the analytic tier.
+        monkeypatch.setattr(experiment, "run_orbit", run_orbit_per_event_jitter)
         cfg = default_config(
             source=SourceModel(
                 double_pair_fraction=0.12, fourfold_ground_rate=8210.0 * 50
@@ -187,10 +269,23 @@ class TestAnalyticPipeline:
             (np.linspace(0.0, 0.4, 5), lambda v: replace(cfg, source=replace(cfg.source, double_pair_fraction=v))),
             (np.linspace(1.0, 0.2, 5), lambda v: replace(cfg, bsm=BsmModel(mode_overlap=v))),
             (np.linspace(0.0, 0.5, 5), lambda v: replace(cfg, polarization=replace(cfg.polarization, delta_rad=v))),
+            (np.linspace(0.0, 0.6, 5), lambda v: replace(cfg, polarization=replace(cfg.polarization, jitter_sigma_rad=v))),
             (np.linspace(0.0, 2000.0, 5), lambda v: replace(cfg, detection=replace(cfg.detection, background_rate_hz=v))),
         ]:
             means = [analytic_mean_fidelity(make(v)) for v in grids]
             assert all(a >= b - 1e-12 for a, b in zip(means, means[1:]))
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.15, 0.5, 1.0])
+    def test_jitter_channel_matches_quadrature_oracle(self, sigma):
+        cfg = default_config(
+            polarization=replace(default_config().polarization, jitter_sigma_rad=sigma)
+        )
+        for label in STATE_LABELS:
+            closed = build_event_model(cfg, label).signal_port_probability
+            oracle = quadrature_port_probabilities(cfg, label)
+            assert closed.keys() == oracle.keys()
+            for outcome, p in oracle.items():
+                assert abs(closed[outcome] - p) <= 1e-12
 
     def test_port_choice_invariant_under_global_phase(self):
         cfg = default_config()

@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from uplinksim.photonsrc import (
-    EmissionEvent,
     PreparedInput,
     SourceModel,
-    multiplex_rate,
     prepare_input,
-    sample_emission,
     werner_pair,
 )
 from uplinksim.qstate import (
@@ -27,13 +24,9 @@ class TestSourceModel:
         src = SourceModel()
         assert src.fourfold_ground_rate == 8210.0
 
-    def test_bad_fidelity_rejected(self):
-        with pytest.raises(ValueError):
-            SourceModel(entangled_fidelity=0.1)
-
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
-            SourceModel(pair_rate=-1.0)
+            SourceModel(fourfold_ground_rate=-1.0)
 
 
 class TestPrepareInput:
@@ -126,48 +119,3 @@ class TestWernerPair:
             werner_pair(0.2)
         with pytest.raises(ValueError):
             werner_pair(1.01)
-
-
-class TestSampleEmission:
-    def test_zero_fraction_never_doubles(self):
-        src = SourceModel(pair_rate=80e6, double_pair_fraction=0.0)
-        rng = np.random.default_rng(1)
-        for _ in range(2000):
-            assert sample_emission(src, rng) is not EmissionEvent.DOUBLE_PAIR
-
-    def test_double_fraction_within_binomial_bounds(self):
-        src = SourceModel(pair_rate=80e6, double_pair_fraction=0.5)
-        rng = np.random.default_rng(2)
-        n = 10**6
-        doubles = sum(
-            sample_emission(src, rng) is EmissionEvent.DOUBLE_PAIR for _ in range(n)
-        )
-        sigma = np.sqrt(0.5 * 0.5 / n)
-        assert abs(doubles / n - 0.5) < 3 * sigma
-
-    def test_emission_probability_follows_rates(self):
-        src = SourceModel(rep_rate=80e6, pair_rate=8e6)
-        rng = np.random.default_rng(3)
-        n = 10**5
-        emitted = sum(
-            sample_emission(src, rng) is not EmissionEvent.NONE for _ in range(n)
-        )
-        sigma = np.sqrt(0.1 * 0.9 / n)
-        assert abs(emitted / n - 0.1) < 4 * sigma
-
-
-class TestMultiplexRate:
-    def test_single_module(self):
-        assert multiplex_rate([4080.0]) == 4080.0
-
-    def test_two_modules_match_combined_rate(self):
-        # Second module rate inferred as the difference of the published
-        # combined and single-module rates.
-        assert multiplex_rate([4080.0, 4130.0]) == pytest.approx(8210.0)
-
-    def test_empty(self):
-        assert multiplex_rate([]) == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            multiplex_rate([10.0, -1.0])
