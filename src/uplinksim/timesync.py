@@ -8,7 +8,10 @@ timing jitter between the streams is lumped into the satellite tags.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -86,26 +89,27 @@ class TimeTagStream:
 
     def dump(self, path: str | Path) -> None:
         """Write the line-oriented text format `channel,time_ps`."""
+        lines = np.char.add(self.channels.astype(str), ",")
+        lines = np.char.add(np.char.add(lines, self.times_ps.astype(str)), "\n")
         with open(path, "w", encoding="ascii") as fh:
-            for ch, t in zip(self.channels, self.times_ps):
-                fh.write(f"{int(ch)},{int(t)}\n")
+            fh.write("".join(lines.tolist()))
 
     @classmethod
     def load(cls, path: str | Path) -> "TimeTagStream":
-        channels, times = [], []
+        """Read the `dump` format; tags come back in stable time order."""
         with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                ch, t = line.split(",")
-                channels.append(int(ch))
-                times.append(int(t))
-        order = np.argsort(np.asarray(times, dtype=np.int64), kind="stable")
-        return cls(
-            np.asarray(times, dtype=np.int64)[order],
-            np.asarray(channels, dtype=np.int16)[order],
+            text = fh.read()
+        if not text.strip():
+            return cls([], [])
+        rows = np.loadtxt(
+            io.StringIO(text),
+            delimiter=",",
+            dtype=[("channel", np.int16), ("time_ps", np.int64)],
+            comments=None,
+            ndmin=1,
         )
+        order = np.argsort(rows["time_ps"], kind="stable")
+        return cls(rows["time_ps"][order], rows["channel"][order])
 
 
 def sync_pulse_times_ps(config: SyncConfig, duration_s: float) -> np.ndarray:
@@ -117,13 +121,22 @@ def sync_pulse_times_ps(config: SyncConfig, duration_s: float) -> np.ndarray:
     return np.arange(n) * period_ps
 
 
-def _merge_sorted(times: list[np.ndarray], channels: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    all_t = np.concatenate([np.asarray(t, dtype=np.int64) for t in times])
-    all_c = np.concatenate(
-        [np.full(len(t), c, dtype=np.int16) for t, c in zip(times, channels)]
-    )
-    order = np.argsort(all_t, kind="stable")
-    return all_t[order], all_c[order]
+def _merge_sorted(
+    events: np.ndarray, event_channel: int, background: np.ndarray, background_channel: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Time-ordered union of two unsorted tag sets; on equal times the
+    event tags come first."""
+    ev = np.sort(events)
+    bg = np.sort(background)
+    at = np.searchsorted(bg, ev, "left") + np.arange(ev.size)
+    times = np.empty(ev.size + bg.size, dtype=np.int64)
+    channels = np.full(times.size, background_channel, dtype=np.int16)
+    is_background = np.ones(times.size, dtype=bool)
+    is_background[at] = False
+    times[at] = ev
+    times[is_background] = bg
+    channels[at] = event_channel
+    return times, channels
 
 
 def generate_streams(
@@ -150,26 +163,21 @@ def generate_streams(
     events = np.asarray(event_times_ps, dtype=float).reshape(-1)
 
     span_ps = duration_s * 1e12
-    ground_parts = [np.round(events).astype(np.int64)]
-    ground_chans = [event_channel]
+    ground_events = np.round(events).astype(np.int64)
     sat_times = clock.satellite_time(events)
     if jitter_sigma_ps > 0 and events.size:
         sat_times = sat_times + rng.normal(0.0, jitter_sigma_ps, size=events.size)
-    sat_parts = [np.round(sat_times).astype(np.int64)]
-    sat_chans = [event_channel]
+    sat_events = np.round(sat_times).astype(np.int64)
 
-    for rate, parts, chans in (
-        (ground_background_hz, ground_parts, ground_chans),
-        (satellite_background_hz, sat_parts, sat_chans),
-    ):
+    backgrounds = []
+    for rate in (ground_background_hz, satellite_background_hz):
         if rate < 0:
             raise ValueError("background rate must be non-negative")
         n = rng.poisson(rate * duration_s)
-        parts.append(np.round(rng.uniform(0.0, span_ps, size=n)).astype(np.int64))
-        chans.append(background_channel)
+        backgrounds.append(np.round(rng.uniform(0.0, span_ps, size=n)).astype(np.int64))
 
-    g_t, g_c = _merge_sorted(ground_parts, ground_chans)
-    s_t, s_c = _merge_sorted(sat_parts, sat_chans)
+    g_t, g_c = _merge_sorted(ground_events, event_channel, backgrounds[0], background_channel)
+    s_t, s_c = _merge_sorted(sat_events, event_channel, backgrounds[1], background_channel)
     return (
         TimeTagStream(g_t, g_c),
         TimeTagStream(s_t, s_c, clock=clock),
@@ -231,31 +239,47 @@ def match_coincidences(
     Greedy in ground-time order: each ground tag takes the nearest still
     unused satellite tag inside its window (the earlier tag on an exact
     tie); every tag is used at most once.  Deterministic.
+
+    Candidates are found from the satellite side: each mapped satellite
+    tag binary-searches the ground times, and only the C candidate pairs
+    so found go through the greedy rule, in ground order.  The cost is
+    O((S + C) log G) for S satellite and G ground tags, and nothing is
+    allocated per ground tag beyond the float copy of its times.
     """
     if window_ps <= 0:
         raise ValueError("window must be positive")
     half = window_ps / 2.0
     g = ground.times_ps.astype(float)
     s = clock.ground_time(satellite.times_ps)
-    used = np.zeros(s.size, dtype=bool)
+    if g.size == 0 or s.size == 0:
+        return MatchResult(pairs=(), n_ground_unmatched=g.size, n_satellite_unmatched=s.size)
+
+    # The search is padded by a few ulps of the largest magnitude, so that
+    # no rounding of `t - half` or `t + half` can drop a candidate; the
+    # exact window test below then decides which candidates are inside.
+    scale = max(abs(g[0]), abs(g[-1])) + max(abs(s[0]), abs(s[-1])) + window_ps
+    reach = half + 8.0 * np.spacing(scale)
+    first = np.searchsorted(g, s - reach, "left")
+    count = np.searchsorted(g, s + reach, "right") - first
+    # Candidate k of satellite tag j is ground tag first[j] + k.
+    sat_idx = np.repeat(np.arange(s.size), count)
+    gnd_idx = np.arange(sat_idx.size) - np.repeat(np.cumsum(count) - count - first, count)
+    t = g[gnd_idx]
+    sj = s[sat_idx]
+    inside = (t - half <= sj) & (sj <= t + half)
+    gnd_idx, sat_idx = gnd_idx[inside], sat_idx[inside]
+    dist = np.abs(sj[inside] - t[inside])
+    order = np.lexsort((sat_idx, gnd_idx))
+
+    used = set()
     pairs = []
-    lo = 0
-    for gi, t in enumerate(g):
-        while lo < s.size and (s[lo] < t - half or used[lo]):
-            lo += 1
-        best = -1
-        best_dist = np.inf
-        j = lo
-        while j < s.size and s[j] <= t + half:
-            if not used[j]:
-                dist = abs(s[j] - t)
-                if dist < best_dist:
-                    best = j
-                    best_dist = dist
-            j += 1
-        if best >= 0:
-            used[best] = True
-            pairs.append((gi, best))
+    candidates = zip(gnd_idx[order].tolist(), sat_idx[order].tolist(), dist[order].tolist())
+    for gi, group in groupby(candidates, key=itemgetter(0)):
+        free = [(d, j) for _, j, d in group if j not in used]
+        if free:
+            j = min(free)[1]  # nearest, then the earlier tag
+            used.add(j)
+            pairs.append((gi, j))
     return MatchResult(
         pairs=tuple(pairs),
         n_ground_unmatched=g.size - len(pairs),

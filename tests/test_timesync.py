@@ -1,9 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from uplinksim import experiment, timesync
 from uplinksim.timesync import (
     ClockModel,
+    MatchResult,
     SyncConfig,
     TimeTagStream,
     accidental_rate,
@@ -12,6 +18,57 @@ from uplinksim.timesync import (
     match_coincidences,
     sync_pulse_times_ps,
 )
+
+
+def greedy_match_oracle(ground, satellite, clock, window_ps):
+    """Reference matcher: one pass over every ground tag in time order,
+    taking the nearest unused satellite tag in its window (the earlier one
+    on an exact tie)."""
+    half = window_ps / 2.0
+    g = ground.times_ps.astype(float)
+    s = clock.ground_time(satellite.times_ps)
+    used = np.zeros(s.size, dtype=bool)
+    pairs = []
+    lo = 0
+    for gi, t in enumerate(g):
+        while lo < s.size and (s[lo] < t - half or used[lo]):
+            lo += 1
+        best = -1
+        best_dist = np.inf
+        j = lo
+        while j < s.size and s[j] <= t + half:
+            if not used[j]:
+                dist = abs(s[j] - t)
+                if dist < best_dist:
+                    best = j
+                    best_dist = dist
+            j += 1
+        if best >= 0:
+            used[best] = True
+            pairs.append((gi, best))
+    return MatchResult(
+        pairs=tuple(pairs),
+        n_ground_unmatched=g.size - len(pairs),
+        n_satellite_unmatched=s.size - len(pairs),
+    )
+
+
+def merge_sorted_oracle(events, event_channel, background, background_channel):
+    """Reference merge: concatenate events then background, stable argsort."""
+    all_t = np.concatenate([np.asarray(events, dtype=np.int64), np.asarray(background, dtype=np.int64)])
+    all_c = np.concatenate(
+        [np.full(len(events), event_channel, dtype=np.int16),
+         np.full(len(background), background_channel, dtype=np.int16)]
+    )
+    order = np.argsort(all_t, kind="stable")
+    return all_t[order], all_c[order]
+
+
+def write_lines_oracle(stream, path):
+    """Reference writer of the `channel,time_ps` format, one line at a time."""
+    with open(path, "w", encoding="ascii") as fh:
+        for ch, t in zip(stream.channels, stream.times_ps):
+            fh.write(f"{int(ch)},{int(t)}\n")
 
 
 class TestTypes:
@@ -44,6 +101,44 @@ class TestTypes:
         back = TimeTagStream.load(path)
         np.testing.assert_array_equal(back.times_ps, stream.times_ps)
         np.testing.assert_array_equal(back.channels, stream.channels)
+
+    def test_dump_load_roundtrip_large_with_ties(self, tmp_path):
+        rng = np.random.default_rng(31)
+        times = np.sort(rng.integers(-10**6, 3 * 10**14, size=100_000))
+        times[1::7] = times[::7][: times[1::7].size]  # ties across channels
+        times = np.sort(times)
+        channels = rng.integers(-32768, 32768, size=times.size).astype(np.int16)
+        stream = TimeTagStream(times, channels)
+        path, reference = tmp_path / "tags.txt", tmp_path / "reference.txt"
+        stream.dump(path)
+        write_lines_oracle(stream, reference)
+        assert path.read_bytes() == reference.read_bytes()
+        back = TimeTagStream.load(path)
+        np.testing.assert_array_equal(back.times_ps, stream.times_ps)
+        np.testing.assert_array_equal(back.channels, stream.channels)
+
+    def test_load_orders_by_time_stably(self, tmp_path):
+        path = tmp_path / "tags.txt"
+        path.write_text("3,40\n1,17\n\n0,17\n2,5\n1,40\n", encoding="ascii")
+        back = TimeTagStream.load(path)
+        np.testing.assert_array_equal(back.times_ps, [5, 17, 17, 40, 40])
+        np.testing.assert_array_equal(back.channels, [2, 1, 0, 3, 1])
+
+    def test_empty_file_loads_empty_stream_without_warning(self, tmp_path):
+        path = tmp_path / "tags.txt"
+        TimeTagStream([], []).dump(path)
+        assert path.read_bytes() == b""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = TimeTagStream.load(path)
+        assert len(back) == 0
+
+    @pytest.mark.parametrize("line", ["1,x", "1", "1,2,3", "40000,5"])
+    def test_malformed_line_rejected(self, tmp_path, line):
+        path = tmp_path / "tags.txt"
+        path.write_text(f"0,1\n{line}\n", encoding="ascii")
+        with pytest.raises(ValueError):
+            TimeTagStream.load(path)
 
 
 class TestGenerateStreams:
@@ -86,6 +181,34 @@ class TestGenerateStreams:
         residual = s.times_ps.astype(float) - predicted
         assert abs(residual.mean()) < 20.0
         assert 80.0 < residual.std() < 120.0
+
+    def test_merge_matches_argsort_oracle(self, monkeypatch):
+        # A 2 ns slice with ~100 tags per stream forces ties between event
+        # and background tags; jitter leaves the satellite events unsorted.
+        kwargs = dict(event_channel=1, background_channel=2)
+        clock = ClockModel(offset_ps=3.0, drift_ppm=50.0)
+        ties = 0
+        for seed in range(5):
+            events = np.random.default_rng(seed).integers(0, 2000, size=40)
+            args = (events, clock, 30.0, 5e10, 5e10, 2e-9)
+            with monkeypatch.context() as patch:
+                patch.setattr(timesync, "_merge_sorted", merge_sorted_oracle)
+                expected = generate_streams(*args, np.random.default_rng(seed), **kwargs)
+            streams = generate_streams(*args, np.random.default_rng(seed), **kwargs)
+            for got, want in zip(streams, expected):
+                np.testing.assert_array_equal(got.times_ps, want.times_ps)
+                np.testing.assert_array_equal(got.channels, want.channels)
+                ties += np.intersect1d(got.channel(1), got.channel(2)).size
+        assert ties > 0
+
+    def test_merge_puts_event_before_background_on_tie(self):
+        events, background = np.array([10, 5]), np.array([10, 3, 10])
+        times, channels = timesync._merge_sorted(events, 1, background, 2)
+        np.testing.assert_array_equal(times, [3, 5, 10, 10, 10])
+        np.testing.assert_array_equal(channels, [2, 1, 1, 2, 2])
+        want_t, want_c = merge_sorted_oracle(events, 1, background, 2)
+        np.testing.assert_array_equal(times, want_t)
+        np.testing.assert_array_equal(channels, want_c)
 
 
 class TestFitClock:
@@ -198,6 +321,63 @@ class TestMatchCoincidences:
         expected = accidental_rate(trigger_rate, background, window_s) * duration
         assert abs(res.n_matched - expected) < 3 * np.sqrt(expected)
 
+    def test_edge_of_window_tie_takes_earlier_tag(self):
+        # Both satellite tags sit exactly on the window edges, equidistant.
+        ground = TimeTagStream([1_000, 1_000], [1, 1])
+        sat = TimeTagStream([500, 3_500, 3_501], [1, 1, 1])  # ground clock: -500, 2500, 2501
+        clock = ClockModel(offset_ps=1_000.0)
+        res = match_coincidences(ground, sat, clock, window_ps=3000.0)
+        assert res.pairs == ((0, 0), (1, 1))
+        assert res == greedy_match_oracle(ground, sat, clock, 3000.0)
+
+    def test_window_edge_rounding_across_power_of_two(self):
+        # The satellite tag maps to ground time 256 + 1017.0159636...; the
+        # loop's test `s <= t + half` passes, but `s - half` rounds above
+        # 256 across the 256/512 binade, so an unpadded search from the
+        # satellite side would miss the ground tag.
+        ground = TimeTagStream([256], [1])
+        sat = TimeTagStream([1279], [1])
+        clock = ClockModel(offset_ps=6.0, drift_ppm=-12.54)
+        window = 2034.0319272403674
+        s = float(clock.ground_time(sat.times_ps)[0])
+        assert s <= 256.0 + window / 2 and s - window / 2 > 256.0
+        res = match_coincidences(ground, sat, clock, window)
+        assert res.pairs == ((0, 0),)
+        assert res == greedy_match_oracle(ground, sat, clock, window)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_greedy_oracle(self, data):
+        window = data.draw(
+            st.sampled_from([1.0, 2.0, 3.0, 3000.0, 10_000.0]) | st.floats(1.0, 10_000.0)
+        )
+        half = window / 2.0
+        clock = data.draw(
+            st.sampled_from([ClockModel(), ClockModel(offset_ps=-7.0)])
+            | st.builds(
+                ClockModel,
+                offset_ps=st.floats(-1e9, 1e9),
+                drift_ppm=st.floats(-99.0, 99.0),
+            )
+        )
+        base = data.draw(st.sampled_from([0, 10**9, 3 * 10**14]))
+        spread = max(int(3 * window), 3)
+        offsets = st.lists(st.integers(0, spread), max_size=25)
+        ground = np.sort(base + np.array(data.draw(offsets), dtype=np.int64))
+        # Satellite tags: copies of ground tags moved onto, just inside and
+        # just outside the window edges or anywhere nearby, plus free tags.
+        shift = st.sampled_from([0.0, half, -half, half - 1, 1 - half, half + 1, -half - 1])
+        near = data.draw(
+            st.lists(st.tuples(st.integers(0, max(ground.size - 1, 0)), shift | st.floats(-window, window)))
+        ) if ground.size else []
+        sat = [clock.satellite_time(float(ground[i]) + d) for i, d in near]
+        sat += [clock.satellite_time(float(base + x)) for x in data.draw(offsets)]
+        sat = np.sort(np.round(np.array(sat, dtype=float)).astype(np.int64))
+        g = TimeTagStream(ground, np.ones(ground.size))
+        s = TimeTagStream(sat, np.ones(sat.size))
+        assert match_coincidences(g, s, clock, window) == greedy_match_oracle(g, s, clock, window)
+        assert match_coincidences(s, g, clock, window) == greedy_match_oracle(s, g, clock, window)
+
 
 class TestAccidentalRate:
     def test_zero_window(self):
@@ -211,3 +391,20 @@ class TestAccidentalRate:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             accidental_rate(-1.0, 500.0, 3e-9)
+
+    def test_matched_accidentals_at_calibrated_herald_rate(self):
+        # The campaign's accidental count is accidental_rate(herald rate,
+        # satellite background, 3 ns) x live time.  Check that formula at
+        # tag level: signal off, the calibrated ground herald stream against
+        # a satellite background raised to give ~120 matches in 10 s.
+        config = experiment.default_config()
+        herald = config.threefold_herald_rate
+        window_s = config.detection.coincidence_window_s
+        background, duration = 2.5e5, 10.0
+        clock = ClockModel(offset_ps=1_234_567.0, drift_ppm=3.2)
+        rng = np.random.default_rng(41)
+        ground, sat = generate_streams([], clock, 0.0, herald, background, duration, rng)
+        res = match_coincidences(ground, sat, clock, window_ps=window_s * 1e12)
+        expected = accidental_rate(herald, background, window_s) * duration
+        assert expected >= 100.0
+        assert abs(res.n_matched - expected) < 3 * np.sqrt(expected)
