@@ -2,14 +2,16 @@
 
 Subcommands: simulate, loss-profile, calibrate, error-budget,
 classical-baseline, fibre-compare, write-config.  Exit codes: 0 success,
-2 configuration error, 3 I/O error, 4 calibration non-convergence,
-5 simulation error (a valid configuration the model cannot simulate).
+2 configuration file or flag rejected, 3 I/O error, 4 calibration
+non-convergence, 5 simulation error (a valid configuration the model cannot
+simulate).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -49,9 +51,7 @@ def _load_config(args) -> CampaignConfig:
         config = default_config()
     else:
         config = load_campaign_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError("--seed must be a 64-bit unsigned integer")
+    if args.seed is not None:
         config = replace(config, seed=args.seed)
     return config
 
@@ -169,6 +169,10 @@ def cmd_classical_baseline(args) -> int:
 
 
 def cmd_fibre_compare(args) -> int:
+    if not 0 < args.rate_hz < math.inf:
+        raise ConfigError("--rate-hz must be positive and finite")
+    if not (0 <= args.distance_km < math.inf and 0 <= args.db_per_km < math.inf):
+        raise ConfigError("--distance-km and --db-per-km must be non-negative and finite")
     out = fibre_comparison(args.rate_hz, args.distance_km, args.db_per_km)
     print(f"total loss: {out.total_loss_db:.1f} dB")
     print(f"transmittance: {out.transmittance:.3e}")
@@ -240,11 +244,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and not 0 <= args.seed < 2**64:
+            raise ConfigError("--seed must be a 64-bit unsigned integer")
         return args.func(args)
     except ConfigError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as err:

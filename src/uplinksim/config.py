@@ -4,6 +4,7 @@ fail-closed (unknown keys are rejected, not ignored)."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -102,6 +103,8 @@ def _check_section(name: str, payload: dict, fields: dict) -> None:
                 raise ConfigError(f"{name}.{key} must be a boolean")
         elif isinstance(value, bool) or not isinstance(value, tuple(types)):
             raise ConfigError(f"{name}.{key} has the wrong type")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name}.{key} must be finite")
 
 
 def _require_version(data: dict, path: str | Path) -> None:

@@ -12,18 +12,14 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
 from .bsm import ACCEPTED_OUTCOMES, BsmModel, BsmOutcome, bsm_apply
-from .linkgeom import (
-    LinkModel,
-    PassGeometry,
-    link_loss_db,
-    loss_profile,
-    polarization_channel,
-)
+from .linkgeom import LinkModel, PassGeometry, link_loss_db, loss_profile, polarization_channel
 from .photonsrc import SourceModel, werner_pair
 from .qstate import PureState, mub_states, tensor
 from .timesync import accidental_rate
@@ -133,6 +129,10 @@ class CampaignConfig:
             raise ValueError("schedule must cover all six input states")
         if not 0.25 <= self.resource_fidelity <= 1.0:
             raise ValueError("resource fidelity must lie in [1/4, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        for orbit in self.orbits:
+            self.geometry(orbit)  # rejects elevations outside 0 < min < max <= 90
 
     # Effective parameters after the noise toggles.
     @property
@@ -239,18 +239,7 @@ class OrbitExposure:
 
 
 @functools.lru_cache(maxsize=4096)
-def _exposure(
-    link: LinkModel,
-    altitude_km: float,
-    max_elevation_deg: float,
-    min_elevation_deg: float,
-    duration_s: float,
-) -> OrbitExposure:
-    geometry = PassGeometry(
-        orbit_altitude_km=altitude_km,
-        max_elevation_deg=max_elevation_deg,
-        min_elevation_deg=min_elevation_deg,
-    )
+def _exposure(geometry: PassGeometry, link: LinkModel, duration_s: float) -> OrbitExposure:
     loss = np.array([r[3] for r in loss_profile(geometry, link, duration_s)])
     transmittance = 10.0 ** (-loss / 10.0)
     transmittance.flags.writeable = False  # shared by every cache hit
@@ -262,32 +251,25 @@ def _exposure(
 
 
 def orbit_exposure(config: CampaignConfig, orbit: OrbitPlan) -> OrbitExposure:
-    return _exposure(
-        config.link,
-        config.orbit_altitude_km,
-        orbit.max_elevation_deg,
-        config.min_elevation_deg,
-        config.orbit_duration_s,
-    )
+    return _exposure(config.geometry(orbit), config.link, config.orbit_duration_s)
+
+
+def _signal_rate(config: CampaignConfig) -> float:
+    """Signal fourfold rate at unit channel transmittance."""
+    return config.source.fourfold_ground_rate * config.detection.receiver_efficiency
 
 
 def expected_signal_count(config: CampaignConfig, orbit: OrbitPlan) -> float:
-    exp = orbit_exposure(config, orbit)
-    return (
-        config.source.fourfold_ground_rate
-        * config.detection.receiver_efficiency
-        * exp.transmit_integral_s
-    )
+    return _signal_rate(config) * orbit_exposure(config, orbit).transmit_integral_s
 
 
 def expected_accidental_count(config: CampaignConfig, orbit: OrbitPlan) -> float:
-    exp = orbit_exposure(config, orbit)
     rate = accidental_rate(
         config.threefold_herald_rate,
         config.background_rate_eff,
         config.detection.coincidence_window_s,
     )
-    return rate * exp.live_time_s
+    return rate * orbit_exposure(config, orbit).live_time_s
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +278,14 @@ def expected_accidental_count(config: CampaignConfig, orbit: OrbitPlan) -> float
 
 @dataclass(frozen=True)
 class EventModel:
-    """Per-event branch data for one scheduled input state."""
+    """Per-event branch data for one input state.  Models are shared between
+    callers, so the mappings are read-only."""
 
     state_label: str
     input_state: PureState
-    outcome_probabilities: dict[BsmOutcome, float]  # renormalized over accepted
-    signal_port_probability: dict[BsmOutcome, float]  # physical |chi> port
-    correct_port: dict[BsmOutcome, str]
+    outcome_probabilities: Mapping[BsmOutcome, float]  # renormalized over accepted
+    signal_port_probability: Mapping[BsmOutcome, float]  # physical |chi> port
+    correct_port: Mapping[BsmOutcome, str]
 
 
 def build_event_model(
@@ -315,11 +298,33 @@ def build_event_model(
     for one input state under the configured noise.
 
     `input_state` overrides the label lookup (e.g. for a phase-shifted
-    copy of the scheduled state); the label stays for bookkeeping.
+    copy of the scheduled state); the label stays for bookkeeping.  The
+    model is built once per key and shared: the resource fidelity, the
+    effective mode overlap, the effective polarization angle delta and
+    jitter sigma, the input amplitudes, the label and `feed_forward`.
     """
-    chi = input_state if input_state is not None else mub_states()[state_label]
-    resource = werner_pair(config.resource_fidelity)
-    branches = bsm_apply(tensor(chi, resource), BsmModel(config.mode_overlap_eff))
+    return _event_model(
+        config.resource_fidelity,
+        config.mode_overlap_eff,
+        config.polarization_delta_eff,
+        config.polarization_jitter_eff,
+        input_state if input_state is not None else mub_states()[state_label],
+        state_label,
+        feed_forward,
+    )
+
+
+@functools.lru_cache(maxsize=1024)
+def _event_model(
+    resource_fidelity: float,
+    mode_overlap: float,
+    delta: float,
+    jitter_sigma: float,
+    chi: PureState,
+    state_label: str,
+    feed_forward: bool,
+) -> EventModel:
+    branches = bsm_apply(tensor(chi, werner_pair(resource_fidelity)), BsmModel(mode_overlap))
 
     accepted = {b.outcome: b for b in branches if b.outcome in ACCEPTED_OUTCOMES}
     total_accepted = sum(b.probability for b in accepted.values())
@@ -342,11 +347,7 @@ def build_event_model(
     psi = chi.amplitudes
     for outcome, branch in accepted.items():
         out_prob[outcome] = branch.probability / total_accepted
-        distorted = polarization_channel(
-            branch.conditional.matrix,
-            config.polarization_delta_eff,
-            config.polarization_jitter_eff,
-        )
+        distorted = polarization_channel(branch.conditional.matrix, delta, jitter_sigma)
         port_prob[outcome] = float(np.real(psi.conj() @ distorted @ psi))
         if outcome is BsmOutcome.PHI_PLUS or not feed_forward:
             correct[outcome] = PORT_SIGNAL
@@ -355,9 +356,9 @@ def build_event_model(
     return EventModel(
         state_label=state_label,
         input_state=chi,
-        outcome_probabilities=out_prob,
-        signal_port_probability=port_prob,
-        correct_port=correct,
+        outcome_probabilities=MappingProxyType(out_prob),
+        signal_port_probability=MappingProxyType(port_prob),
+        correct_port=MappingProxyType(correct),
     )
 
 
@@ -441,20 +442,9 @@ def run_orbit(config: CampaignConfig, orbit_index: int, rng: np.random.Generator
     orbit = config.orbits[orbit_index]
     state_label = config.input_schedule[orbit_index]
     exposure = orbit_exposure(config, orbit)
-    live_time = exposure.live_time_s
-
-    sig_means = (
-        config.source.fourfold_ground_rate
-        * config.detection.receiver_efficiency
-        * exposure.transmittance
-    )
-    n_signal = int(rng.poisson(sig_means).sum())
-    acc_rate = accidental_rate(
-        config.threefold_herald_rate,
-        config.background_rate_eff,
-        config.detection.coincidence_window_s,
-    )
-    n_accidental = int(rng.poisson(acc_rate * live_time))
+    # The expected counts of the analytic tier, the signal drawn per second.
+    n_signal = int(rng.poisson(_signal_rate(config) * exposure.transmittance).sum())
+    n_accidental = int(rng.poisson(expected_accidental_count(config, orbit)))
 
     model = build_event_model(config, state_label)
     outcomes = list(model.outcome_probabilities)
@@ -485,7 +475,7 @@ def run_orbit(config: CampaignConfig, orbit_index: int, rng: np.random.Generator
         label=orbit.label,
         state_label=state_label,
         max_elevation_deg=orbit.max_elevation_deg,
-        live_time_s=live_time,
+        live_time_s=exposure.live_time_s,
         counts=counts,
         n_signal_truth=n_signal,
         n_accidental_truth=n_accidental,
@@ -759,11 +749,7 @@ def calibrate(
     residuals: dict[str, float] = {}
 
     # Channel: linear in (dB per airmass, system dB) at the two anchors.
-    ref_geom = PassGeometry(
-        orbit_altitude_km=config.orbit_altitude_km,
-        max_elevation_deg=76.0,
-        min_elevation_deg=config.min_elevation_deg,
-    )
+    ref_geom = config.geometry(OrbitPlan("reference", 76.0))
     probe = replace(config.link, zenith_transmittance=1.0, system_efficiency_db=0.0)
     anchors = [
         (config.min_elevation_deg, ref_geom.half_duration_s(), targets.loss_max_db),

@@ -41,8 +41,8 @@ class PassGeometry:
     def __post_init__(self):
         if self.orbit_altitude_km <= 0:
             raise ValueError("orbit altitude must be positive")
-        if not self.min_elevation_deg < self.max_elevation_deg <= 90.0:
-            raise ValueError("need min_elevation < max_elevation <= 90 degrees")
+        if not 0.0 < self.min_elevation_deg < self.max_elevation_deg <= 90.0:
+            raise ValueError("need 0 < min_elevation < max_elevation <= 90 degrees")
 
     @property
     def orbital_rate(self) -> float:
@@ -98,12 +98,13 @@ class LinkModel:
             "seeing_urad",
             "tracking_error_urad",
             "receiver_diameter_m",
-            "slew_rate_ref",
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.receiver_diameter_m <= 0:
             raise ValueError("receiver diameter must be positive")
+        if self.slew_rate_ref <= 0:
+            raise ValueError("slew_rate_ref must be positive")
         if not 0.0 < self.zenith_transmittance <= 1.0:
             raise ValueError("zenith transmittance must lie in (0, 1]")
         if self.system_efficiency_db < 0:
@@ -229,21 +230,18 @@ def polarization_channel(rho: np.ndarray, delta: float, jitter_sigma: float) -> 
 
 
 def loss_profile(
-    geometry: PassGeometry,
-    model: LinkModel,
-    duration_s: float,
-    step_s: float = 1.0,
+    geometry: PassGeometry, model: LinkModel, duration_s: float
 ) -> list[tuple[float, float, float, float]]:
     """Sampled pass table: (t_s, elevation_deg, range_km, loss_db).
 
-    Samples a window of `duration_s` centred on culmination, clipped to
-    the tracking window, inclusive of both endpoints.
+    Samples a window of `duration_s` centred on culmination at 1 s steps,
+    clipped to the tracking window, inclusive of both endpoints.
     """
-    if duration_s <= 0 or step_s <= 0:
-        raise ValueError("duration and step must be positive")
+    if duration_s <= 0:
+        raise ValueError("duration must be positive")
     half = min(duration_s / 2.0, geometry.half_duration_s())
-    n = int(np.floor(half / step_s))
-    times = np.arange(-n, n + 1) * step_s
+    n = int(np.floor(half))
+    times = np.arange(-n, n + 1, dtype=float)
     elev = elevation_profile(geometry, times)
     rng_km = slant_range(elev, geometry)
     loss = link_loss_db(elev, times, geometry, model)

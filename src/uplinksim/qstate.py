@@ -34,7 +34,8 @@ def _num_qubits(dim: int) -> int:
 
 
 class PureState:
-    """Normalized complex amplitude vector over 1..4 qubits."""
+    """Normalized complex amplitude vector over 1..4 qubits; immutable, and
+    equal to (and hashed like) any state with the same amplitudes."""
 
     __slots__ = ("amplitudes",)
 
@@ -50,6 +51,14 @@ class PureState:
 
     def __setattr__(self, name, value):
         raise AttributeError("PureState is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PureState):
+            return NotImplemented
+        return bool(np.array_equal(self.amplitudes, other.amplitudes))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.amplitudes.tolist()))
 
     @property
     def num_qubits(self) -> int:
@@ -251,7 +260,12 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
         raise ValueError("cannot trace out every qubit")
     if len(keep) == n:
         return rho
-    t = rho.matrix.reshape((2,) * (2 * n))
+    return DensityMatrix(_trace_out(rho.matrix, n, keep))
+
+
+def _trace_out(matrix: np.ndarray, n: int, keep: Sequence[int]) -> np.ndarray:
+    """Trace the qubits not in `keep` out of an n-qubit operator."""
+    t = matrix.reshape((2,) * (2 * n))
     traced = 0
     for q in range(n):
         if q in keep:
@@ -261,7 +275,7 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
         t = np.trace(t, axis1=axis, axis2=axis + remaining)
         traced += 1
     d = 2 ** len(keep)
-    return DensityMatrix(t.reshape(d, d))
+    return t.reshape(d, d)
 
 
 def condition(
@@ -293,18 +307,7 @@ def condition(
         return prob, None
 
     keep = [q for q in range(n) if q not in targets]
-    weighted = full @ rho.matrix
-    t = weighted.reshape((2,) * (2 * n))
-    traced = 0
-    for q in range(n):
-        if q in keep:
-            continue
-        axis = q - traced
-        remaining = n - traced
-        t = np.trace(t, axis1=axis, axis2=axis + remaining)
-        traced += 1
-    d = 2 ** len(keep)
-    reduced = t.reshape(d, d) / prob
+    reduced = _trace_out(full @ rho.matrix, n, keep) / prob
     return prob, DensityMatrix(reduced)
 
 

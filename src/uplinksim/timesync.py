@@ -31,9 +31,8 @@ class ClockModel:
             raise ValueError(f"|drift| must stay below {MAX_DRIFT_PPM} ppm")
 
     def satellite_time(self, ground_ps):
-        return ground_ps + self.offset_ps + self.drift_ppm * 1e-6 * np.asarray(
-            ground_ps, dtype=float
-        )
+        ground_ps = np.asarray(ground_ps, dtype=float)
+        return ground_ps + self.offset_ps + self.drift_ppm * 1e-6 * ground_ps
 
     def ground_time(self, satellite_ps):
         return (np.asarray(satellite_ps, dtype=float) - self.offset_ps) / (

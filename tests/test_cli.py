@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from uplinksim import cli
 from uplinksim.cli import main
 from uplinksim.config import (
     ConfigError,
@@ -113,6 +114,33 @@ class TestConfigParsing:
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError, match=field):
             load_campaign_config(path)
+
+    @pytest.mark.parametrize(
+        "section, values, field",
+        [
+            ("campaign", {"min_elevation_deg": -5.0, "orbit_duration_s": 2000.0}, "min_elevation"),
+            (
+                "campaign",
+                {"max_elevations_deg": [90.5] + [60.0] * 5, "orbits": 6, "schedule": list("HV+-RL")},
+                "max_elevation",
+            ),
+            ("campaign", {"seed": -1}, "seed"),
+            ("link", {"slew_rate_ref": 0.0}, "slew_rate_ref"),
+            ("polarization", {"delta_rad": float("nan")}, "polarization.delta_rad"),
+        ],
+    )
+    def test_unusable_values_exit_2_at_load(self, tmp_path, capsys, section, values, field):
+        payload = default_config_dict()
+        payload[section].update(values)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=field):
+            load_campaign_config(path)
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error:") and field in err
+        assert not (tmp_path / "o").exists()
 
     def test_type_errors_rejected(self, tmp_path):
         payload = default_config_dict()
@@ -295,6 +323,23 @@ class TestOtherCommands:
         assert code == 0
         text = capsys.readouterr().out
         assert "240.0 dB" in text
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--rate-hz", "-1"), ("--distance-km", "-5"), ("--distance-km", "inf"), ("--db-per-km", "nan")],
+    )
+    def test_fibre_compare_bad_flag_exits_2(self, capsys, tmp_path, flag, value):
+        code = main(["fibre-compare", flag, value, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_a_config_error(self, monkeypatch, tmp_path):
+        def broken(config):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "run_campaign", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["simulate", "--out", str(tmp_path / "o")])
 
     def test_write_config_round_trips(self, tmp_path):
         out = tmp_path / "out"

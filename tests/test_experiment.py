@@ -299,6 +299,20 @@ class TestAnalyticPipeline:
                 )
                 assert plain.correct_port[outcome] == shifted.correct_port[outcome]
 
+    def test_event_models_built_once_per_physical_key(self):
+        # The campaign and the error budget need 24 distinct models: six
+        # states under each of the four (mode overlap, delta, sigma) settings
+        # their toggles produce.
+        cfg = default_config()
+        experiment._event_model.cache_clear()
+        run_campaign(cfg)
+        error_budget(cfg)
+        assert experiment._event_model.cache_info().misses == 24
+        model = build_event_model(cfg, "+", input_state=mub_states()["+"])
+        assert model is build_event_model(cfg, "+")
+        with pytest.raises(TypeError):
+            model.signal_port_probability[next(iter(model.signal_port_probability))] = 1.0
+
     def test_analyzer_ports_realizable_with_waveplates(self):
         # The two analyzer projectors used by the pipeline are exactly what
         # a QWP + HWP + polarizing splitter realizes: with plate angles that

@@ -90,6 +90,13 @@ class TestTypes:
         t = np.array([0.0, 1e12, 3.5e14])
         np.testing.assert_allclose(clock.ground_time(clock.satellite_time(t)), t, rtol=1e-12)
 
+    def test_satellite_time_accepts_list_array_and_scalar(self):
+        clock = ClockModel(offset_ps=5.0, drift_ppm=12.0)
+        t = [1.0, 2.0, 3.5e14]
+        expected = clock.satellite_time(np.array(t))
+        np.testing.assert_array_equal(clock.satellite_time(t), expected)
+        assert [clock.satellite_time(v) for v in t] == list(expected)
+
     def test_sync_config_defaults_keep_window_wide(self):
         cfg = SyncConfig()
         assert cfg.window_ps >= 6 * cfg.detector_jitter_sigma_ps
