@@ -81,9 +81,9 @@ def _write_budget_csv(budget: dict[str, float], path: Path) -> None:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args)
-    out = _out_dir(args)
     result = run_campaign(config)
     budget = error_budget(config)
+    out = _out_dir(args)
 
     (out / "campaign_result.json").write_text(result.to_json() + "\n", encoding="ascii")
     with open(out / "fig3_fidelities.csv", "w", encoding="ascii") as fh:

@@ -414,6 +414,9 @@ def analytic_mean_fidelity(config: CampaignConfig, feed_forward: bool = True) ->
 # ---------------------------------------------------------------------------
 # Monte Carlo tier.
 
+# Largest mean numpy's Generator.poisson accepts (its own bound on a C long).
+POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+
 
 @dataclass(frozen=True)
 class OrbitRecord:
@@ -547,6 +550,15 @@ class CampaignResult:
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Run all passes on independent substreams of the campaign seed and
     aggregate raw counts into per-state fidelities."""
+    for orbit in config.orbits:
+        expected = max(
+            expected_signal_count(config, orbit), expected_accidental_count(config, orbit)
+        )
+        if expected > POISSON_MEAN_MAX:
+            raise SimulationError(
+                f"{orbit.label} expects {expected:.3g} events, more than a Poisson draw "
+                f"accepts ({POISSON_MEAN_MAX:.3g}); lower the rates"
+            )
     root = np.random.SeedSequence(config.seed)
     children = root.spawn(len(config.orbits))
     records = [
@@ -669,62 +681,24 @@ class CalibrationError(RuntimeError):
         self.result = result
 
 
-def _solve_bounded(fun, lo: float, hi: float) -> tuple[float, float]:
-    """Root of a monotone scalar target-residual on [lo, hi] and the residual
-    there; falls back to the closer bound (returning the residual there)
-    when no root exists.
+def _invert_affine(
+    residual, lo: float, hi: float, to_u=float, from_u=float
+) -> tuple[float, float]:
+    """Root on [lo, hi] of a target residual that is affine in u = to_u(x),
+    and the residual there.
 
-    The root comes from Brent's method (Brent 1973, ch. 4) to an absolute
-    tolerance of 1e-12, step for step the iteration of scipy's `brentq`:
-    secant or inverse quadratic steps, and a bisection whenever such a step
-    would not shrink the bracket fast enough.
+    The residuals at the two bounds fix the line; its root, clipped to the
+    box, maps back through from_u and is evaluated once.  Without a sign
+    change between the bounds the closer bound (lo on a tie) is returned
+    with its residual.
     """
-    x_pre, x_cur = lo, hi
-    f_pre, f_cur = fun(lo), fun(hi)
-    if f_pre == 0.0:
-        return lo, 0.0
-    if f_cur == 0.0:
-        return hi, 0.0
-    if (f_pre < 0.0) == (f_cur < 0.0):
-        return (lo, f_pre) if abs(f_pre) <= abs(f_cur) else (hi, f_cur)
-    # x_cur is the best estimate, x_blk the contrapoint that brackets the
-    # root with it and x_pre the previous estimate; s_cur and s_pre are the
-    # last two steps.
-    xtol, rtol = 1e-12, 4.0 * np.finfo(float).eps
-    for _ in range(100):
-        if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
-            # The last step crossed the root: the previous estimate becomes
-            # the contrapoint.
-            x_blk, f_blk = x_pre, f_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        delta = (xtol + rtol * abs(x_cur)) / 2.0
-        s_bis = (x_blk - x_cur) / 2.0
-        if f_cur == 0.0 or abs(s_bis) < delta:
-            return float(x_cur), float(f_cur)
-        trial = None
-        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
-            if x_pre == x_blk:
-                trial = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
-            else:
-                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                trial = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (
-                    d_blk * d_pre * (f_blk - f_pre)
-                )
-        if trial is not None and 2.0 * abs(trial) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
-            s_pre, s_cur = s_cur, trial
-        else:
-            s_pre = s_cur = s_bis
-        x_pre, f_pre = x_cur, f_cur
-        if abs(s_cur) > delta:
-            x_cur += s_cur
-        else:
-            x_cur += delta if s_bis > 0.0 else -delta
-        f_cur = fun(x_cur)
-    raise RuntimeError("Brent iteration did not converge in 100 steps")
+    r_lo, r_hi = residual(lo), residual(hi)
+    if (r_lo < 0.0) == (r_hi < 0.0):
+        return (lo, r_lo) if abs(r_lo) <= abs(r_hi) else (hi, r_hi)
+    u_lo, u_hi = to_u(lo), to_u(hi)
+    u = u_lo + (u_hi - u_lo) * r_lo / (r_lo - r_hi)
+    x = float(from_u(np.clip(u, min(u_lo, u_hi), max(u_lo, u_hi))))
+    return x, residual(x)
 
 
 def calibrate(
@@ -733,14 +707,18 @@ def calibrate(
 ) -> CalibrationResult:
     """Fit the free model parameters to the published observables.
 
-    The structure is nearly separable, so the fit runs as bounded
-    coordinate solves: the channel pair (zenith transmittance, system dB)
-    from the two loss endpoints; each noise parameter from its own budget
-    deficit through the analytic pipeline; then the receiver efficiency
-    and background rate jointly from the campaign total and the background
-    deficit.  Parameters pinned at a plausibility bound leave a reported
-    residual.  Raises CalibrationError when any residual exceeds its
-    tolerance, carrying the best-so-far result.
+    The structure is nearly separable, so the fit runs parameter by
+    parameter: the channel pair (zenith transmittance, system dB) from the
+    two loss endpoints by one linear solve; each noise parameter from its
+    own budget deficit in closed form, because that deficit is affine in
+    one transformed parameter (the double-pair fraction, the mode overlap,
+    and cos 2 delta, the jitter factor exp(-2 sigma^2) being fixed by the
+    base config), so the analytic pipeline at the two plausibility bounds
+    fixes the line that is inverted; then the receiver efficiency and
+    background rate jointly from the campaign total and the background
+    deficit by a fixed-point loop.  Parameters pinned at a plausibility
+    bound leave a reported residual.  Raises CalibrationError when any
+    residual exceeds its tolerance, carrying the best-so-far result.
     """
     targets = targets or CalibrationTargets()
     config = base or default_config()
@@ -778,44 +756,35 @@ def calibrate(
         link_loss_db(76.0, 0.0, ref_geom, link) - targets.loss_min_db
     )
 
-    # Noise sources, one bounded scalar solve each.
-    def deficit_with(noise_name: str, **kw) -> float:
+    # Noise sources, each deficit inverted in closed form.
+    def residual(noise_name: str, target: float, **kw) -> float:
         cfg = replace(config, toggles=NoiseToggles.only(noise_name), **kw)
-        return 1.0 - analytic_mean_fidelity(cfg)
+        return 1.0 - analytic_mean_fidelity(cfg) - target
 
-    lo, hi = CALIBRATION_BOUNDS["double_pair_fraction"]
-    d, res = _solve_bounded(
-        lambda v: deficit_with(
-            "double_pair", source=replace(config.source, double_pair_fraction=v)
-        )
-        - targets.deficit_double_pair,
-        lo,
-        hi,
+    params["double_pair_fraction"], residuals["deficit_double_pair"] = _invert_affine(
+        lambda v: residual(
+            "double_pair",
+            targets.deficit_double_pair,
+            source=replace(config.source, double_pair_fraction=v),
+        ),
+        *CALIBRATION_BOUNDS["double_pair_fraction"],
     )
-    params["double_pair_fraction"] = d
-    residuals["deficit_double_pair"] = res
-
-    lo, hi = CALIBRATION_BOUNDS["mode_overlap"]
-    m, res = _solve_bounded(
-        lambda v: deficit_with("distinguishability", bsm=BsmModel(mode_overlap=v))
-        - targets.deficit_distinguishability,
-        lo,
-        hi,
+    params["mode_overlap"], residuals["deficit_distinguishability"] = _invert_affine(
+        lambda v: residual(
+            "distinguishability", targets.deficit_distinguishability, bsm=BsmModel(mode_overlap=v)
+        ),
+        *CALIBRATION_BOUNDS["mode_overlap"],
     )
-    params["mode_overlap"] = m
-    residuals["deficit_distinguishability"] = res
-
-    lo, hi = CALIBRATION_BOUNDS["polarization_delta_rad"]
-    delta, res = _solve_bounded(
-        lambda v: deficit_with(
-            "polarization", polarization=replace(config.polarization, delta_rad=v)
-        )
-        - targets.deficit_polarization,
-        lo,
-        hi,
+    params["polarization_delta_rad"], residuals["deficit_polarization"] = _invert_affine(
+        lambda v: residual(
+            "polarization",
+            targets.deficit_polarization,
+            polarization=replace(config.polarization, delta_rad=v),
+        ),
+        *CALIBRATION_BOUNDS["polarization_delta_rad"],
+        to_u=lambda v: np.cos(2.0 * v),
+        from_u=lambda u: 0.5 * np.arccos(u),
     )
-    params["polarization_delta_rad"] = delta
-    residuals["deficit_polarization"] = res
 
     # Counts and background fraction: joint solve on (receiver efficiency,
     # background rate) through the exposure integrals.
@@ -915,7 +884,8 @@ def fibre_comparison(
         raise ValueError("distance and attenuation must be non-negative")
     loss_db = distance_km * loss_db_per_km
     transmittance = 10.0 ** (-loss_db / 10.0)
-    wait_s = 1.0 / (fourfold_rate_hz * transmittance)
+    rate_hz = fourfold_rate_hz * transmittance
+    wait_s = 1.0 / rate_hz if rate_hz > 0.0 else np.inf  # no event once the rate underflows
     return FibreComparison(
         total_loss_db=loss_db,
         transmittance=transmittance,

@@ -105,6 +105,11 @@ class LinkModel:
             raise ValueError("receiver diameter must be positive")
         if self.slew_rate_ref <= 0:
             raise ValueError("slew_rate_ref must be positive")
+        if effective_divergence(self) <= 0:
+            raise ValueError(
+                "effective divergence is 0: a zero divergence_x_urad or "
+                "divergence_y_urad needs seeing_urad > 0"
+            )
         if not 0.0 < self.zenith_transmittance <= 1.0:
             raise ValueError("zenith transmittance must lie in (0, 1]")
         if self.system_efficiency_db < 0:
@@ -195,24 +200,15 @@ def link_loss_db(elevation_deg, t_s, geometry: PassGeometry, model: LinkModel):
     return float(loss) if loss.ndim == 0 else loss
 
 
-def polarization_distortion(
-    delta: float, jitter_sigma: float, rng: np.random.Generator | None = None
-) -> np.ndarray:
+def polarization_distortion(delta: float) -> np.ndarray:
     """Single-qubit unitary modelling uplink polarization distortion.
 
-    Rotates the Bloch vector by twice the drawn angle about the fixed
+    Rotates the Bloch vector by twice the angle delta about the fixed
     equatorial axis midway between the diagonal and circular axes, so both
     superposition families degrade alike while |H>/|V> see the full
     rotation; fidelity of |H> after a pure rotation by delta is cos^2(delta).
     """
-    angle = float(delta)
-    if jitter_sigma < 0:
-        raise ValueError("jitter sigma must be non-negative")
-    if jitter_sigma > 0:
-        if rng is None:
-            raise ValueError("jitter requires a random generator")
-        angle += rng.normal(0.0, jitter_sigma)
-    return np.cos(angle) * np.eye(2, dtype=complex) - 1j * np.sin(angle) * ROTATION_AXIS
+    return np.cos(delta) * np.eye(2, dtype=complex) - 1j * np.sin(delta) * ROTATION_AXIS
 
 
 def polarization_channel(rho: np.ndarray, delta: float, jitter_sigma: float) -> np.ndarray:
@@ -223,7 +219,7 @@ def polarization_channel(rho: np.ndarray, delta: float, jitter_sigma: float) -> 
     E[cos 2a]/cos 2delta = exp(-2 sigma^2), so the channel is
     lam U rho U^dag + (1 - lam) (rho + n rho n)/2 with lam = exp(-2 sigma^2).
     """
-    u = polarization_distortion(delta, 0.0)
+    u = polarization_distortion(delta)
     lam = np.exp(-2.0 * jitter_sigma**2)
     dephased = (rho + ROTATION_AXIS @ rho @ ROTATION_AXIS) / 2.0
     return lam * (u @ rho @ u.conj().T) + (1.0 - lam) * dephased

@@ -127,6 +127,7 @@ class TestConfigParsing:
             ("campaign", {"seed": -1}, "seed"),
             ("link", {"slew_rate_ref": 0.0}, "slew_rate_ref"),
             ("polarization", {"delta_rad": float("nan")}, "polarization.delta_rad"),
+            ("link", {"divergence_x_urad": 0.0, "seeing_urad": 0.0}, "seeing_urad"),
         ],
     )
     def test_unusable_values_exit_2_at_load(self, tmp_path, capsys, section, values, field):
@@ -206,6 +207,17 @@ class TestSimulate:
         assert code == 5
         assert err.startswith("simulation error: campaign accumulated no fourfold events")
         assert "Traceback" not in err
+
+    def test_undrawable_rate_exits_5_without_output(self, tmp_path, capsys):
+        payload = default_config_dict()
+        payload["source"]["fourfold_ground_rate_hz"] = 1e30
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(payload))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert err.startswith("simulation error: orbit-01 expects") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestLossProfile:
@@ -323,6 +335,11 @@ class TestOtherCommands:
         assert code == 0
         text = capsys.readouterr().out
         assert "240.0 dB" in text
+
+    def test_fibre_compare_underflow_is_an_infinite_wait(self, capsys, tmp_path):
+        code = main(["fibre-compare", "--distance-km", "20000", "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert "expected waiting time: inf s = inf years" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "flag, value",

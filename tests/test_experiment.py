@@ -1,17 +1,18 @@
-import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy import optimize
 
 from uplinksim import experiment
 from uplinksim.bsm import ACCEPTED_OUTCOMES, BsmModel, bsm_apply
 from uplinksim.experiment import (
     CALIBRATED,
+    CALIBRATION_BOUNDS,
     CalibrationError,
     CalibrationTargets,
     CampaignConfig,
     NoiseToggles,
+    SimulationError,
     analytic_fidelities,
     analytic_mean_fidelity,
     build_event_model,
@@ -28,7 +29,6 @@ from uplinksim.experiment import (
     run_orbit,
     STATE_LABELS,
     OrbitRecord,
-    _solve_bounded,
 )
 from uplinksim.linkgeom import polarization_distortion
 from uplinksim.photonsrc import SourceModel, werner_pair
@@ -57,7 +57,7 @@ def quadrature_port_probabilities(config: CampaignConfig, state_label: str) -> d
     quadrature of the rotation over the Gaussian angle."""
     nodes, weights = np.polynomial.hermite.hermgauss(21)
     angles = config.polarization_delta_eff + np.sqrt(2.0) * config.polarization_jitter_eff * nodes
-    units = np.stack([polarization_distortion(a, 0.0) for a in angles])
+    units = np.stack([polarization_distortion(a) for a in angles])
     psi = mub_states()[state_label].amplitudes
     out = {}
     for outcome, rho in undistorted_conditionals(config, state_label).items():
@@ -94,9 +94,8 @@ def run_orbit_per_event_jitter(
         if rng.random() < config.double_pair_fraction_eff:
             p_signal_port = 0.5
         else:
-            u = polarization_distortion(
-                config.polarization_delta_eff, config.polarization_jitter_eff, rng
-            )
+            angle = config.polarization_delta_eff + rng.normal(0.0, config.polarization_jitter_eff)
+            u = polarization_distortion(angle)
             rho = u @ branches[outcome] @ u.conj().T
             p_signal_port = float(np.real(chi.conj() @ rho @ chi))
         counts[(outcome.value, "signal" if rng.random() < p_signal_port else "orthogonal")] += 1
@@ -257,6 +256,18 @@ class TestRunCampaign:
         for label, summary in res.per_state.items():
             assert summary.sigma < 0.01  # enough statistics to be stringent
             assert abs(summary.fidelity - expected[label]) < 3.5 * summary.sigma
+
+
+    def test_undrawable_event_count_raises_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("run_orbit was called")
+
+        monkeypatch.setattr(experiment, "run_orbit", no_draw)
+        cfg = default_config(
+            source=SourceModel(double_pair_fraction=0.12, fourfold_ground_rate=1e30)
+        )
+        with pytest.raises(SimulationError, match="orbit-01 expects"):
+            run_campaign(cfg)
 
 
 class TestAnalyticPipeline:
@@ -435,42 +446,84 @@ class TestCalibrate:
         assert cfg.link.zenith_transmittance == result.params["zenith_transmittance"]
 
 
-class TestSolveBounded:
-    @staticmethod
-    def counted(fun):
-        calls = []
-
-        def wrapped(x):
-            calls.append(x)
-            return fun(x)
-
-        return wrapped, calls
-
+    @pytest.mark.parametrize("resource_fidelity", [1.0, 0.9])
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
     @pytest.mark.parametrize(
-        "fun, lo, hi",
+        "source, key, vary, to_u",
         [
-            (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),  # smooth
-            (lambda x: math.tanh(200.0 * (x - 0.3)), 0.0, 1.0),  # steep
-            (lambda x: x**2 - (1.0 - 5e-10) ** 2, 0.0, 1.0),  # root near hi
-            (lambda x: x * (x + 1.0), 0.0, 1.0),  # exactly zero at lo
+            (
+                "double_pair",
+                "double_pair_fraction",
+                lambda cfg, v: replace(cfg, source=replace(cfg.source, double_pair_fraction=v)),
+                lambda v: v,
+            ),
+            (
+                "distinguishability",
+                "mode_overlap",
+                lambda cfg, v: replace(cfg, bsm=BsmModel(mode_overlap=v)),
+                lambda v: v,
+            ),
+            (
+                "polarization",
+                "polarization_delta_rad",
+                lambda cfg, v: replace(cfg, polarization=replace(cfg.polarization, delta_rad=v)),
+                lambda v: np.cos(2.0 * v),
+            ),
         ],
-        ids=["smooth", "steep", "root-near-bound", "zero-at-lo"],
+        ids=["double_pair", "distinguishability", "polarization"],
     )
-    def test_matches_brentq_oracle(self, fun, lo, hi):
-        wrapped, calls = self.counted(fun)
-        root, residual = _solve_bounded(wrapped, lo, hi)
-        expected, info = optimize.brentq(fun, lo, hi, xtol=1e-12, full_output=True)
-        assert root == pytest.approx(expected, abs=1e-12)
-        assert len(calls) <= info.function_calls + 1
-        assert residual == fun(root)
+    def test_deficit_is_affine_in_transformed_parameter(
+        self, resource_fidelity, sigma, source, key, vary, to_u
+    ):
+        # calibrate() inverts the line through the deficits at the two box
+        # bounds; the density-matrix pipeline must lie on that line.
+        base = default_config(
+            resource_fidelity=resource_fidelity, toggles=NoiseToggles.only(source)
+        )
+        base = replace(base, polarization=replace(base.polarization, jitter_sigma_rad=sigma))
 
-    @pytest.mark.parametrize(
-        "fun, expected", [(lambda x: x + 1.0, (0.0, 1.0)), (lambda x: x - 5.0, (1.0, -4.0))]
-    )
-    def test_no_sign_change_returns_closer_bound(self, fun, expected):
-        wrapped, calls = self.counted(fun)
-        assert _solve_bounded(wrapped, 0.0, 1.0) == expected
-        assert calls == [0.0, 1.0]
+        def deficit(v):
+            return 1.0 - analytic_mean_fidelity(vary(base, v))
+
+        lo, hi = CALIBRATION_BOUNDS[key]
+        d_lo, d_hi = deficit(lo), deficit(hi)
+        assert abs(d_hi - d_lo) > 0.01
+        slope = (d_hi - d_lo) / (to_u(hi) - to_u(lo))
+        for v in np.linspace(lo, hi, 11):
+            assert abs(d_lo + slope * (to_u(v) - to_u(lo)) - deficit(v)) <= 1e-12
+
+    def test_closed_form_inversions_hit_targets(self, monkeypatch):
+        noise_evaluations = []
+        pipeline = experiment.analytic_mean_fidelity
+
+        def counted(cfg):
+            if cfg.toggles != NoiseToggles.only("background"):
+                noise_evaluations.append(cfg)
+            return pipeline(cfg)
+
+        monkeypatch.setattr(experiment, "analytic_mean_fidelity", counted)
+        result = calibrate()
+        assert result.converged
+        for key, frozen in CALIBRATED.items():
+            assert result.params[key] == pytest.approx(frozen, rel=1e-12, abs=0.0), key
+        assert abs(result.residuals["deficit_double_pair"]) <= 1e-14
+        assert abs(result.residuals["deficit_polarization"]) <= 1e-14
+        assert result.params["mode_overlap"] == CALIBRATION_BOUNDS["mode_overlap"][0]
+        assert result.residuals["deficit_distinguishability"] == pytest.approx(-0.01, abs=1e-12)
+        # Two bound evaluations per noise source, plus one at each root.
+        assert len(noise_evaluations) == 3 + 2 + 3
+
+    def test_flat_deficits_fall_back_to_lower_bounds(self):
+        # A resource at fidelity 1/4 is fully mixed: no noise parameter moves
+        # the deficit, so no pair of bounds brackets a target.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CalibrationError) as err:
+                calibrate(base=default_config(resource_fidelity=0.25))
+        params = err.value.result.params
+        assert params["double_pair_fraction"] == 0.0
+        assert params["mode_overlap"] == 0.73
+        assert params["polarization_delta_rad"] == 0.0
 
 
 class TestClassicalBaseline:
@@ -510,3 +563,9 @@ class TestFibreComparison:
     def test_zero_rate_rejected(self):
         with pytest.raises(ValueError):
             fibre_comparison(0.0, 1200.0, 0.2)
+
+    def test_underflow_is_an_infinite_wait(self):
+        out = fibre_comparison(8210.0, 20000.0, 0.2)
+        assert out.transmittance == 0.0
+        assert out.expected_wait_s == np.inf
+        assert out.expected_wait_years == np.inf

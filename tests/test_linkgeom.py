@@ -186,12 +186,12 @@ class TestLinkLoss:
 
 class TestPolarizationDistortion:
     def test_identity_when_quiet(self):
-        u = polarization_distortion(0.0, 0.0)
+        u = polarization_distortion(0.0)
         np.testing.assert_allclose(u, np.eye(2), atol=1e-15)
 
     @pytest.mark.parametrize("delta", [0.05, 0.2, 0.7])
     def test_h_fidelity_is_cos_squared(self, delta):
-        u = polarization_distortion(delta, 0.0)
+        u = polarization_distortion(delta)
         out = apply_unitary(KET_H, u)
         assert fidelity(KET_H, out.density()) == pytest.approx(
             np.cos(delta) ** 2, abs=1e-12
@@ -199,16 +199,12 @@ class TestPolarizationDistortion:
 
     def test_unitary_with_jitter(self):
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            u = polarization_distortion(0.1, 0.05, rng)
+        for angle in 0.1 + rng.normal(0.0, 0.05, size=20):
+            u = polarization_distortion(angle)
             np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
 
-    def test_jitter_requires_rng(self):
-        with pytest.raises(ValueError):
-            polarization_distortion(0.1, 0.05)
-
     def test_superposition_families_degrade_alike(self):
-        u = polarization_distortion(0.3, 0.0)
+        u = polarization_distortion(0.3)
         plus = apply_unitary(PureState([1, 1]), u)
         circ = apply_unitary(PureState([1, 1j]), u)
         f_plus = fidelity(PureState([1, 1]), plus.density())

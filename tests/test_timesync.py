@@ -1,10 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from uplinksim import experiment, timesync
 from uplinksim.timesync import (
@@ -18,6 +18,27 @@ from uplinksim.timesync import (
     match_coincidences,
     sync_pulse_times_ps,
 )
+
+
+def chi2_sf_even_dof(x: float, dof: int) -> float:
+    """Chi-square survival function for an even number of degrees of
+    freedom, in closed form: exp(-x/2) * sum_{j < dof/2} (x/2)^j / j!."""
+    assert dof % 2 == 0
+    half = x / 2.0
+    term, total = 1.0, 0.0
+    for j in range(dof // 2):
+        total += term
+        term *= half / (j + 1)
+    return math.exp(-half) * total
+
+
+@pytest.mark.parametrize(
+    "x, expected",
+    # scipy 1.17.1 stats.chi2.sf(x, 100)
+    [(70.0, 0.9901544975235914), (100.0, 0.48119168452795674), (140.0, 0.0051405024585059085)],
+)
+def test_chi2_sf_matches_reference_values(x, expected):
+    assert chi2_sf_even_dof(x, 100) == pytest.approx(expected, rel=0.0, abs=1e-12)
 
 
 def greedy_match_oracle(ground, satellite, clock, window_ps):
@@ -176,7 +197,7 @@ class TestGenerateStreams:
         for _ in range(100):
             _, s = generate_streams([], ClockModel(), 0.0, 0.0, 150.0, 350.0, rng)
             stat += (len(s) - lam) ** 2 / lam
-        p = stats.chi2.sf(stat, df=100)
+        p = chi2_sf_even_dof(stat, 100)
         assert 0.01 < p < 0.99
 
     def test_drift_and_jitter_displacement(self):
