@@ -1,10 +1,18 @@
 """Command-line front end.
 
-Subcommands: simulate, loss-profile, calibrate, error-budget,
-classical-baseline, fibre-compare, write-config.  Exit codes: 0 success,
-2 configuration file or flag rejected, 3 I/O error, 4 calibration
-non-convergence, 5 simulation error (a valid configuration the model cannot
-simulate).
+Each subcommand takes only the flags it reads; any other flag exits 2.
+
+  simulate            --config --out --seed --verbose
+  loss-profile        --config --out
+  error-budget        --config --out
+  calibrate           --targets --out
+  classical-baseline  --samples --seed
+  fibre-compare       --rate-hz --distance-km --db-per-km
+  write-config        --out --seed
+
+Exit codes: 0 success, 2 configuration file or flag rejected, 3 I/O error,
+4 calibration non-convergence, 5 simulation error (a valid configuration the
+model cannot simulate).
 """
 
 from __future__ import annotations
@@ -47,13 +55,7 @@ EXIT_SIMULATION = 5
 
 
 def _load_config(args) -> CampaignConfig:
-    if args.config is None:
-        config = default_config()
-    else:
-        config = load_campaign_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    return config
+    return default_config() if args.config is None else load_campaign_config(args.config)
 
 
 def _out_dir(args) -> Path:
@@ -81,6 +83,8 @@ def _write_budget_csv(budget: dict[str, float], path: Path) -> None:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
     result = run_campaign(config)
     budget = error_budget(config)
     out = _out_dir(args)
@@ -119,29 +123,24 @@ def cmd_loss_profile(args) -> int:
 def cmd_calibrate(args) -> int:
     targets = load_calibration_targets(args.targets)
     out = _out_dir(args)
+    error = None
     try:
         result = calibrate(targets)
     except CalibrationError as err:
-        result = err.result
-        payload = {
-            "converged": False,
-            "message": str(err),
-            "params": result.params,
-            "residuals": result.residuals,
-        }
-        (out / "calibration.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii"
-        )
-        print(f"calibration failed: {err}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        result, error = err.result, err
     payload = {
-        "converged": True,
+        "converged": error is None,
         "params": result.params,
         "residuals": result.residuals,
     }
+    if error is not None:
+        payload["message"] = str(error)
     (out / "calibration.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii"
     )
+    if error is not None:
+        print(f"calibration failed: {error}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     print("converged; residuals:")
     for key, value in sorted(result.residuals.items()):
         print(f"  {key}: {value:+.6g}")
@@ -197,45 +196,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", type=Path, default=None, help="campaign JSON file")
-        p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override (u64)")
-        p.add_argument("--verbose", action="store_true")
+    config = ("--config", dict(type=Path, default=None, help="campaign JSON file"))
+    out = ("--out", dict(type=Path, default=Path("out"), help="output directory"))
+    seed = ("--seed", dict(type=int, default=None, help="seed override (u64)"))
 
-    p = sub.add_parser("simulate", help="run the Monte Carlo campaign")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
+    def command(name, func, help, *flags):
+        p = sub.add_parser(name, help=help)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("loss-profile", help="emit the pass attenuation table")
-    common(p)
-    p.set_defaults(func=cmd_loss_profile)
-
-    p = sub.add_parser("calibrate", help="fit model parameters to published targets")
-    p.add_argument("--targets", type=Path, required=True, help="targets JSON file")
-    common(p, config=False)
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("error-budget", help="per-source fidelity deficits")
-    common(p)
-    p.set_defaults(func=cmd_error_budget)
-
-    p = sub.add_parser("classical-baseline", help="entanglement-free fidelity limit")
-    p.add_argument("--samples", type=int, default=10**6)
-    common(p, config=False)
-    p.set_defaults(func=cmd_classical_baseline)
-
-    p = sub.add_parser("fibre-compare", help="waiting time through long fibre")
-    p.add_argument("--rate-hz", type=float, default=8210.0)
-    p.add_argument("--distance-km", type=float, default=1200.0)
-    p.add_argument("--db-per-km", type=float, default=0.2)
-    common(p, config=False)
-    p.set_defaults(func=cmd_fibre_compare)
-
-    p = sub.add_parser("write-config", help="write the calibrated default config")
-    common(p, config=False)
-    p.set_defaults(func=cmd_write_config)
+    command("simulate", cmd_simulate, "run the Monte Carlo campaign",
+            config, out, seed, ("--verbose", dict(action="store_true")))
+    command("loss-profile", cmd_loss_profile, "emit the pass attenuation table", config, out)
+    command("calibrate", cmd_calibrate, "fit model parameters to published targets",
+            ("--targets", dict(type=Path, required=True, help="targets JSON file")), out)
+    command("error-budget", cmd_error_budget, "per-source fidelity deficits", config, out)
+    command("classical-baseline", cmd_classical_baseline, "entanglement-free fidelity limit",
+            ("--samples", dict(type=int, default=10**6)), seed)
+    command("fibre-compare", cmd_fibre_compare, "waiting time through long fibre",
+            ("--rate-hz", dict(type=float, default=8210.0)),
+            ("--distance-km", dict(type=float, default=1200.0)),
+            ("--db-per-km", dict(type=float, default=0.2)))
+    command("write-config", cmd_write_config, "write the calibrated default config", out, seed)
 
     return parser
 
@@ -244,7 +227,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is not None and not 0 <= args.seed < 2**64:
+        seed = getattr(args, "seed", None)
+        if seed is not None and not 0 <= seed < 2**64:
             raise ConfigError("--seed must be a 64-bit unsigned integer")
         return args.func(args)
     except ConfigError as err:

@@ -1,78 +1,84 @@
 """Campaign configuration files: a versioned JSON schema, checked
-fail-closed (unknown keys are rejected, not ignored)."""
+fail-closed (unknown keys are rejected, not ignored).
+
+The schema is read off the model.  Each section fills one parameter
+dataclass of `CampaignConfig`, and its keys are that dataclass's fields:
+boolean fields take a boolean, every other field a finite number.  Only
+the keys in `UNIT_KEYS` carry a unit in their name.
+"""
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import replace
+import sys
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
-from .bsm import BsmModel
 from .experiment import (
     CalibrationTargets,
     CampaignConfig,
     OrbitPlan,
     STATE_LABELS,
     default_config,
+    default_orbit_plans,
     default_schedule,
 )
 
 SCHEMA_VERSION = 1
 
+_NUMBER = (int, float)
+
+# file section -> the CampaignConfig attribute whose dataclass it fills
+SECTIONS = {
+    "source": "source",
+    "bsm": "bsm",
+    "link": "link",
+    "detection": "detection",
+    "polarization": "polarization",
+    "noise": "toggles",
+}
+
+# field -> (file key, file units per field unit), for keys named with a unit
+UNIT_KEYS = {
+    "fourfold_ground_rate": ("fourfold_ground_rate_hz", 1.0),
+    "coincidence_window_s": ("coincidence_window_ns", 1e9),
+}
+
+# campaign field -> (types, required).  Orbits, elevations and schedule are
+# structural: together they build the orbit and schedule tuples.
+_CAMPAIGN_FIELDS = {
+    "orbit_duration_s": (_NUMBER, True),
+    "seed": ((int,), False),
+    "orbits": ((int,), False),
+    "max_elevations_deg": ((list,), False),
+    "min_elevation_deg": (_NUMBER, False),
+    "orbit_altitude_km": (_NUMBER, False),
+    "schedule": ((str, list), False),
+    "resource_fidelity": (_NUMBER, False),
+}
+
+
+def _schema(model: type) -> dict[str, tuple[tuple[type, ...], str]]:
+    """File key -> (accepted types, field name) for one parameter dataclass."""
+    # annotations are strings under `from __future__ import annotations`
+    return {
+        UNIT_KEYS.get(f.name, (f.name,))[0]: (
+            (bool,) if f.type in (bool, "bool") else _NUMBER,
+            f.name,
+        )
+        for f in fields(model)
+    }
+
+
+_MODEL_TYPES = get_type_hints(CampaignConfig)
+
+# file section -> its schema, read off the dataclass it fills
+SCHEMA = {section: _schema(_MODEL_TYPES[attr]) for section, attr in SECTIONS.items()}
+
 
 class ConfigError(ValueError):
     """Malformed configuration; the message names the offending field."""
-
-
-# section -> field -> (type, required)
-_CAMPAIGN_FIELDS = {
-    "orbit_duration_s": ((int, float), True),
-    "seed": (int, False),
-    "orbits": (int, False),
-    "max_elevations_deg": (list, False),
-    "min_elevation_deg": ((int, float), False),
-    "orbit_altitude_km": ((int, float), False),
-    "schedule": ((str, list), False),
-    "resource_fidelity": ((int, float), False),
-}
-
-_SECTION_FIELDS = {
-    "source": {
-        "double_pair_fraction": (int, float),
-        "fourfold_ground_rate_hz": (int, float),
-    },
-    "bsm": {"mode_overlap": (int, float)},
-    "link": {
-        "divergence_x_urad": (int, float),
-        "divergence_y_urad": (int, float),
-        "seeing_urad": (int, float),
-        "tracking_error_urad": (int, float),
-        "receiver_diameter_m": (int, float),
-        "zenith_transmittance": (int, float),
-        "system_efficiency_db": (int, float),
-        "slew_degradation_k": (int, float),
-        "slew_rate_ref": (int, float),
-    },
-    "detection": {
-        "receiver_efficiency": (int, float),
-        "background_rate_hz": (int, float),
-        "photon3_ground_efficiency": (int, float),
-        "coincidence_window_ns": (int, float),
-    },
-    "polarization": {
-        "delta_rad": (int, float),
-        "jitter_sigma_rad": (int, float),
-    },
-    "noise": {
-        "double_pair": (bool,),
-        "distinguishability": (bool,),
-        "polarization": (bool,),
-        "background": (bool,),
-    },
-}
-
-_FIELD_RENAMES = {"source": {"fourfold_ground_rate_hz": "fourfold_ground_rate"}}
 
 
 def _read_json(path: str | Path) -> dict:
@@ -88,22 +94,24 @@ def _read_json(path: str | Path) -> dict:
     return data
 
 
-def _check_section(name: str, payload: dict, fields: dict) -> None:
+def _check_section(name: str, payload: dict, spec: dict) -> None:
+    """Check `payload` against `spec`, which maps each key to (types, ...)."""
     if not isinstance(payload, dict):
         raise ConfigError(f"section {name!r} must be an object")
-    unknown = set(payload) - set(fields)
+    unknown = set(payload) - set(spec)
     if unknown:
         raise ConfigError(f"unknown field(s) in {name!r}: {sorted(unknown)}")
     for key, value in payload.items():
-        types = fields[key]
+        types = spec[key][0]
         # bool is an int subclass; keep boolean fields strict and numeric
         # fields free of booleans.
         if bool in types:
             if not isinstance(value, bool):
                 raise ConfigError(f"{name}.{key} must be a boolean")
-        elif isinstance(value, bool) or not isinstance(value, tuple(types)):
+        elif isinstance(value, bool) or not isinstance(value, types):
             raise ConfigError(f"{name}.{key} has the wrong type")
-        elif isinstance(value, float) and not math.isfinite(value):
+        elif isinstance(value, _NUMBER) and not abs(value) <= sys.float_info.max:
+            # NaN, +-inf, or an integer too large for a float
             raise ConfigError(f"{name}.{key} must be finite")
 
 
@@ -126,30 +134,28 @@ def load_campaign_config(path: str | Path) -> CampaignConfig:
     data = _read_json(path)
     _require_version(data, path)
 
-    known_sections = {"schema_version", "campaign"} | set(_SECTION_FIELDS)
-    unknown = set(data) - known_sections
+    unknown = set(data) - {"schema_version", "campaign", *SECTIONS}
     if unknown:
         raise ConfigError(f"unknown section(s): {sorted(unknown)}")
 
     if "campaign" not in data:
         raise ConfigError("missing required section 'campaign'")
     campaign = data["campaign"]
-    fields = {k: v[0] if isinstance(v[0], tuple) else (v[0],) for k, v in _CAMPAIGN_FIELDS.items()}
-    _check_section("campaign", campaign, fields)
+    _check_section("campaign", campaign, _CAMPAIGN_FIELDS)
     for key, (_, required) in _CAMPAIGN_FIELDS.items():
         if required and key not in campaign:
             raise ConfigError(f"missing required field 'campaign.{key}'")
 
-    for section, fields in _SECTION_FIELDS.items():
+    for section, schema in SCHEMA.items():
         if section in data:
-            _check_section(section, data[section], fields)
+            _check_section(section, data[section], schema)
 
     base = default_config()
 
     n_orbits = campaign.get("orbits")
     elevations = campaign.get("max_elevations_deg")
     if elevations is not None:
-        if not all(isinstance(e, (int, float)) and not isinstance(e, bool) for e in elevations):
+        if not all(isinstance(e, _NUMBER) and not isinstance(e, bool) for e in elevations):
             raise ConfigError("campaign.max_elevations_deg must be a list of numbers")
         if n_orbits is not None and n_orbits != len(elevations):
             raise ConfigError("campaign.orbits disagrees with max_elevations_deg length")
@@ -158,8 +164,6 @@ def load_campaign_config(path: str | Path) -> CampaignConfig:
             for i, e in enumerate(elevations)
         )
     elif n_orbits is not None:
-        from .experiment import default_orbit_plans
-
         if n_orbits < 6:
             raise ConfigError("campaign.orbits must be at least 6 to cover every state")
         orbits = default_orbit_plans(n_orbits)
@@ -179,22 +183,15 @@ def load_campaign_config(path: str | Path) -> CampaignConfig:
             raise ConfigError(f"campaign.schedule contains unknown states: {bad}")
         schedule = tuple(schedule_spec)
 
-    def section_kwargs(section: str) -> dict:
-        payload = dict(data.get(section, {}))
-        renames = _FIELD_RENAMES.get(section, {})
-        out = {}
-        for key, value in payload.items():
-            out[renames.get(key, key)] = value
-        return out
-
-    detection_kwargs = section_kwargs("detection")
-    if "coincidence_window_ns" in detection_kwargs:
-        # division by the exact power of ten keeps "3" -> 3e-9 bit-exact
-        detection_kwargs["coincidence_window_s"] = (
-            detection_kwargs.pop("coincidence_window_ns") / 1e9
-        )
-
     try:
+        models = {}
+        for section, attr in SECTIONS.items():
+            changes = {}
+            for key, value in data.get(section, {}).items():
+                name = SCHEMA[section][key][1]
+                # division by the exact power of ten keeps "3" ns -> 3e-9 s bit-exact
+                changes[name] = value / UNIT_KEYS[name][1] if name in UNIT_KEYS else value
+            models[attr] = replace(getattr(base, attr), **changes)
         config = CampaignConfig(
             orbits=orbits,
             input_schedule=schedule,
@@ -202,28 +199,12 @@ def load_campaign_config(path: str | Path) -> CampaignConfig:
             orbit_altitude_km=float(campaign.get("orbit_altitude_km", base.orbit_altitude_km)),
             min_elevation_deg=float(campaign.get("min_elevation_deg", base.min_elevation_deg)),
             resource_fidelity=float(campaign.get("resource_fidelity", base.resource_fidelity)),
-            source=replace(base.source, **section_kwargs("source")),
-            bsm=BsmModel(**{**{"mode_overlap": base.bsm.mode_overlap}, **section_kwargs("bsm")}),
-            link=replace(base.link, **section_kwargs("link")),
-            detection=replace(base.detection, **detection_kwargs),
-            polarization=replace(base.polarization, **section_kwargs("polarization")),
-            toggles=replace(base.toggles, **section_kwargs("noise")),
             seed=int(campaign.get("seed", base.seed)),
+            **models,
         )
     except (ValueError, TypeError) as err:
         raise ConfigError(str(err)) from err
     return config
-
-
-_TARGET_FIELDS = {
-    "loss_max_db": (int, float),
-    "loss_min_db": (int, float),
-    "total_fourfolds": (int, float),
-    "deficit_double_pair": (int, float),
-    "deficit_distinguishability": (int, float),
-    "deficit_polarization": (int, float),
-    "deficit_background": (int, float),
-}
 
 
 def load_calibration_targets(path: str | Path) -> CalibrationTargets:
@@ -235,11 +216,22 @@ def load_calibration_targets(path: str | Path) -> CalibrationTargets:
         raise ConfigError(f"unknown section(s): {sorted(unknown)}")
     if "targets" not in data:
         raise ConfigError("missing required section 'targets'")
-    _check_section("targets", data["targets"], _TARGET_FIELDS)
+    _check_section("targets", data["targets"], _schema(CalibrationTargets))
     try:
         return CalibrationTargets(**data["targets"])
     except TypeError as err:
         raise ConfigError(str(err)) from err
+
+
+def _section_dict(model, schema: dict) -> dict:
+    out = {}
+    for key, (_, name) in schema.items():
+        value = getattr(model, name)
+        if name in UNIT_KEYS:
+            # rounding drops a unit change's last-bit residue (1.1e-9 s -> 1.1 ns)
+            value = round(value * UNIT_KEYS[name][1], 12)
+        out[key] = value
+    return out
 
 
 def default_config_dict(seed: int | None = None) -> dict:
@@ -256,36 +248,8 @@ def default_config_dict(seed: int | None = None) -> dict:
             "schedule": "round_robin",
             "resource_fidelity": cfg.resource_fidelity,
         },
-        "source": {
-            "double_pair_fraction": cfg.source.double_pair_fraction,
-            "fourfold_ground_rate_hz": cfg.source.fourfold_ground_rate,
-        },
-        "bsm": {"mode_overlap": cfg.bsm.mode_overlap},
-        "link": {
-            "divergence_x_urad": cfg.link.divergence_x_urad,
-            "divergence_y_urad": cfg.link.divergence_y_urad,
-            "seeing_urad": cfg.link.seeing_urad,
-            "tracking_error_urad": cfg.link.tracking_error_urad,
-            "receiver_diameter_m": cfg.link.receiver_diameter_m,
-            "zenith_transmittance": cfg.link.zenith_transmittance,
-            "system_efficiency_db": cfg.link.system_efficiency_db,
-            "slew_degradation_k": cfg.link.slew_degradation_k,
-            "slew_rate_ref": cfg.link.slew_rate_ref,
-        },
-        "detection": {
-            "receiver_efficiency": cfg.detection.receiver_efficiency,
-            "background_rate_hz": cfg.detection.background_rate_hz,
-            "photon3_ground_efficiency": cfg.detection.photon3_ground_efficiency,
-            "coincidence_window_ns": round(cfg.detection.coincidence_window_s * 1e9, 12),
-        },
-        "polarization": {
-            "delta_rad": cfg.polarization.delta_rad,
-            "jitter_sigma_rad": cfg.polarization.jitter_sigma_rad,
-        },
-        "noise": {
-            "double_pair": cfg.toggles.double_pair,
-            "distinguishability": cfg.toggles.distinguishability,
-            "polarization": cfg.toggles.polarization,
-            "background": cfg.toggles.background,
+        **{
+            section: _section_dict(getattr(cfg, attr), SCHEMA[section])
+            for section, attr in SECTIONS.items()
         },
     }

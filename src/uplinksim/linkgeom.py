@@ -220,7 +220,9 @@ def polarization_channel(rho: np.ndarray, delta: float, jitter_sigma: float) -> 
     lam U rho U^dag + (1 - lam) (rho + n rho n)/2 with lam = exp(-2 sigma^2).
     """
     u = polarization_distortion(delta)
-    lam = np.exp(-2.0 * jitter_sigma**2)
+    # a product, not sigma**2: a float power raises OverflowError for huge
+    # sigma, while the product goes to inf and lam to the dephased limit 0
+    lam = np.exp(-2.0 * jitter_sigma * jitter_sigma)
     dephased = (rho + ROTATION_AXIS @ rho @ ROTATION_AXIS) / 2.0
     return lam * (u @ rho @ u.conj().T) + (1.0 - lam) * dephased
 

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -9,12 +11,39 @@ import pytest
 from uplinksim import cli
 from uplinksim.cli import main
 from uplinksim.config import (
+    SCHEMA,
     ConfigError,
     default_config_dict,
     load_campaign_config,
     load_calibration_targets,
 )
-from uplinksim.experiment import analytic_mean_fidelity, default_config, error_budget
+from uplinksim.experiment import (
+    CalibrationTargets,
+    analytic_mean_fidelity,
+    default_config,
+    error_budget,
+)
+
+# Every file key of every model section, and every calibration target.
+SCHEMA_KEYS = [(section, key) for section, keys in SCHEMA.items() for key in keys] + [
+    ("targets", f.name) for f in fields(CalibrationTargets)
+]
+
+# (subcommand, flag) pairs the subcommand does not read.
+UNREAD_FLAGS = [
+    ("loss-profile", "--seed"),
+    ("loss-profile", "--verbose"),
+    ("error-budget", "--seed"),
+    ("error-budget", "--verbose"),
+    ("calibrate", "--seed"),
+    ("calibrate", "--verbose"),
+    ("classical-baseline", "--out"),
+    ("classical-baseline", "--verbose"),
+    ("fibre-compare", "--out"),
+    ("fibre-compare", "--seed"),
+    ("fibre-compare", "--verbose"),
+    ("write-config", "--verbose"),
+]
 
 
 @pytest.fixture()
@@ -143,6 +172,26 @@ class TestConfigParsing:
         assert err.startswith("configuration error:") and field in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("section, key", SCHEMA_KEYS)
+    def test_every_schema_key_is_written_and_checked(self, tmp_path, section, key):
+        if section == "targets":
+            payload = {"schema_version": 1, "targets": {}}
+            load = load_calibration_targets
+        else:
+            assert main(["write-config", "--out", str(tmp_path)]) == 0
+            payload = json.loads((tmp_path / "campaign_config.json").read_text())
+            assert key in payload[section]
+            load = load_campaign_config
+        bad = [float("nan"), float("inf"), -float("inf"), 10**400, "1.0"]
+        if not isinstance(payload[section].get(key), bool):
+            bad.append(True)
+        path = tmp_path / "bad.json"
+        for value in bad:
+            payload[section][key] = value
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
+                load(path)
+
     def test_type_errors_rejected(self, tmp_path):
         payload = default_config_dict()
         payload["bsm"]["mode_overlap"] = "high"
@@ -207,6 +256,15 @@ class TestSimulate:
         assert code == 5
         assert err.startswith("simulation error: campaign accumulated no fourfold events")
         assert "Traceback" not in err
+
+    def test_huge_jitter_runs_fully_dephased(self, tmp_path, capsys):
+        payload = default_config_dict()
+        payload["polarization"]["jitter_sigma_rad"] = 1e300
+        path = tmp_path / "dephased.json"
+        path.write_text(json.dumps(payload))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_undrawable_rate_exits_5_without_output(self, tmp_path, capsys):
         payload = default_config_dict()
@@ -322,22 +380,21 @@ class TestOtherCommands:
         assert lines[0] == "source,deficit"
         assert len(lines) == 6  # four sources + combined
 
-    def test_classical_baseline(self, capsys, tmp_path):
-        code = main(["classical-baseline", "--samples", "200000", "--seed", "3",
-                     "--out", str(tmp_path / "o")])
+    def test_classical_baseline(self, capsys):
+        code = main(["classical-baseline", "--samples", "200000", "--seed", "3"])
         assert code == 0
         text = capsys.readouterr().out
         value = float(text.split(":")[1].split("(")[0])
         assert abs(value - 2 / 3) < 0.01
 
-    def test_fibre_compare(self, capsys, tmp_path):
-        code = main(["fibre-compare", "--out", str(tmp_path / "o")])
+    def test_fibre_compare(self, capsys):
+        code = main(["fibre-compare"])
         assert code == 0
         text = capsys.readouterr().out
         assert "240.0 dB" in text
 
-    def test_fibre_compare_underflow_is_an_infinite_wait(self, capsys, tmp_path):
-        code = main(["fibre-compare", "--distance-km", "20000", "--out", str(tmp_path / "o")])
+    def test_fibre_compare_underflow_is_an_infinite_wait(self, capsys):
+        code = main(["fibre-compare", "--distance-km", "20000"])
         assert code == 0
         assert "expected waiting time: inf s = inf years" in capsys.readouterr().out
 
@@ -345,10 +402,23 @@ class TestOtherCommands:
         "flag, value",
         [("--rate-hz", "-1"), ("--distance-km", "-5"), ("--distance-km", "inf"), ("--db-per-km", "nan")],
     )
-    def test_fibre_compare_bad_flag_exits_2(self, capsys, tmp_path, flag, value):
-        code = main(["fibre-compare", flag, value, "--out", str(tmp_path / "o")])
+    def test_fibre_compare_bad_flag_exits_2(self, capsys, flag, value):
+        code = main(["fibre-compare", flag, value])
         assert code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+    def test_unread_flag_exits_2(self, tmp_path, capsys, command, flag):
+        argv = [command, flag]
+        if flag != "--verbose":
+            argv.append("1" if flag == "--seed" else str(tmp_path / "o"))
+        if command == "calibrate":
+            argv += ["--targets", str(tmp_path / "targets.json")]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_internal_value_error_is_not_a_config_error(self, monkeypatch, tmp_path):
         def broken(config):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from uplinksim.linkgeom import (
+    ROTATION_AXIS,
     LinkModel,
     PassGeometry,
     azimuth_rate,
@@ -10,6 +11,7 @@ from uplinksim.linkgeom import (
     link_loss_db,
     loss_profile,
     pointing_jitter_urad,
+    polarization_channel,
     polarization_distortion,
     slant_range,
 )
@@ -211,3 +213,9 @@ class TestPolarizationDistortion:
         f_circ = fidelity(PureState([1, 1j]), circ.density())
         assert f_plus == pytest.approx(f_circ, abs=1e-12)
         assert f_plus == pytest.approx(1 - np.sin(0.3) ** 2 / 2, abs=1e-12)
+
+    def test_huge_jitter_is_the_fully_dephased_limit(self):
+        # exp(-2 sigma^2) underflows to 0 instead of overflowing sigma^2
+        rho = PureState([1, 0.6 + 0.8j]).density().matrix
+        dephased = (rho + ROTATION_AXIS @ rho @ ROTATION_AXIS) / 2.0
+        np.testing.assert_allclose(polarization_channel(rho, 0.2, 1e300), dephased, atol=1e-15)
