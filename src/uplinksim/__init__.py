@@ -47,7 +47,6 @@ from .experiment import (
     CalibrationTargets,
     CampaignConfig,
     CampaignResult,
-    NoiseToggles,
     SimulationError,
     analytic_mean_fidelity,
     calibrate,

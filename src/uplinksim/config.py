@@ -2,9 +2,9 @@
 fail-closed (unknown keys are rejected, not ignored).
 
 The schema is read off the model.  Each section fills one parameter
-dataclass of `CampaignConfig`, and its keys are that dataclass's fields:
-boolean fields take a boolean, every other field a finite number.  Only
-the keys in `UNIT_KEYS` carry a unit in their name.
+dataclass of `CampaignConfig`, and its keys are that dataclass's fields,
+each a finite number.  Only the keys in `UNIT_KEYS` carry a unit in their
+name.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ SECTIONS = {
     "link": "link",
     "detection": "detection",
     "polarization": "polarization",
-    "noise": "toggles",
 }
 
 # field -> (file key, file units per field unit), for keys named with a unit
@@ -61,14 +60,7 @@ _CAMPAIGN_FIELDS = {
 
 def _schema(model: type) -> dict[str, tuple[tuple[type, ...], str]]:
     """File key -> (accepted types, field name) for one parameter dataclass."""
-    # annotations are strings under `from __future__ import annotations`
-    return {
-        UNIT_KEYS.get(f.name, (f.name,))[0]: (
-            (bool,) if f.type in (bool, "bool") else _NUMBER,
-            f.name,
-        )
-        for f in fields(model)
-    }
+    return {UNIT_KEYS.get(f.name, (f.name,))[0]: (_NUMBER, f.name) for f in fields(model)}
 
 
 _MODEL_TYPES = get_type_hints(CampaignConfig)
@@ -102,13 +94,8 @@ def _check_section(name: str, payload: dict, spec: dict) -> None:
     if unknown:
         raise ConfigError(f"unknown field(s) in {name!r}: {sorted(unknown)}")
     for key, value in payload.items():
-        types = spec[key][0]
-        # bool is an int subclass; keep boolean fields strict and numeric
-        # fields free of booleans.
-        if bool in types:
-            if not isinstance(value, bool):
-                raise ConfigError(f"{name}.{key} must be a boolean")
-        elif isinstance(value, bool) or not isinstance(value, types):
+        # bool is an int subclass; keep it out of the numeric fields
+        if isinstance(value, bool) or not isinstance(value, spec[key][0]):
             raise ConfigError(f"{name}.{key} has the wrong type")
         elif isinstance(value, _NUMBER) and not abs(value) <= sys.float_info.max:
             # NaN, +-inf, or an integer too large for a float

@@ -38,26 +38,6 @@ class SimulationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class NoiseToggles:
-    """Enable flags for the four modelled fidelity error sources."""
-
-    double_pair: bool = True
-    distinguishability: bool = True
-    polarization: bool = True
-    background: bool = True
-
-    @classmethod
-    def all_off(cls) -> "NoiseToggles":
-        return cls(False, False, False, False)
-
-    @classmethod
-    def only(cls, name: str) -> "NoiseToggles":
-        if name not in cls.__dataclass_fields__:
-            raise ValueError(f"unknown noise source {name!r}")
-        return replace(cls.all_off(), **{name: True})
-
-
-@dataclass(frozen=True)
 class DetectionModel:
     """Receiver chain and background environment on the satellite.
 
@@ -114,7 +94,6 @@ class CampaignConfig:
     link: LinkModel = field(default_factory=LinkModel)
     detection: DetectionModel = field(default_factory=DetectionModel)
     polarization: PolarizationNoise = field(default_factory=PolarizationNoise)
-    toggles: NoiseToggles = field(default_factory=NoiseToggles)
     seed: int = 0
 
     def __post_init__(self):
@@ -132,28 +111,7 @@ class CampaignConfig:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         for orbit in self.orbits:
-            self.geometry(orbit)  # rejects elevations outside 0 < min < max <= 90
-
-    # Effective parameters after the noise toggles.
-    @property
-    def double_pair_fraction_eff(self) -> float:
-        return self.source.double_pair_fraction if self.toggles.double_pair else 0.0
-
-    @property
-    def mode_overlap_eff(self) -> float:
-        return self.bsm.mode_overlap if self.toggles.distinguishability else 1.0
-
-    @property
-    def polarization_delta_eff(self) -> float:
-        return self.polarization.delta_rad if self.toggles.polarization else 0.0
-
-    @property
-    def polarization_jitter_eff(self) -> float:
-        return self.polarization.jitter_sigma_rad if self.toggles.polarization else 0.0
-
-    @property
-    def background_rate_eff(self) -> float:
-        return self.detection.background_rate_hz if self.toggles.background else 0.0
+            self.geometry(orbit)  # rejects elevations and altitudes that give no pass
 
     @property
     def threefold_herald_rate(self) -> float:
@@ -161,11 +119,22 @@ class CampaignConfig:
         return self.source.fourfold_ground_rate / self.detection.photon3_ground_efficiency
 
     def geometry(self, orbit: OrbitPlan) -> PassGeometry:
-        return PassGeometry(
-            orbit_altitude_km=self.orbit_altitude_km,
-            max_elevation_deg=orbit.max_elevation_deg,
-            min_elevation_deg=self.min_elevation_deg,
+        return _pass_geometry(
+            self.orbit_altitude_km, orbit.max_elevation_deg, self.min_elevation_deg
         )
+
+
+# Every config build and exposure lookup asks for its passes, so each
+# distinct pass is built and checked once.
+@functools.lru_cache(maxsize=4096)
+def _pass_geometry(
+    orbit_altitude_km: float, max_elevation_deg: float, min_elevation_deg: float
+) -> PassGeometry:
+    return PassGeometry(
+        orbit_altitude_km=orbit_altitude_km,
+        max_elevation_deg=max_elevation_deg,
+        min_elevation_deg=min_elevation_deg,
+    )
 
 
 # Calibrated operating point.  The channel terms reproduce the published
@@ -266,7 +235,7 @@ def expected_signal_count(config: CampaignConfig, orbit: OrbitPlan) -> float:
 def expected_accidental_count(config: CampaignConfig, orbit: OrbitPlan) -> float:
     rate = accidental_rate(
         config.threefold_herald_rate,
-        config.background_rate_eff,
+        config.detection.background_rate_hz,
         config.detection.coincidence_window_s,
     )
     return rate * orbit_exposure(config, orbit).live_time_s
@@ -288,29 +257,20 @@ class EventModel:
     correct_port: Mapping[BsmOutcome, str]
 
 
-def build_event_model(
-    config: CampaignConfig,
-    state_label: str,
-    feed_forward: bool = True,
-    input_state: PureState | None = None,
-) -> EventModel:
+def build_event_model(config: CampaignConfig, state_label: str) -> EventModel:
     """Resolve the analyzer branches, uplink distortion, and port identities
     for one input state under the configured noise.
 
-    `input_state` overrides the label lookup (e.g. for a phase-shifted
-    copy of the scheduled state); the label stays for bookkeeping.  The
-    model is built once per key and shared: the resource fidelity, the
-    effective mode overlap, the effective polarization angle delta and
-    jitter sigma, the input amplitudes, the label and `feed_forward`.
+    The model is built once per key and shared: the resource fidelity, the
+    mode overlap, the polarization angle delta and jitter sigma, and the
+    label.
     """
     return _event_model(
         config.resource_fidelity,
-        config.mode_overlap_eff,
-        config.polarization_delta_eff,
-        config.polarization_jitter_eff,
-        input_state if input_state is not None else mub_states()[state_label],
+        config.bsm.mode_overlap,
+        config.polarization.delta_rad,
+        config.polarization.jitter_sigma_rad,
         state_label,
-        feed_forward,
     )
 
 
@@ -320,10 +280,9 @@ def _event_model(
     mode_overlap: float,
     delta: float,
     jitter_sigma: float,
-    chi: PureState,
     state_label: str,
-    feed_forward: bool,
 ) -> EventModel:
+    chi = mub_states()[state_label]
     branches = bsm_apply(tensor(chi, werner_pair(resource_fidelity)), BsmModel(mode_overlap))
 
     accepted = {b.outcome: b for b in branches if b.outcome in ACCEPTED_OUTCOMES}
@@ -349,10 +308,7 @@ def _event_model(
         out_prob[outcome] = branch.probability / total_accepted
         distorted = polarization_channel(branch.conditional.matrix, delta, jitter_sigma)
         port_prob[outcome] = float(np.real(psi.conj() @ distorted @ psi))
-        if outcome is BsmOutcome.PHI_PLUS or not feed_forward:
-            correct[outcome] = PORT_SIGNAL
-        else:
-            correct[outcome] = minus_port
+        correct[outcome] = PORT_SIGNAL if outcome is BsmOutcome.PHI_PLUS else minus_port
     return EventModel(
         state_label=state_label,
         input_state=chi,
@@ -365,7 +321,7 @@ def _event_model(
 def _quantum_event_fidelity(model: EventModel, config: CampaignConfig) -> float:
     """Probability a signal event lands in its correct port, including the
     double-pair branch (fully mixed, so even odds on the ports)."""
-    d = config.double_pair_fraction_eff
+    d = config.source.double_pair_fraction
     f = 0.0
     for outcome, w in model.outcome_probabilities.items():
         p_signal_port = model.signal_port_probability[outcome]
@@ -378,12 +334,10 @@ def _quantum_event_fidelity(model: EventModel, config: CampaignConfig) -> float:
     return (1.0 - d) * f + d * 0.5
 
 
-def analytic_state_fidelity(
-    config: CampaignConfig, state_label: str, feed_forward: bool = True
-) -> float:
+def analytic_state_fidelity(config: CampaignConfig, state_label: str) -> float:
     """Expected campaign fidelity for one input state: the quantum branch
     diluted by that state's accidental fraction across its assigned orbits."""
-    model = build_event_model(config, state_label, feed_forward)
+    model = build_event_model(config, state_label)
     f_quantum = _quantum_event_fidelity(model, config)
     signal = 0.0
     accidental = 0.0
@@ -399,15 +353,12 @@ def analytic_state_fidelity(
     return (1.0 - b) * f_quantum + b * 0.5
 
 
-def analytic_fidelities(config: CampaignConfig, feed_forward: bool = True) -> dict[str, float]:
-    return {
-        label: analytic_state_fidelity(config, label, feed_forward)
-        for label in STATE_LABELS
-    }
+def analytic_fidelities(config: CampaignConfig) -> dict[str, float]:
+    return {label: analytic_state_fidelity(config, label) for label in STATE_LABELS}
 
 
-def analytic_mean_fidelity(config: CampaignConfig, feed_forward: bool = True) -> float:
-    values = analytic_fidelities(config, feed_forward)
+def analytic_mean_fidelity(config: CampaignConfig) -> float:
+    values = analytic_fidelities(config)
     return float(np.mean(list(values.values())))
 
 
@@ -452,7 +403,7 @@ def run_orbit(config: CampaignConfig, orbit_index: int, rng: np.random.Generator
     model = build_event_model(config, state_label)
     outcomes = list(model.outcome_probabilities)
     out_p = np.array([model.outcome_probabilities[o] for o in outcomes])
-    d = config.double_pair_fraction_eff
+    d = config.source.double_pair_fraction
 
     counts: dict[tuple[str, str], int] = {
         (o.value, port): 0
@@ -604,19 +555,40 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 # ---------------------------------------------------------------------------
 # Error budget, calibration, baselines.
 
-BUDGET_SOURCES = ("double_pair", "distinguishability", "polarization", "background")
+# Error source -> the CampaignConfig field holding its parameters, and their
+# noise-free values.
+NOISE_FREE = {
+    "double_pair": ("source", {"double_pair_fraction": 0.0}),
+    "distinguishability": ("bsm", {"mode_overlap": 1.0}),
+    "polarization": ("polarization", {"delta_rad": 0.0, "jitter_sigma_rad": 0.0}),
+    "background": ("detection", {"background_rate_hz": 0.0}),
+}
+
+BUDGET_SOURCES = tuple(NOISE_FREE)
+
+
+def isolate_source(config: CampaignConfig, name: str, **changes) -> CampaignConfig:
+    """`config` with every error source but `name` at its noise-free value,
+    and with the field `changes` applied, in one `replace`."""
+    if name not in NOISE_FREE:
+        raise ValueError(f"unknown error source {name!r}")
+    quiet = {
+        attr: replace(getattr(config, attr), **values)
+        for source, (attr, values) in NOISE_FREE.items()
+        if source != name
+    }
+    return replace(config, **quiet, **changes)
 
 
 def error_budget(config: CampaignConfig) -> dict[str, float]:
-    """Mean-fidelity deficit of each noise source alone, against the
-    otherwise-ideal pipeline, plus the all-sources-on deficit."""
-    budget = {}
-    for source in BUDGET_SOURCES:
-        cfg = replace(config, toggles=NoiseToggles.only(source))
-        budget[source] = 1.0 - analytic_mean_fidelity(cfg)
-    budget["combined"] = 1.0 - analytic_mean_fidelity(
-        replace(config, toggles=NoiseToggles())
-    )
+    """Mean-fidelity deficit of each error source alone, the other three at
+    their noise-free values, plus the deficit of `config` as given
+    ("combined")."""
+    budget = {
+        source: 1.0 - analytic_mean_fidelity(isolate_source(config, source))
+        for source in BUDGET_SOURCES
+    }
+    budget["combined"] = 1.0 - analytic_mean_fidelity(config)
     return budget
 
 
@@ -757,9 +729,8 @@ def calibrate(
     )
 
     # Noise sources, each deficit inverted in closed form.
-    def residual(noise_name: str, target: float, **kw) -> float:
-        cfg = replace(config, toggles=NoiseToggles.only(noise_name), **kw)
-        return 1.0 - analytic_mean_fidelity(cfg) - target
+    def residual(name: str, target: float, **changes) -> float:
+        return 1.0 - analytic_mean_fidelity(isolate_source(config, name, **changes)) - target
 
     params["double_pair_fraction"], residuals["deficit_double_pair"] = _invert_affine(
         lambda v: residual(
@@ -795,9 +766,9 @@ def calibrate(
     r3 = config.threefold_herald_rate
 
     def bg_deficit(eta: float, rate: float) -> float:
-        cfg = replace(
+        cfg = isolate_source(
             config,
-            toggles=NoiseToggles.only("background"),
+            "background",
             detection=replace(
                 config.detection, receiver_efficiency=eta, background_rate_hz=rate
             ),

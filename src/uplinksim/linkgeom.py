@@ -43,12 +43,27 @@ class PassGeometry:
             raise ValueError("orbit altitude must be positive")
         if not 0.0 < self.min_elevation_deg < self.max_elevation_deg <= 90.0:
             raise ValueError("need 0 < min_elevation < max_elevation <= 90 degrees")
+        # An altitude can be positive and finite and still leave no pass:
+        # too high, the orbital rate underflows to 0; too low, the pass
+        # rounds to 0 s.
+        if not 0.0 < self.orbital_rate < np.inf:
+            raise ValueError(
+                f"orbit_altitude_km = {self.orbit_altitude_km:g} gives no finite, "
+                "positive orbital rate"
+            )
+        if not self.half_duration_s() > 0.0:
+            raise ValueError(
+                f"orbit_altitude_km = {self.orbit_altitude_km:g} gives a pass of 0 s "
+                f"between {self.min_elevation_deg:g} and {self.max_elevation_deg:g} degrees"
+            )
 
     @property
     def orbital_rate(self) -> float:
         """Two-body angular rate in rad/s."""
         r = self.earth_radius_km + self.orbit_altitude_km
-        return float(np.sqrt(GM_EARTH_KM3_S2 / r**3))
+        # a product, not r**3: a float power raises OverflowError for huge r,
+        # while the product goes to inf and the rate to 0
+        return float(np.sqrt(GM_EARTH_KM3_S2 / (r * r * r)))
 
     @property
     def radius_ratio(self) -> float:

@@ -56,15 +56,11 @@ class SyncConfig:
 
 
 class TimeTagStream:
-    """Sorted detection record: times in integer ps plus channel ids.
+    """Sorted detection record: times in integer ps plus channel ids."""
 
-    `clock` stores the generating clock model (identity for the ground
-    stream); it is bookkeeping, not something a detector would know.
-    """
+    __slots__ = ("times_ps", "channels")
 
-    __slots__ = ("times_ps", "channels", "clock")
-
-    def __init__(self, times_ps, channels, clock: ClockModel | None = None):
+    def __init__(self, times_ps, channels):
         times = np.asarray(times_ps, dtype=np.int64).reshape(-1)
         chans = np.asarray(channels, dtype=np.int16).reshape(-1)
         if times.size != chans.size:
@@ -75,7 +71,6 @@ class TimeTagStream:
         chans.flags.writeable = False
         object.__setattr__(self, "times_ps", times)
         object.__setattr__(self, "channels", chans)
-        object.__setattr__(self, "clock", clock or ClockModel())
 
     def __setattr__(self, name, value):
         raise AttributeError("TimeTagStream is immutable")
@@ -177,10 +172,7 @@ def generate_streams(
 
     g_t, g_c = _merge_sorted(ground_events, event_channel, backgrounds[0], background_channel)
     s_t, s_c = _merge_sorted(sat_events, event_channel, backgrounds[1], background_channel)
-    return (
-        TimeTagStream(g_t, g_c),
-        TimeTagStream(s_t, s_c, clock=clock),
-    )
+    return TimeTagStream(g_t, g_c), TimeTagStream(s_t, s_c)
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,21 @@ class TestFeedForward:
         with pytest.raises(ValueError):
             feed_forward(BsmOutcome.FAIL, KET_H.density())
 
+    def test_no_correction_gives_one_half_on_superpositions(self):
+        # Without the correction the - outcome returns a superposition's
+        # orthogonal state, and the two accepted outcomes are equally likely.
+        for label, state in mub_states().items():
+            branches = bsm_apply(ideal_joint(state), BsmModel(1.0))
+            accepted = [b for b in branches if b.outcome in ACCEPTED_OUTCOMES]
+            total = sum(b.probability for b in accepted)
+            raw = sum(b.probability * fidelity(state, b.conditional) for b in accepted) / total
+            fixed = sum(
+                b.probability * fidelity(state, feed_forward(b.outcome, b.conditional))
+                for b in accepted
+            ) / total
+            assert fixed == pytest.approx(1.0, abs=1e-12)
+            assert raw == pytest.approx(1.0 if label in ("H", "V") else 0.5, abs=1e-12)
+
 
 class TestTeleportExpected:
     def test_ideal_is_perfect_for_all_inputs(self):

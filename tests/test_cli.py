@@ -157,6 +157,8 @@ class TestConfigParsing:
             ("link", {"slew_rate_ref": 0.0}, "slew_rate_ref"),
             ("polarization", {"delta_rad": float("nan")}, "polarization.delta_rad"),
             ("link", {"divergence_x_urad": 0.0, "seeing_urad": 0.0}, "seeing_urad"),
+            ("campaign", {"orbit_altitude_km": 1e-300}, "orbit_altitude_km"),
+            ("campaign", {"orbit_altitude_km": 1e300}, "orbit_altitude_km"),
         ],
     )
     def test_unusable_values_exit_2_at_load(self, tmp_path, capsys, section, values, field):
@@ -182,15 +184,27 @@ class TestConfigParsing:
             payload = json.loads((tmp_path / "campaign_config.json").read_text())
             assert key in payload[section]
             load = load_campaign_config
-        bad = [float("nan"), float("inf"), -float("inf"), 10**400, "1.0"]
-        if not isinstance(payload[section].get(key), bool):
-            bad.append(True)
+        bad = [float("nan"), float("inf"), -float("inf"), 10**400, "1.0", True]
         path = tmp_path / "bad.json"
         for value in bad:
             payload[section][key] = value
             path.write_text(json.dumps(payload))
             with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
                 load(path)
+
+    @pytest.mark.parametrize("noise", [{}, {"background": False}, {"double_pair": True}])
+    def test_noise_section_exits_2(self, tmp_path, capsys, noise):
+        # Each error source is switched off by its own parameter; a file
+        # carrying the old per-source switches must not load.
+        payload = default_config_dict()
+        payload["noise"] = noise
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error:") and "noise" in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_type_errors_rejected(self, tmp_path):
         payload = default_config_dict()

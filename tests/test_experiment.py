@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from uplinksim import experiment
-from uplinksim.bsm import ACCEPTED_OUTCOMES, BsmModel, bsm_apply
+from uplinksim.bsm import ACCEPTED_OUTCOMES, BsmModel, BsmOutcome, bsm_apply, teleport_expected
 from uplinksim.experiment import (
     CALIBRATED,
     CALIBRATION_BOUNDS,
     CalibrationError,
     CalibrationTargets,
     CampaignConfig,
-    NoiseToggles,
+    NOISE_FREE,
     SimulationError,
     analytic_fidelities,
     analytic_mean_fidelity,
@@ -24,6 +24,7 @@ from uplinksim.experiment import (
     expected_accidental_count,
     expected_signal_count,
     fibre_comparison,
+    isolate_source,
     orbit_exposure,
     run_campaign,
     run_orbit,
@@ -32,14 +33,17 @@ from uplinksim.experiment import (
 )
 from uplinksim.linkgeom import polarization_distortion
 from uplinksim.photonsrc import SourceModel, werner_pair
-from uplinksim.qstate import PureState, mub_states, tensor
+from uplinksim.qstate import mub_states, tensor
 
 from dataclasses import replace
 
 
 def quiet_config(**overrides) -> CampaignConfig:
-    """Calibrated geometry and rates with every noise source disabled."""
-    return default_config(toggles=NoiseToggles.all_off(), **overrides)
+    """Calibrated geometry and rates with every error source at its
+    noise-free value."""
+    base = default_config()
+    quiet = {attr: replace(getattr(base, attr), **values) for attr, values in NOISE_FREE.values()}
+    return default_config(**{**quiet, **overrides})
 
 
 def undistorted_conditionals(config: CampaignConfig, state_label: str) -> dict:
@@ -47,7 +51,7 @@ def undistorted_conditionals(config: CampaignConfig, state_label: str) -> dict:
     chi = mub_states()[state_label]
     branches = bsm_apply(
         tensor(chi, werner_pair(config.resource_fidelity)),
-        BsmModel(config.mode_overlap_eff),
+        config.bsm,
     )
     return {b.outcome: b.conditional.matrix for b in branches if b.outcome in ACCEPTED_OUTCOMES}
 
@@ -56,7 +60,8 @@ def quadrature_port_probabilities(config: CampaignConfig, state_label: str) -> d
     """Oracle for the jitter-averaged channel: 21-node Gauss-Hermite
     quadrature of the rotation over the Gaussian angle."""
     nodes, weights = np.polynomial.hermite.hermgauss(21)
-    angles = config.polarization_delta_eff + np.sqrt(2.0) * config.polarization_jitter_eff * nodes
+    noise = config.polarization
+    angles = noise.delta_rad + np.sqrt(2.0) * noise.jitter_sigma_rad * nodes
     units = np.stack([polarization_distortion(a) for a in angles])
     psi = mub_states()[state_label].amplitudes
     out = {}
@@ -91,10 +96,11 @@ def run_orbit_per_event_jitter(
     counts = {(o.value, port): 0 for o in ACCEPTED_OUTCOMES for port in ("signal", "orthogonal")}
     for _ in range(n_signal):
         outcome = outcomes[rng.choice(len(outcomes), p=out_p)]
-        if rng.random() < config.double_pair_fraction_eff:
+        if rng.random() < config.source.double_pair_fraction:
             p_signal_port = 0.5
         else:
-            angle = config.polarization_delta_eff + rng.normal(0.0, config.polarization_jitter_eff)
+            noise = config.polarization
+            angle = noise.delta_rad + rng.normal(0.0, noise.jitter_sigma_rad)
             u = polarization_distortion(angle)
             rho = u @ branches[outcome] @ u.conj().T
             p_signal_port = float(np.real(chi.conj() @ rho @ chi))
@@ -124,22 +130,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             replace(cfg, input_schedule=tuple("H" for _ in cfg.orbits))
 
-    def test_toggles_gate_parameters(self):
-        cfg = quiet_config()
-        assert cfg.double_pair_fraction_eff == 0.0
-        assert cfg.mode_overlap_eff == 1.0
-        assert cfg.polarization_delta_eff == 0.0
-        assert cfg.background_rate_eff == 0.0
-
     def test_bad_resource_fidelity_rejected(self):
         with pytest.raises(ValueError):
             default_config(resource_fidelity=0.1)
 
-    def test_noise_toggle_only(self):
-        t = NoiseToggles.only("polarization")
-        assert t.polarization and not (t.double_pair or t.distinguishability or t.background)
+    def test_isolate_source_quiets_the_other_three(self):
+        cfg = default_config(
+            polarization=replace(default_config().polarization, jitter_sigma_rad=0.1)
+        )
+        only = isolate_source(cfg, "polarization")
+        assert only.polarization == cfg.polarization
+        assert only.source.double_pair_fraction == 0.0
+        assert only.bsm.mode_overlap == 1.0
+        assert only.detection.background_rate_hz == 0.0
+        assert only.detection.receiver_efficiency == cfg.detection.receiver_efficiency
+        assert isolate_source(cfg, "background").polarization.jitter_sigma_rad == 0.0
         with pytest.raises(ValueError):
-            NoiseToggles.only("bogus")
+            isolate_source(cfg, "bogus")
 
 
 class TestEstimateFidelity:
@@ -298,28 +305,16 @@ class TestAnalyticPipeline:
             for outcome, p in oracle.items():
                 assert abs(closed[outcome] - p) <= 1e-12
 
-    def test_port_choice_invariant_under_global_phase(self):
-        cfg = default_config()
-        for label, chi in mub_states().items():
-            phased = PureState(np.exp(1j * 1.234) * chi.amplitudes)
-            plain = build_event_model(cfg, label)
-            shifted = build_event_model(cfg, label, input_state=phased)
-            for outcome in plain.signal_port_probability:
-                assert plain.signal_port_probability[outcome] == pytest.approx(
-                    shifted.signal_port_probability[outcome], abs=1e-12
-                )
-                assert plain.correct_port[outcome] == shifted.correct_port[outcome]
-
     def test_event_models_built_once_per_physical_key(self):
         # The campaign and the error budget need 24 distinct models: six
         # states under each of the four (mode overlap, delta, sigma) settings
-        # their toggles produce.
+        # of the given config and of its isolated sources.
         cfg = default_config()
         experiment._event_model.cache_clear()
         run_campaign(cfg)
         error_budget(cfg)
         assert experiment._event_model.cache_info().misses == 24
-        model = build_event_model(cfg, "+", input_state=mub_states()["+"])
+        model = build_event_model(cfg, "+")
         assert model is build_event_model(cfg, "+")
         with pytest.raises(TypeError):
             model.signal_port_probability[next(iter(model.signal_port_probability))] = 1.0
@@ -342,14 +337,25 @@ class TestAnalyticPipeline:
             np.testing.assert_allclose(transmitted + reflected, np.eye(2), atol=1e-12)
 
     def test_feed_forward_required_for_superpositions(self):
+        # The - outcome leaves a superposition phase-flipped, so its correct
+        # port is the orthogonal one; the poles keep the signal port.
         cfg = quiet_config()
-        with_ff = analytic_fidelities(cfg, feed_forward=True)
-        without = analytic_fidelities(cfg, feed_forward=False)
-        for label in ("+", "-", "R", "L"):
-            assert with_ff[label] == pytest.approx(1.0, abs=1e-12)
-            assert without[label] == pytest.approx(0.5, abs=1e-12)
-        for label in ("H", "V"):
-            assert without[label] == pytest.approx(with_ff[label], abs=1e-12)
+        fidelities = analytic_fidelities(cfg)
+        for label in STATE_LABELS:
+            assert fidelities[label] == pytest.approx(1.0, abs=1e-12)
+            port = build_event_model(cfg, label).correct_port[BsmOutcome.PHI_MINUS]
+            assert port == ("signal" if label in ("H", "V") else "orthogonal")
+
+    @pytest.mark.parametrize("mode_overlap", [1.0, 0.73, 0.3, 0.0])
+    @pytest.mark.parametrize("resource_fidelity", [1.0, 0.933, 0.6, 0.25])
+    def test_analytic_tier_matches_teleport_expected(self, resource_fidelity, mode_overlap):
+        # With no channel, double pairs or background, the campaign's
+        # analytic tier is the teleporter alone.
+        cfg = quiet_config(resource_fidelity=resource_fidelity, bsm=BsmModel(mode_overlap))
+        fidelities = analytic_fidelities(cfg)
+        for label, chi in mub_states().items():
+            expected = teleport_expected(chi, resource_fidelity, BsmModel(mode_overlap))
+            assert abs(fidelities[label] - expected.average_fidelity) <= 1e-12
 
 
 class TestErrorBudget:
@@ -477,10 +483,9 @@ class TestCalibrate:
     ):
         # calibrate() inverts the line through the deficits at the two box
         # bounds; the density-matrix pipeline must lie on that line.
-        base = default_config(
-            resource_fidelity=resource_fidelity, toggles=NoiseToggles.only(source)
-        )
-        base = replace(base, polarization=replace(base.polarization, jitter_sigma_rad=sigma))
+        cfg = default_config(resource_fidelity=resource_fidelity)
+        cfg = replace(cfg, polarization=replace(cfg.polarization, jitter_sigma_rad=sigma))
+        base = isolate_source(cfg, source)
 
         def deficit(v):
             return 1.0 - analytic_mean_fidelity(vary(base, v))
@@ -497,7 +502,8 @@ class TestCalibrate:
         pipeline = experiment.analytic_mean_fidelity
 
         def counted(cfg):
-            if cfg.toggles != NoiseToggles.only("background"):
+            # every inversion but the background one runs with no background
+            if cfg.detection.background_rate_hz == 0.0:
                 noise_evaluations.append(cfg)
             return pipeline(cfg)
 
