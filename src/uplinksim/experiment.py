@@ -368,6 +368,9 @@ def analytic_mean_fidelity(config: CampaignConfig) -> float:
 # Largest mean numpy's Generator.poisson accepts (its own bound on a C long).
 POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
+# Events whose uniforms are drawn at once; bounds memory, not the stream.
+_DRAW_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class OrbitRecord:
@@ -403,27 +406,32 @@ def run_orbit(config: CampaignConfig, orbit_index: int, rng: np.random.Generator
     model = build_event_model(config, state_label)
     outcomes = list(model.outcome_probabilities)
     out_p = np.array([model.outcome_probabilities[o] for o in outcomes])
+    if (out_p < 0).any() or not abs(out_p.sum() - 1.0) <= np.sqrt(np.finfo(float).eps):
+        raise ValueError(f"outcome probabilities {out_p} are not a distribution")
+    cdf = out_p.cumsum()
+    cdf /= cdf[-1]
+    p_port = np.array([model.signal_port_probability[o] for o in outcomes])
     d = config.source.double_pair_fraction
 
+    # The per-event stream, drawn in blocks: Generator.choice(k, p=p) reads one
+    # double u and returns cdf.searchsorted(u, "right"), so a signal event
+    # reads (outcome, double pair, port) and an accidental (outcome, port).
+    tally = np.zeros(2 * len(outcomes), dtype=np.int64)  # (outcome, signal/orthogonal)
+    for n_events, width in ((n_signal, 3), (n_accidental, 2)):
+        for start in range(0, n_events, _DRAW_BLOCK):
+            u = rng.random((min(_DRAW_BLOCK, n_events - start), width))
+            index = cdf.searchsorted(u[:, 0], side="right")
+            p_signal = np.where(u[:, 1] < d, 0.5, p_port[index]) if width == 3 else 0.5
+            signal = u[:, -1] < p_signal
+            tally += np.bincount(2 * index + ~signal, minlength=tally.size)
     counts: dict[tuple[str, str], int] = {
         (o.value, port): 0
         for o in ACCEPTED_OUTCOMES
         for port in (PORT_SIGNAL, PORT_ORTHOGONAL)
     }
-
-    for _ in range(n_signal):
-        outcome = outcomes[rng.choice(len(outcomes), p=out_p)]
-        if rng.random() < d:
-            p_signal_port = 0.5
-        else:
-            p_signal_port = model.signal_port_probability[outcome]
-        port = PORT_SIGNAL if rng.random() < p_signal_port else PORT_ORTHOGONAL
-        counts[(outcome.value, port)] += 1
-
-    for _ in range(n_accidental):
-        outcome = outcomes[rng.choice(len(outcomes), p=out_p)]
-        port = PORT_SIGNAL if rng.random() < 0.5 else PORT_ORTHOGONAL
-        counts[(outcome.value, port)] += 1
+    for outcome, (n_signal_port, n_orthogonal) in zip(outcomes, tally.reshape(-1, 2)):
+        counts[(outcome.value, PORT_SIGNAL)] = int(n_signal_port)
+        counts[(outcome.value, PORT_ORTHOGONAL)] = int(n_orthogonal)
 
     return OrbitRecord(
         label=orbit.label,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -59,6 +60,25 @@ def read_outputs(out_dir):
         for p in sorted(out_dir.iterdir())
         if p.suffix in (".json", ".csv")
     }
+
+
+# sha256 of every `simulate` output at the built-in defaults.  A change to
+# these bytes is a change to the seeded Monte Carlo stream or to a model, and
+# must be deliberate.
+PINNED_DIGESTS = {
+    "error_budget.csv": "8b28a8117a9dd758ada526d141e29aa6f01a88e4630a517dfb681263c840fd3f",
+    "fig2_loss.csv": "d07a1988a74cd7dfce61333e7b96c04426072c0bb8fcc9b0c19f0896bbb2cec0",
+}
+PINNED_SEED_DIGESTS = {
+    7: {
+        "campaign_result.json": "9cc1db9cb885332a5c5179745701c77bf5d3a046a429e0a5d18d83c18c8d7095",
+        "fig3_fidelities.csv": "8d7ae6e3c3e3ec9c706d281749fb38d23ef322d06eb50cde1ac4fb7870464068",
+    },
+    20160839: {
+        "campaign_result.json": "9ce791d193fe036c25e43d290449a60046aafada8cace5a83bd203e4d75d9926",
+        "fig3_fidelities.csv": "1798500cc10d590221e71a3282d7e65b380407d51e357d4b61cd105643ca1d97",
+    },
+}
 
 
 class TestConfigParsing:
@@ -482,3 +502,11 @@ def test_import_loads_no_scipy():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_default_outputs_match_pinned_digests(tmp_path):
+    for seed, digests in PINNED_SEED_DIGESTS.items():
+        out = tmp_path / str(seed)
+        assert main(["simulate", "--seed", str(seed), "--out", str(out)]) == 0
+        got = {name: hashlib.sha256(data).hexdigest() for name, data in read_outputs(out).items()}
+        assert got == {**PINNED_DIGESTS, **digests}, f"seed {seed}"

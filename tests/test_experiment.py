@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uplinksim import experiment
 from uplinksim.bsm import ACCEPTED_OUTCOMES, BsmModel, BsmOutcome, bsm_apply, teleport_expected
@@ -12,6 +14,8 @@ from uplinksim.experiment import (
     CalibrationTargets,
     CampaignConfig,
     NOISE_FREE,
+    PORT_ORTHOGONAL,
+    PORT_SIGNAL,
     SimulationError,
     analytic_fidelities,
     analytic_mean_fidelity,
@@ -36,6 +40,7 @@ from uplinksim.photonsrc import SourceModel, werner_pair
 from uplinksim.qstate import mub_states, tensor
 
 from dataclasses import replace
+from types import MappingProxyType
 
 
 def quiet_config(**overrides) -> CampaignConfig:
@@ -117,6 +122,71 @@ def run_orbit_per_event_jitter(
         n_signal_truth=n_signal,
         n_accidental_truth=n_accidental,
     )
+
+
+def run_orbit_per_event_oracle(
+    config: CampaignConfig, orbit_index: int, rng: np.random.Generator
+) -> OrbitRecord:
+    """Oracle for `run_orbit`'s block draws: the per-event loop they
+    replaced, one `Generator.choice` and one or two `random()` calls per
+    event."""
+    orbit = config.orbits[orbit_index]
+    state_label = config.input_schedule[orbit_index]
+    exposure = orbit_exposure(config, orbit)
+    # The expected counts of the analytic tier, the signal drawn per second.
+    n_signal = int(rng.poisson(experiment._signal_rate(config) * exposure.transmittance).sum())
+    n_accidental = int(rng.poisson(expected_accidental_count(config, orbit)))
+
+    model = build_event_model(config, state_label)
+    outcomes = list(model.outcome_probabilities)
+    out_p = np.array([model.outcome_probabilities[o] for o in outcomes])
+    d = config.source.double_pair_fraction
+
+    counts: dict[tuple[str, str], int] = {
+        (o.value, port): 0
+        for o in ACCEPTED_OUTCOMES
+        for port in (PORT_SIGNAL, PORT_ORTHOGONAL)
+    }
+
+    for _ in range(n_signal):
+        outcome = outcomes[rng.choice(len(outcomes), p=out_p)]
+        if rng.random() < d:
+            p_signal_port = 0.5
+        else:
+            p_signal_port = model.signal_port_probability[outcome]
+        port = PORT_SIGNAL if rng.random() < p_signal_port else PORT_ORTHOGONAL
+        counts[(outcome.value, port)] += 1
+
+    for _ in range(n_accidental):
+        outcome = outcomes[rng.choice(len(outcomes), p=out_p)]
+        port = PORT_SIGNAL if rng.random() < 0.5 else PORT_ORTHOGONAL
+        counts[(outcome.value, port)] += 1
+
+    return OrbitRecord(
+        label=orbit.label,
+        state_label=state_label,
+        max_elevation_deg=orbit.max_elevation_deg,
+        live_time_s=exposure.live_time_s,
+        counts=counts,
+        n_signal_truth=n_signal,
+        n_accidental_truth=n_accidental,
+    )
+
+
+def dense_config(**overrides) -> CampaignConfig:
+    """Ten times the calibrated fourfold rate, with 0.05 rad polarization
+    jitter: about 9k events over the campaign."""
+    base = default_config(**overrides)
+    return replace(
+        base,
+        source=replace(base.source, fourfold_ground_rate=base.source.fourfold_ground_rate * 10),
+        polarization=replace(base.polarization, jitter_sigma_rad=0.05),
+    )
+
+
+def with_double_pairs(d: float) -> CampaignConfig:
+    base = default_config()
+    return replace(base, source=replace(base.source, double_pair_fraction=d))
 
 
 class TestConfig:
@@ -217,6 +287,23 @@ class TestRunOrbit:
         assert rec.max_elevation_deg == pytest.approx(20.0)
         assert rec.live_time_s < cfg.orbit_duration_s * 0.7
 
+    @pytest.mark.parametrize("corrupt", ["nan", "negative", "unnormalized"])
+    def test_invalid_outcome_distribution_rejected(self, monkeypatch, corrupt):
+        cfg = default_config()
+        model = build_event_model(cfg, cfg.input_schedule[0])
+        probs = dict(model.outcome_probabilities)
+        first, second = list(probs)[:2]
+        if corrupt == "nan":
+            probs[first] = float("nan")
+        elif corrupt == "negative":
+            probs[first], probs[second] = -0.25, probs[second] + probs[first] + 0.25
+        else:
+            probs = {o: 1.1 * p for o, p in probs.items()}
+        bad = replace(model, outcome_probabilities=MappingProxyType(probs))
+        monkeypatch.setattr(experiment, "build_event_model", lambda config, label: bad)
+        with pytest.raises(ValueError):
+            run_orbit(cfg, 0, np.random.default_rng(7))
+
 
 class TestRunCampaign:
     def test_deterministic_given_seed(self):
@@ -264,6 +351,28 @@ class TestRunCampaign:
             assert summary.sigma < 0.01  # enough statistics to be stringent
             assert abs(summary.fidelity - expected[label]) < 3.5 * summary.sigma
 
+    @pytest.mark.parametrize(
+        "config, block",
+        [
+            (default_config(seed=7), None),
+            (default_config(seed=20160839), None),
+            (default_config(seed=1000), None),
+            (default_config(seed=90000), None),
+            (dense_config(), None),
+            (with_double_pairs(0.0), None),
+            (with_double_pairs(0.5), None),
+            # Block boundaries inside both the signal and the accidental
+            # draws (about 400 and 24 events per orbit).
+            (dense_config(), 7),
+        ],
+        ids=["seed7", "seed20160839", "seed1000", "seed90000", "dense", "d0", "d0.5", "dense-block7"],
+    )
+    def test_block_draws_match_per_event_oracle(self, monkeypatch, config, block):
+        if block is not None:
+            monkeypatch.setattr(experiment, "_DRAW_BLOCK", block)
+        blocked = run_campaign(config).to_json()
+        monkeypatch.setattr(experiment, "run_orbit", run_orbit_per_event_oracle)
+        assert run_campaign(config).to_json() == blocked
 
     def test_undrawable_event_count_raises_before_any_draw(self, monkeypatch):
         def no_draw(*args):
@@ -575,3 +684,21 @@ class TestFibreComparison:
         assert out.transmittance == 0.0
         assert out.expected_wait_s == np.inf
         assert out.expected_wait_years == np.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(st.just(0.0) | st.floats(1e-6, 1.0), min_size=1, max_size=8).filter(any),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_choice_is_one_uniform_searched_in_the_cdf(weights, seed):
+    # `run_orbit` reproduces the per-event stream on this numpy behaviour:
+    # Generator.choice(k, p=p) reads exactly one double u and returns
+    # cdf.searchsorted(u, side="right"), with cdf = p.cumsum() / its last.
+    p = np.array(weights) / np.sum(weights)
+    rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = [int(rng.choice(len(p), p=p)) for _ in range(40)]
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    assert drawn == cdf.searchsorted(rng2.random(40), side="right").tolist()
+    assert rng.random() == rng2.random()  # both streams consumed alike
