@@ -14,22 +14,18 @@ import functools
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from types import MappingProxyType
 
 import numpy as np
 
 from .bsm import ACCEPTED_OUTCOMES, BsmModel, BsmOutcome, bsm_apply
 from .linkgeom import LinkModel, PassGeometry, link_loss_db, loss_profile, polarization_channel
 from .photonsrc import SourceModel, werner_pair
-from .qstate import PureState, mub_states, tensor
+from .qstate import mub_states, tensor
 from .timesync import accidental_rate
 
 SECONDS_PER_YEAR = 365.25 * 86400.0
 
 STATE_LABELS = ("+", "-", "R", "L", "H", "V")
-
-PORT_SIGNAL = "signal"
-PORT_ORTHOGONAL = "orthogonal"
 
 
 class SimulationError(RuntimeError):
@@ -153,6 +149,31 @@ CALIBRATED = {
     "receiver_efficiency": 0.37621805150703735,
 }
 
+# Fitted parameter -> the CampaignConfig attribute and the field of it that
+# the parameter sets.
+PARAMETER_FIELDS = {
+    "zenith_transmittance": ("link", "zenith_transmittance"),
+    "system_efficiency_db": ("link", "system_efficiency_db"),
+    "slew_degradation_k": ("link", "slew_degradation_k"),
+    "double_pair_fraction": ("source", "double_pair_fraction"),
+    "mode_overlap": ("bsm", "mode_overlap"),
+    "polarization_delta_rad": ("polarization", "delta_rad"),
+    "background_rate_hz": ("detection", "background_rate_hz"),
+    "receiver_efficiency": ("detection", "receiver_efficiency"),
+}
+
+
+def with_params(config: CampaignConfig, params: Mapping[str, float]) -> CampaignConfig:
+    """`config` with any subset of the fitted parameters set, in one `replace`."""
+    changes: dict[str, dict[str, float]] = {}
+    for name, value in params.items():
+        attr, key = PARAMETER_FIELDS[name]
+        changes.setdefault(attr, {})[key] = value
+    return replace(
+        config, **{attr: replace(getattr(config, attr), **c) for attr, c in changes.items()}
+    )
+
+
 DEFAULT_SEED = 20160839
 
 
@@ -173,27 +194,12 @@ def default_schedule(n_orbits: int = 32) -> tuple[str, ...]:
 
 
 def default_config(seed: int = DEFAULT_SEED, **overrides) -> CampaignConfig:
-    """The calibrated 32-orbit campaign configuration."""
-    cal = CALIBRATED
-    base = dict(
-        orbits=default_orbit_plans(),
-        input_schedule=default_schedule(),
-        source=SourceModel(double_pair_fraction=cal["double_pair_fraction"]),
-        bsm=BsmModel(mode_overlap=cal["mode_overlap"]),
-        link=LinkModel(
-            zenith_transmittance=cal["zenith_transmittance"],
-            system_efficiency_db=cal["system_efficiency_db"],
-            slew_degradation_k=cal["slew_degradation_k"],
-        ),
-        detection=DetectionModel(
-            receiver_efficiency=cal["receiver_efficiency"],
-            background_rate_hz=cal["background_rate_hz"],
-        ),
-        polarization=PolarizationNoise(delta_rad=cal["polarization_delta_rad"]),
-        seed=seed,
+    """The calibrated 32-orbit campaign configuration: `CALIBRATED` applied
+    to the bare campaign, then `overrides` replacing whole fields."""
+    bare = CampaignConfig(
+        orbits=default_orbit_plans(), input_schedule=default_schedule(), seed=seed
     )
-    base.update(overrides)
-    return CampaignConfig(**base)
+    return replace(with_params(bare, CALIBRATED), **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +215,7 @@ class OrbitExposure:
 
 @functools.lru_cache(maxsize=4096)
 def _exposure(geometry: PassGeometry, link: LinkModel, duration_s: float) -> OrbitExposure:
-    loss = np.array([r[3] for r in loss_profile(geometry, link, duration_s)])
+    loss = loss_profile(geometry, link, duration_s)[:, 3]
     transmittance = 10.0 ** (-loss / 10.0)
     transmittance.flags.writeable = False  # shared by every cache hit
     return OrbitExposure(
@@ -247,14 +253,13 @@ def expected_accidental_count(config: CampaignConfig, orbit: OrbitPlan) -> float
 
 @dataclass(frozen=True)
 class EventModel:
-    """Per-event branch data for one input state.  Models are shared between
-    callers, so the mappings are read-only."""
+    """Per-event branch data for one input state: one entry per accepted
+    analyzer outcome, in `ACCEPTED_OUTCOMES` order.  Both tiers read the
+    same model, so the arrays are read-only."""
 
-    state_label: str
-    input_state: PureState
-    outcome_probabilities: Mapping[BsmOutcome, float]  # renormalized over accepted
-    signal_port_probability: Mapping[BsmOutcome, float]  # physical |chi> port
-    correct_port: Mapping[BsmOutcome, str]
+    outcome_probabilities: np.ndarray  # renormalized over the accepted outcomes
+    signal_port_probability: np.ndarray  # of the physical |chi> port
+    correct_is_signal: np.ndarray  # bool: the correct port is the |chi> port
 
 
 def build_event_model(config: CampaignConfig, state_label: str) -> EventModel:
@@ -285,37 +290,28 @@ def _event_model(
     chi = mub_states()[state_label]
     branches = bsm_apply(tensor(chi, werner_pair(resource_fidelity)), BsmModel(mode_overlap))
 
-    accepted = {b.outcome: b for b in branches if b.outcome in ACCEPTED_OUTCOMES}
-    total_accepted = sum(b.probability for b in accepted.values())
+    accepted = [b for b in branches if b.outcome in ACCEPTED_OUTCOMES]
+    total_accepted = sum(b.probability for b in accepted)
     if total_accepted <= 0:
         raise SimulationError("no accepted analyzer outcomes for this input")
 
-    z_fid = abs(np.vdot(chi.amplitudes, np.diag([1, -1]) @ chi.amplitudes)) ** 2
-    if z_fid > 1 - 1e-9:
-        minus_port = PORT_SIGNAL  # pi shift acts trivially on poles
-    elif z_fid < 1e-9:
-        minus_port = PORT_ORTHOGONAL  # pi shift maps the state to its orthogonal
-    else:
-        raise ValueError(
-            f"post-processing relabeling undefined for input {state_label!r}"
-        )
-
-    out_prob: dict[BsmOutcome, float] = {}
-    port_prob: dict[BsmOutcome, float] = {}
-    correct: dict[BsmOutcome, str] = {}
+    # A phi- event is relabeled by a pi phase shift, which leaves the poles
+    # in the |chi> port and sends the superpositions to the orthogonal one.
     psi = chi.amplitudes
-    for outcome, branch in accepted.items():
-        out_prob[outcome] = branch.probability / total_accepted
-        distorted = polarization_channel(branch.conditional.matrix, delta, jitter_sigma)
-        port_prob[outcome] = float(np.real(psi.conj() @ distorted @ psi))
-        correct[outcome] = PORT_SIGNAL if outcome is BsmOutcome.PHI_PLUS else minus_port
-    return EventModel(
-        state_label=state_label,
-        input_state=chi,
-        outcome_probabilities=MappingProxyType(out_prob),
-        signal_port_probability=MappingProxyType(port_prob),
-        correct_port=MappingProxyType(correct),
-    )
+    z_fid = abs(np.vdot(psi, np.diag([1, -1]) @ psi)) ** 2
+    if not (z_fid < 1e-9 or z_fid > 1 - 1e-9):
+        raise ValueError(f"post-processing relabeling undefined for input {state_label!r}")
+
+    out_p, port_p, correct = [], [], []
+    for b in accepted:
+        distorted = polarization_channel(b.conditional.matrix, delta, jitter_sigma)
+        out_p.append(b.probability / total_accepted)
+        port_p.append(float(np.real(psi.conj() @ distorted @ psi)))
+        correct.append(b.outcome is BsmOutcome.PHI_PLUS or z_fid > 0.5)
+    arrays = [np.array(column) for column in (out_p, port_p, correct)]
+    for a in arrays:
+        a.flags.writeable = False
+    return EventModel(*arrays)
 
 
 def _quantum_event_fidelity(model: EventModel, config: CampaignConfig) -> float:
@@ -323,14 +319,12 @@ def _quantum_event_fidelity(model: EventModel, config: CampaignConfig) -> float:
     double-pair branch (fully mixed, so even odds on the ports)."""
     d = config.source.double_pair_fraction
     f = 0.0
-    for outcome, w in model.outcome_probabilities.items():
-        p_signal_port = model.signal_port_probability[outcome]
-        p_correct = (
-            p_signal_port
-            if model.correct_port[outcome] == PORT_SIGNAL
-            else 1.0 - p_signal_port
-        )
-        f += w * p_correct
+    for w, p_signal_port, is_signal in zip(
+        model.outcome_probabilities.tolist(),
+        model.signal_port_probability.tolist(),
+        model.correct_is_signal.tolist(),
+    ):
+        f += w * (p_signal_port if is_signal else 1.0 - p_signal_port)
     return (1.0 - d) * f + d * 0.5
 
 
@@ -374,17 +368,21 @@ _DRAW_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class OrbitRecord:
+    """Raw fourfold counts of one pass.  `counts` is a read-only (2, 2) int
+    tally indexed [analyzer outcome in `ACCEPTED_OUTCOMES` order, port], the
+    port being 0 for the signal (|chi>) port and 1 for the orthogonal one."""
+
     label: str
     state_label: str
     max_elevation_deg: float
     live_time_s: float
-    counts: dict[tuple[str, str], int]  # (analyzer outcome, port) -> fourfolds
+    counts: np.ndarray
     n_signal_truth: int
     n_accidental_truth: int
 
     @property
     def total_fourfolds(self) -> int:
-        return sum(self.counts.values())
+        return int(self.counts.sum())
 
 
 def run_orbit(config: CampaignConfig, orbit_index: int, rng: np.random.Generator) -> OrbitRecord:
@@ -404,19 +402,18 @@ def run_orbit(config: CampaignConfig, orbit_index: int, rng: np.random.Generator
     n_accidental = int(rng.poisson(expected_accidental_count(config, orbit)))
 
     model = build_event_model(config, state_label)
-    outcomes = list(model.outcome_probabilities)
-    out_p = np.array([model.outcome_probabilities[o] for o in outcomes])
+    out_p = model.outcome_probabilities
     if (out_p < 0).any() or not abs(out_p.sum() - 1.0) <= np.sqrt(np.finfo(float).eps):
         raise ValueError(f"outcome probabilities {out_p} are not a distribution")
     cdf = out_p.cumsum()
     cdf /= cdf[-1]
-    p_port = np.array([model.signal_port_probability[o] for o in outcomes])
+    p_port = model.signal_port_probability
     d = config.source.double_pair_fraction
 
     # The per-event stream, drawn in blocks: Generator.choice(k, p=p) reads one
     # double u and returns cdf.searchsorted(u, "right"), so a signal event
     # reads (outcome, double pair, port) and an accidental (outcome, port).
-    tally = np.zeros(2 * len(outcomes), dtype=np.int64)  # (outcome, signal/orthogonal)
+    tally = np.zeros(2 * out_p.size, dtype=np.int64)  # (outcome, signal/orthogonal)
     for n_events, width in ((n_signal, 3), (n_accidental, 2)):
         for start in range(0, n_events, _DRAW_BLOCK):
             u = rng.random((min(_DRAW_BLOCK, n_events - start), width))
@@ -424,14 +421,8 @@ def run_orbit(config: CampaignConfig, orbit_index: int, rng: np.random.Generator
             p_signal = np.where(u[:, 1] < d, 0.5, p_port[index]) if width == 3 else 0.5
             signal = u[:, -1] < p_signal
             tally += np.bincount(2 * index + ~signal, minlength=tally.size)
-    counts: dict[tuple[str, str], int] = {
-        (o.value, port): 0
-        for o in ACCEPTED_OUTCOMES
-        for port in (PORT_SIGNAL, PORT_ORTHOGONAL)
-    }
-    for outcome, (n_signal_port, n_orthogonal) in zip(outcomes, tally.reshape(-1, 2)):
-        counts[(outcome.value, PORT_SIGNAL)] = int(n_signal_port)
-        counts[(outcome.value, PORT_ORTHOGONAL)] = int(n_orthogonal)
+    counts = tally.reshape(-1, 2)
+    counts.flags.writeable = False
 
     return OrbitRecord(
         label=orbit.label,
@@ -494,7 +485,11 @@ class CampaignResult:
                     "state": o.state_label,
                     "max_elevation_deg": o.max_elevation_deg,
                     "live_time_s": o.live_time_s,
-                    "counts": {f"{k[0]}/{k[1]}": v for k, v in o.counts.items()},
+                    "counts": {
+                        f"{outcome.value}/{port}": n
+                        for outcome, row in zip(ACCEPTED_OUTCOMES, o.counts.tolist())
+                        for port, n in zip(("signal", "orthogonal"), row)
+                    },
                     "n_signal_truth": o.n_signal_truth,
                     "n_accidental_truth": o.n_accidental_truth,
                 }
@@ -525,22 +520,15 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         for i in range(len(config.orbits))
     ]
 
+    counts = np.array([rec.counts for rec in records])  # [orbit, outcome, port]
+    states = np.array([rec.state_label for rec in records])
     per_state: dict[str, StateSummary] = {}
     for label in STATE_LABELS:
-        model = build_event_model(config, label)
-        n_correct = 0
-        n_wrong = 0
-        for rec in records:
-            if rec.state_label != label:
-                continue
-            for outcome in ACCEPTED_OUTCOMES:
-                good_port = model.correct_port[outcome]
-                for port in (PORT_SIGNAL, PORT_ORTHOGONAL):
-                    n = rec.counts[(outcome.value, port)]
-                    if port == good_port:
-                        n_correct += n
-                    else:
-                        n_wrong += n
+        correct = build_event_model(config, label).correct_is_signal
+        is_correct = np.column_stack((correct, ~correct))  # [outcome, port]
+        tally = counts[states == label].sum(axis=0)
+        n_correct = int(tally[is_correct].sum())
+        n_wrong = int(tally[~is_correct].sum())
         if n_correct + n_wrong == 0:
             raise SimulationError(
                 f"campaign accumulated no fourfold events for input {label!r}; "
@@ -632,24 +620,7 @@ class CalibrationResult:
     converged: bool
 
     def apply(self, config: CampaignConfig) -> CampaignConfig:
-        p = self.params
-        return replace(
-            config,
-            source=replace(config.source, double_pair_fraction=p["double_pair_fraction"]),
-            bsm=BsmModel(mode_overlap=p["mode_overlap"]),
-            link=replace(
-                config.link,
-                zenith_transmittance=p["zenith_transmittance"],
-                system_efficiency_db=p["system_efficiency_db"],
-                slew_degradation_k=p["slew_degradation_k"],
-            ),
-            detection=replace(
-                config.detection,
-                receiver_efficiency=p["receiver_efficiency"],
-                background_rate_hz=p["background_rate_hz"],
-            ),
-            polarization=replace(config.polarization, delta_rad=p["polarization_delta_rad"]),
-        )
+        return with_params(config, self.params)
 
 
 class CalibrationError(RuntimeError):
@@ -696,9 +667,11 @@ def calibrate(
     base config), so the analytic pipeline at the two plausibility bounds
     fixes the line that is inverted; then the receiver efficiency and
     background rate jointly from the campaign total and the background
-    deficit by a fixed-point loop.  Parameters pinned at a plausibility
-    bound leave a reported residual.  Raises CalibrationError when any
-    residual exceeds its tolerance, carrying the best-so-far result.
+    deficit by a fixed-point loop.  Every trial value reaches the config
+    through `with_params`, so `PARAMETER_FIELDS` alone says which field a
+    parameter sets.  Parameters pinned at a plausibility bound leave a
+    reported residual.  Raises CalibrationError when any residual exceeds
+    its tolerance, carrying the best-so-far result.
     """
     targets = targets or CalibrationTargets()
     config = base or default_config()
@@ -708,7 +681,7 @@ def calibrate(
 
     # Channel: linear in (dB per airmass, system dB) at the two anchors.
     ref_geom = config.geometry(OrbitPlan("reference", 76.0))
-    probe = replace(config.link, zenith_transmittance=1.0, system_efficiency_db=0.0)
+    probe = with_params(config, {"zenith_transmittance": 1.0, "system_efficiency_db": 0.0}).link
     anchors = [
         (config.min_elevation_deg, ref_geom.half_duration_s(), targets.loss_max_db),
         (76.0, 0.0, targets.loss_min_db),
@@ -723,47 +696,35 @@ def calibrate(
     sys_db = max(sys_db, 0.0)
     params["zenith_transmittance"] = float(10.0 ** (-x_db / 10.0))
     params["system_efficiency_db"] = float(sys_db)
-    link = replace(
-        config.link,
-        zenith_transmittance=params["zenith_transmittance"],
-        system_efficiency_db=params["system_efficiency_db"],
-    )
-    config = replace(config, link=link)
+    config = with_params(config, params)
     residuals["loss_max_db"] = (
-        link_loss_db(anchors[0][0], anchors[0][1], ref_geom, link) - targets.loss_max_db
+        link_loss_db(anchors[0][0], anchors[0][1], ref_geom, config.link) - targets.loss_max_db
     )
     residuals["loss_min_db"] = (
-        link_loss_db(76.0, 0.0, ref_geom, link) - targets.loss_min_db
+        link_loss_db(76.0, 0.0, ref_geom, config.link) - targets.loss_min_db
     )
 
     # Noise sources, each deficit inverted in closed form.
-    def residual(name: str, target: float, **changes) -> float:
-        return 1.0 - analytic_mean_fidelity(isolate_source(config, name, **changes)) - target
+    def deficit_residual(source: str, name: str, value: float) -> float:
+        cfg = isolate_source(with_params(config, {name: value}), source)
+        return 1.0 - analytic_mean_fidelity(cfg) - getattr(targets, f"deficit_{source}")
 
-    params["double_pair_fraction"], residuals["deficit_double_pair"] = _invert_affine(
-        lambda v: residual(
-            "double_pair",
-            targets.deficit_double_pair,
-            source=replace(config.source, double_pair_fraction=v),
-        ),
-        *CALIBRATION_BOUNDS["double_pair_fraction"],
-    )
-    params["mode_overlap"], residuals["deficit_distinguishability"] = _invert_affine(
-        lambda v: residual(
-            "distinguishability", targets.deficit_distinguishability, bsm=BsmModel(mode_overlap=v)
-        ),
-        *CALIBRATION_BOUNDS["mode_overlap"],
-    )
-    params["polarization_delta_rad"], residuals["deficit_polarization"] = _invert_affine(
-        lambda v: residual(
+    for source, name, to_u, from_u in (
+        ("double_pair", "double_pair_fraction", float, float),
+        ("distinguishability", "mode_overlap", float, float),
+        (
             "polarization",
-            targets.deficit_polarization,
-            polarization=replace(config.polarization, delta_rad=v),
+            "polarization_delta_rad",
+            lambda v: np.cos(2.0 * v),
+            lambda u: 0.5 * np.arccos(u),
         ),
-        *CALIBRATION_BOUNDS["polarization_delta_rad"],
-        to_u=lambda v: np.cos(2.0 * v),
-        from_u=lambda u: 0.5 * np.arccos(u),
-    )
+    ):
+        params[name], residuals[f"deficit_{source}"] = _invert_affine(
+            functools.partial(deficit_residual, source, name),
+            *CALIBRATION_BOUNDS[name],
+            to_u=to_u,
+            from_u=from_u,
+        )
 
     # Counts and background fraction: joint solve on (receiver efficiency,
     # background rate) through the exposure integrals.
@@ -774,14 +735,8 @@ def calibrate(
     r3 = config.threefold_herald_rate
 
     def bg_deficit(eta: float, rate: float) -> float:
-        cfg = isolate_source(
-            config,
-            "background",
-            detection=replace(
-                config.detection, receiver_efficiency=eta, background_rate_hz=rate
-            ),
-        )
-        return 1.0 - analytic_mean_fidelity(cfg)
+        cfg = with_params(config, {"receiver_efficiency": eta, "background_rate_hz": rate})
+        return 1.0 - analytic_mean_fidelity(isolate_source(cfg, "background"))
 
     accidental_total = 2.0 * targets.deficit_background * targets.total_fourfolds
     eta = 0.5

@@ -242,10 +242,9 @@ def polarization_channel(rho: np.ndarray, delta: float, jitter_sigma: float) -> 
     return lam * (u @ rho @ u.conj().T) + (1.0 - lam) * dephased
 
 
-def loss_profile(
-    geometry: PassGeometry, model: LinkModel, duration_s: float
-) -> list[tuple[float, float, float, float]]:
-    """Sampled pass table: (t_s, elevation_deg, range_km, loss_db).
+def loss_profile(geometry: PassGeometry, model: LinkModel, duration_s: float) -> np.ndarray:
+    """Sampled pass table, an (n, 4) float64 array with one row
+    (t_s, elevation_deg, range_km, loss_db) per sample.
 
     Samples a window of `duration_s` centred on culmination at 1 s steps,
     clipped to the tracking window, inclusive of both endpoints.
@@ -258,7 +257,4 @@ def loss_profile(
     elev = elevation_profile(geometry, times)
     rng_km = slant_range(elev, geometry)
     loss = link_loss_db(elev, times, geometry, model)
-    return [
-        (float(t), float(e), float(r), float(l))
-        for t, e, r, l in zip(times, elev, rng_km, loss)
-    ]
+    return np.column_stack((times, elev, rng_km, loss))

@@ -34,8 +34,7 @@ def _num_qubits(dim: int) -> int:
 
 
 class PureState:
-    """Normalized complex amplitude vector over 1..4 qubits; immutable, and
-    equal to (and hashed like) any state with the same amplitudes."""
+    """Normalized complex amplitude vector over 1..4 qubits; immutable."""
 
     __slots__ = ("amplitudes",)
 
@@ -51,14 +50,6 @@ class PureState:
 
     def __setattr__(self, name, value):
         raise AttributeError("PureState is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PureState):
-            return NotImplemented
-        return bool(np.array_equal(self.amplitudes, other.amplitudes))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.amplitudes.tolist()))
 
     @property
     def num_qubits(self) -> int:
@@ -111,9 +102,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"

@@ -79,6 +79,15 @@ PINNED_SEED_DIGESTS = {
         "fig3_fidelities.csv": "1798500cc10d590221e71a3282d7e65b380407d51e357d4b61cd105643ca1d97",
     },
 }
+# calibration.json of `calibrate --targets` on each targets section: the
+# published targets (converged) and an infeasible polarization deficit.
+PINNED_CALIBRATION_DIGESTS = {
+    "{}": (0, "88537ae64ea8cc579209c75eaafcea34f86165ff1902d54baf1be90e3f820dcd"),
+    '{"deficit_polarization": 0.5}': (
+        4,
+        "b569cdb5f93f7b57cbd2c7e442bea4d33fa17f71f88ba38125f720de0103a5f3",
+    ),
+}
 
 
 class TestConfigParsing:
@@ -510,3 +519,13 @@ def test_default_outputs_match_pinned_digests(tmp_path):
         assert main(["simulate", "--seed", str(seed), "--out", str(out)]) == 0
         got = {name: hashlib.sha256(data).hexdigest() for name, data in read_outputs(out).items()}
         assert got == {**PINNED_DIGESTS, **digests}, f"seed {seed}"
+
+
+def test_calibration_output_matches_pinned_digests(tmp_path):
+    for i, (targets, (code, digest)) in enumerate(PINNED_CALIBRATION_DIGESTS.items()):
+        path = tmp_path / f"targets{i}.json"
+        path.write_text(f'{{"schema_version": 1, "targets": {targets}}}', encoding="ascii")
+        out = tmp_path / f"cal{i}"
+        assert main(["calibrate", "--targets", str(path), "--out", str(out)]) == code, targets
+        got = hashlib.sha256((out / "calibration.json").read_bytes()).hexdigest()
+        assert got == digest, targets

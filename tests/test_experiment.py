@@ -11,11 +11,12 @@ from uplinksim.experiment import (
     CALIBRATED,
     CALIBRATION_BOUNDS,
     CalibrationError,
+    CalibrationResult,
     CalibrationTargets,
     CampaignConfig,
+    DetectionModel,
     NOISE_FREE,
-    PORT_ORTHOGONAL,
-    PORT_SIGNAL,
+    PolarizationNoise,
     SimulationError,
     analytic_fidelities,
     analytic_mean_fidelity,
@@ -35,12 +36,11 @@ from uplinksim.experiment import (
     STATE_LABELS,
     OrbitRecord,
 )
-from uplinksim.linkgeom import polarization_distortion
+from uplinksim.linkgeom import LinkModel, polarization_distortion
 from uplinksim.photonsrc import SourceModel, werner_pair
 from uplinksim.qstate import mub_states, tensor
 
 from dataclasses import replace
-from types import MappingProxyType
 
 
 def quiet_config(**overrides) -> CampaignConfig:
@@ -93,26 +93,24 @@ def run_orbit_per_event_jitter(
         ).sum()
     )
     n_accidental = int(rng.poisson(expected_accidental_count(config, orbit)))
-    model = build_event_model(config, state_label)
+    out_p = build_event_model(config, state_label).outcome_probabilities
     branches = undistorted_conditionals(config, state_label)
-    outcomes = list(model.outcome_probabilities)
-    out_p = np.array([model.outcome_probabilities[o] for o in outcomes])
-    chi = model.input_state.amplitudes
-    counts = {(o.value, port): 0 for o in ACCEPTED_OUTCOMES for port in ("signal", "orthogonal")}
+    chi = mub_states()[state_label].amplitudes
+    counts = np.zeros((2, 2), dtype=np.int64)  # [outcome, signal/orthogonal port]
     for _ in range(n_signal):
-        outcome = outcomes[rng.choice(len(outcomes), p=out_p)]
+        index = rng.choice(out_p.size, p=out_p)
         if rng.random() < config.source.double_pair_fraction:
             p_signal_port = 0.5
         else:
             noise = config.polarization
             angle = noise.delta_rad + rng.normal(0.0, noise.jitter_sigma_rad)
             u = polarization_distortion(angle)
-            rho = u @ branches[outcome] @ u.conj().T
+            rho = u @ branches[ACCEPTED_OUTCOMES[index]] @ u.conj().T
             p_signal_port = float(np.real(chi.conj() @ rho @ chi))
-        counts[(outcome.value, "signal" if rng.random() < p_signal_port else "orthogonal")] += 1
+        counts[index, 0 if rng.random() < p_signal_port else 1] += 1
     for _ in range(n_accidental):
-        outcome = outcomes[rng.choice(len(outcomes), p=out_p)]
-        counts[(outcome.value, "signal" if rng.random() < 0.5 else "orthogonal")] += 1
+        index = rng.choice(out_p.size, p=out_p)
+        counts[index, 0 if rng.random() < 0.5 else 1] += 1
     return OrbitRecord(
         label=orbit.label,
         state_label=state_label,
@@ -138,29 +136,22 @@ def run_orbit_per_event_oracle(
     n_accidental = int(rng.poisson(expected_accidental_count(config, orbit)))
 
     model = build_event_model(config, state_label)
-    outcomes = list(model.outcome_probabilities)
-    out_p = np.array([model.outcome_probabilities[o] for o in outcomes])
+    out_p = model.outcome_probabilities
     d = config.source.double_pair_fraction
 
-    counts: dict[tuple[str, str], int] = {
-        (o.value, port): 0
-        for o in ACCEPTED_OUTCOMES
-        for port in (PORT_SIGNAL, PORT_ORTHOGONAL)
-    }
+    counts = np.zeros((2, 2), dtype=np.int64)  # [outcome, signal/orthogonal port]
 
     for _ in range(n_signal):
-        outcome = outcomes[rng.choice(len(outcomes), p=out_p)]
+        index = rng.choice(out_p.size, p=out_p)
         if rng.random() < d:
             p_signal_port = 0.5
         else:
-            p_signal_port = model.signal_port_probability[outcome]
-        port = PORT_SIGNAL if rng.random() < p_signal_port else PORT_ORTHOGONAL
-        counts[(outcome.value, port)] += 1
+            p_signal_port = model.signal_port_probability[index]
+        counts[index, 0 if rng.random() < p_signal_port else 1] += 1
 
     for _ in range(n_accidental):
-        outcome = outcomes[rng.choice(len(outcomes), p=out_p)]
-        port = PORT_SIGNAL if rng.random() < 0.5 else PORT_ORTHOGONAL
-        counts[(outcome.value, port)] += 1
+        index = rng.choice(out_p.size, p=out_p)
+        counts[index, 0 if rng.random() < 0.5 else 1] += 1
 
     return OrbitRecord(
         label=orbit.label,
@@ -251,12 +242,10 @@ class TestRunOrbit:
         for index in range(6):
             rec = run_orbit(cfg, index, rng)
             total += rec.total_fourfolds
+            assert not rec.counts.flags.writeable
             model = build_event_model(cfg, rec.state_label)
-            for outcome, port in rec.counts:
-                if rec.counts[(outcome, port)] == 0:
-                    continue
-                good = {m.value: p for m, p in model.correct_port.items()}[outcome]
-                assert port == good
+            for (n_signal_port, n_orthogonal), is_signal in zip(rec.counts, model.correct_is_signal):
+                assert (n_orthogonal if is_signal else n_signal_port) == 0  # the wrong port
         assert total > 10**5
 
     def test_counts_track_expected_exposure(self):
@@ -291,15 +280,14 @@ class TestRunOrbit:
     def test_invalid_outcome_distribution_rejected(self, monkeypatch, corrupt):
         cfg = default_config()
         model = build_event_model(cfg, cfg.input_schedule[0])
-        probs = dict(model.outcome_probabilities)
-        first, second = list(probs)[:2]
+        probs = model.outcome_probabilities.copy()
         if corrupt == "nan":
-            probs[first] = float("nan")
+            probs[0] = float("nan")
         elif corrupt == "negative":
-            probs[first], probs[second] = -0.25, probs[second] + probs[first] + 0.25
+            probs[0], probs[1] = -0.25, probs[1] + probs[0] + 0.25
         else:
-            probs = {o: 1.1 * p for o, p in probs.items()}
-        bad = replace(model, outcome_probabilities=MappingProxyType(probs))
+            probs = 1.1 * probs
+        bad = replace(model, outcome_probabilities=probs)
         monkeypatch.setattr(experiment, "build_event_model", lambda config, label: bad)
         with pytest.raises(ValueError):
             run_orbit(cfg, 0, np.random.default_rng(7))
@@ -410,9 +398,10 @@ class TestAnalyticPipeline:
         for label in STATE_LABELS:
             closed = build_event_model(cfg, label).signal_port_probability
             oracle = quadrature_port_probabilities(cfg, label)
-            assert closed.keys() == oracle.keys()
-            for outcome, p in oracle.items():
-                assert abs(closed[outcome] - p) <= 1e-12
+            assert list(oracle) == list(ACCEPTED_OUTCOMES)
+            assert closed.shape == (len(oracle),)
+            for p_closed, p in zip(closed, oracle.values()):
+                assert abs(p_closed - p) <= 1e-12
 
     def test_event_models_built_once_per_physical_key(self):
         # The campaign and the error budget need 24 distinct models: six
@@ -425,8 +414,13 @@ class TestAnalyticPipeline:
         assert experiment._event_model.cache_info().misses == 24
         model = build_event_model(cfg, "+")
         assert model is build_event_model(cfg, "+")
-        with pytest.raises(TypeError):
-            model.signal_port_probability[next(iter(model.signal_port_probability))] = 1.0
+        for array in (
+            model.outcome_probabilities,
+            model.signal_port_probability,
+            model.correct_is_signal,
+        ):
+            with pytest.raises(ValueError):
+                array[0] = array[1]
 
     def test_analyzer_ports_realizable_with_waveplates(self):
         # The two analyzer projectors used by the pipeline are exactly what
@@ -452,8 +446,10 @@ class TestAnalyticPipeline:
         fidelities = analytic_fidelities(cfg)
         for label in STATE_LABELS:
             assert fidelities[label] == pytest.approx(1.0, abs=1e-12)
-            port = build_event_model(cfg, label).correct_port[BsmOutcome.PHI_MINUS]
-            assert port == ("signal" if label in ("H", "V") else "orthogonal")
+            correct_is_signal = build_event_model(cfg, label).correct_is_signal
+            assert correct_is_signal[ACCEPTED_OUTCOMES.index(BsmOutcome.PHI_PLUS)]
+            phi_minus = ACCEPTED_OUTCOMES.index(BsmOutcome.PHI_MINUS)
+            assert correct_is_signal[phi_minus] == (label in ("H", "V"))
 
     @pytest.mark.parametrize("mode_overlap", [1.0, 0.73, 0.3, 0.0])
     @pytest.mark.parametrize("resource_fidelity", [1.0, 0.933, 0.6, 0.25])
@@ -556,9 +552,28 @@ class TestCalibrate:
 
     def test_applied_parameters_round_trip_through_config(self):
         result = calibrate()
-        cfg = result.apply(default_config())
-        assert cfg.bsm.mode_overlap == result.params["mode_overlap"]
-        assert cfg.link.zenith_transmittance == result.params["zenith_transmittance"]
+        params = result.params
+        # Every fitted field differs from the calibrated value before apply.
+        base = default_config(
+            source=SourceModel(double_pair_fraction=0.0, fourfold_ground_rate=9000.0),
+            bsm=BsmModel(mode_overlap=1.0),
+            link=LinkModel(zenith_transmittance=0.5, system_efficiency_db=1.0, slew_degradation_k=2.0),
+            detection=DetectionModel(receiver_efficiency=0.5, background_rate_hz=0.0),
+            polarization=PolarizationNoise(delta_rad=0.0, jitter_sigma_rad=0.1),
+        )
+        cfg = result.apply(base)
+        assert cfg.link.zenith_transmittance == params["zenith_transmittance"]
+        assert cfg.link.system_efficiency_db == params["system_efficiency_db"]
+        assert cfg.link.slew_degradation_k == params["slew_degradation_k"]
+        assert cfg.source.double_pair_fraction == params["double_pair_fraction"]
+        assert cfg.bsm.mode_overlap == params["mode_overlap"]
+        assert cfg.polarization.delta_rad == params["polarization_delta_rad"]
+        assert cfg.detection.background_rate_hz == params["background_rate_hz"]
+        assert cfg.detection.receiver_efficiency == params["receiver_efficiency"]
+        # Fields that are not fitted parameters are left alone.
+        assert cfg.source.fourfold_ground_rate == 9000.0
+        assert cfg.polarization.jitter_sigma_rad == 0.1
+        assert CalibrationResult(dict(CALIBRATED), {}, True).apply(default_config()) == default_config()
 
 
     @pytest.mark.parametrize("resource_fidelity", [1.0, 0.9])
