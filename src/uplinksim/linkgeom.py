@@ -11,6 +11,7 @@ and a plane-parallel atmosphere.  The signal wavelength is 780 nm
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,10 +121,17 @@ class LinkModel:
             raise ValueError("receiver diameter must be positive")
         if self.slew_rate_ref <= 0:
             raise ValueError("slew_rate_ref must be positive")
-        if effective_divergence(self) <= 0:
+        theta = effective_divergence(self)
+        if theta <= 0:
             raise ValueError(
                 "effective divergence is 0: a zero divergence_x_urad or "
                 "divergence_y_urad needs seeing_urad > 0"
+            )
+        # An infinite divergence meets an infinite pointing error as inf/inf.
+        if theta == np.inf:
+            raise ValueError(
+                "effective divergence overflows: divergence_x_urad, "
+                "divergence_y_urad and seeing_urad are too large"
             )
         if not 0.0 < self.zenith_transmittance <= 1.0:
             raise ValueError("zenith transmittance must lie in (0, 1]")
@@ -181,9 +189,10 @@ def effective_divergence(model: LinkModel) -> float:
     Seeing adds in quadrature on each axis; the elliptical result is
     collapsed to the geometric mean of the two axes.
     """
-    ex = np.hypot(model.divergence_x_urad, model.seeing_urad)
-    ey = np.hypot(model.divergence_y_urad, model.seeing_urad)
-    return float(np.sqrt(ex * ey))
+    ex = float(np.hypot(model.divergence_x_urad, model.seeing_urad))
+    ey = float(np.hypot(model.divergence_y_urad, model.seeing_urad))
+    # Python floats: a product past the float range is inf, with no warning
+    return math.sqrt(ex * ey)
 
 
 def pointing_jitter_urad(model: LinkModel, geometry: PassGeometry, t_s):
@@ -200,18 +209,23 @@ def link_loss_db(elevation_deg, t_s, geometry: PassGeometry, model: LinkModel):
     Combines the capped far-field geometric factor, the pointing factor
     1/(1 + (2 sigma_p / theta)^2), the plane-parallel atmosphere
     T_zenith^(1/sin e), and the lumped system efficiency.
+
+    Extreme but valid parameters saturate at the physical limit: a factor
+    that overflows or underflows to zero transmittance gives +inf dB, and a
+    receiver-to-spot ratio past the float range caps at full capture.
     """
     elevation_deg = np.asarray(elevation_deg, dtype=float)
     if np.any(elevation_deg <= 0):
         raise ValueError("elevation must be positive")
     theta = effective_divergence(model)
-    spot_m = theta * 1e-6 * slant_range(elevation_deg, geometry) * 1e3
-    eta_geo = np.minimum(1.0, (model.receiver_diameter_m / spot_m) ** 2)
-    sigma = pointing_jitter_urad(model, geometry, t_s)
-    eta_point = 1.0 / (1.0 + (2.0 * sigma / theta) ** 2)
-    airmass = 1.0 / np.sin(np.deg2rad(elevation_deg))
-    eta_atm = model.zenith_transmittance**airmass
-    loss = -10.0 * np.log10(eta_geo * eta_point * eta_atm) + model.system_efficiency_db
+    with np.errstate(over="ignore", divide="ignore"):  # the saturation above
+        spot_m = theta * 1e-6 * slant_range(elevation_deg, geometry) * 1e3
+        eta_geo = np.minimum(1.0, (model.receiver_diameter_m / spot_m) ** 2)
+        sigma = pointing_jitter_urad(model, geometry, t_s)
+        eta_point = 1.0 / (1.0 + (2.0 * sigma / theta) ** 2)
+        airmass = 1.0 / np.sin(np.deg2rad(elevation_deg))
+        eta_atm = model.zenith_transmittance**airmass
+        loss = -10.0 * np.log10(eta_geo * eta_point * eta_atm) + model.system_efficiency_db
     return float(loss) if loss.ndim == 0 else loss
 
 
@@ -240,6 +254,30 @@ def polarization_channel(rho: np.ndarray, delta: float, jitter_sigma: float) -> 
     lam = np.exp(-2.0 * jitter_sigma * jitter_sigma)
     dephased = (rho + ROTATION_AXIS @ rho @ ROTATION_AXIS) / 2.0
     return lam * (u @ rho @ u.conj().T) + (1.0 - lam) * dephased
+
+
+def polarization_channel_bloch(
+    v: tuple[float, float, float], delta: float, jitter_sigma: float
+) -> tuple[float, float, float]:
+    """`polarization_channel` acting on the Bloch vector v of rho, in
+    scalar floats.
+
+    With n = (1, 1, 0)/sqrt(2) the channel keeps (v.n)n, rotates the rest by
+    +2 delta about n (right-handed, as exp(-i delta n.sigma) does) and damps
+    it by lam = exp(-2 sigma^2):
+    v' = (v.n)n + lam [cos 2delta (v - (v.n)n) + sin 2delta (n x v)].
+    """
+    vx, vy, vz = v
+    # the double angle from cos delta and sin delta, as U carries it: 2 delta
+    # itself would overflow for |delta| near the float maximum
+    cos_d, sin_d = math.cos(delta), math.sin(delta)
+    # a product, not sigma**2: a float power raises OverflowError for huge
+    # sigma, while the product goes to inf and lam to the dephased limit 0
+    lam = math.exp(-2.0 * jitter_sigma * jitter_sigma)
+    c = lam * (cos_d * cos_d - sin_d * sin_d)
+    s = lam * 2.0 * sin_d * cos_d / math.sqrt(2.0)  # n x v = (vz, -vz, vy - vx)/sqrt(2)
+    a = 0.5 * (vx + vy)  # (v.n)n = (a, a, 0)
+    return (a + c * (vx - a) + s * vz, a + c * (vy - a) - s * vz, c * vz + s * (vy - vx))
 
 
 def loss_profile(geometry: PassGeometry, model: LinkModel, duration_s: float) -> np.ndarray:

@@ -42,15 +42,15 @@ class ClockModel:
 
 @dataclass(frozen=True)
 class SyncConfig:
-    """Synchronization laser and coincidence parameters."""
+    """Synchronization laser and detector timing.  The coincidence window is
+    the campaign's `DetectionModel.coincidence_window_s`."""
 
     sync_rate_hz: float = 10e3
-    window_ps: float = 3000.0
     detector_jitter_sigma_ps: float = 150.0
 
     def __post_init__(self):
-        if self.sync_rate_hz <= 0 or self.window_ps <= 0:
-            raise ValueError("sync rate and window must be positive")
+        if self.sync_rate_hz <= 0:
+            raise ValueError("sync rate must be positive")
         if self.detector_jitter_sigma_ps < 0:
             raise ValueError("jitter sigma must be non-negative")
 

@@ -82,10 +82,10 @@ PINNED_SEED_DIGESTS = {
 # calibration.json of `calibrate --targets` on each targets section: the
 # published targets (converged) and an infeasible polarization deficit.
 PINNED_CALIBRATION_DIGESTS = {
-    "{}": (0, "88537ae64ea8cc579209c75eaafcea34f86165ff1902d54baf1be90e3f820dcd"),
+    "{}": (0, "a8971956cb13b98fe98bc35cf0ae0f95298afa225c2c16d162c91d8414dabe0b"),
     '{"deficit_polarization": 0.5}': (
         4,
-        "b569cdb5f93f7b57cbd2c7e442bea4d33fa17f71f88ba38125f720de0103a5f3",
+        "3259cfe25fb852a50b6d766ace5e4b93ac55e281525ec3edf5cac6e4cc9bb687",
     ),
 }
 
@@ -188,6 +188,7 @@ class TestConfigParsing:
             ("link", {"divergence_x_urad": 0.0, "seeing_urad": 0.0}, "seeing_urad"),
             ("campaign", {"orbit_altitude_km": 1e-300}, "orbit_altitude_km"),
             ("campaign", {"orbit_altitude_km": 1e300}, "orbit_altitude_km"),
+            ("link", {"seeing_urad": 1e300}, "seeing_urad"),
         ],
     )
     def test_unusable_values_exit_2_at_load(self, tmp_path, capsys, section, values, field):
@@ -202,6 +203,39 @@ class TestConfigParsing:
         assert code == 2
         assert err.startswith("configuration error:") and field in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("divergence_x_urad", 1e300),
+            ("tracking_error_urad", 1e300),
+            ("slew_degradation_k", 1e300),
+            ("slew_rate_ref", 1e-300),
+            ("zenith_transmittance", 1e-300),
+            ("receiver_diameter_m", 1e-300),
+            ("receiver_diameter_m", 1e300),
+        ],
+    )
+    def test_extreme_link_values_saturate_without_warning(self, tmp_path, field, value):
+        # The suite turns RuntimeWarnings into errors.  An overflow or a zero
+        # transmittance saturates at no signal; a receiver past the float
+        # range captures the whole spot, as a 1 km one does.
+        def run(subcommand, link_value, out):
+            payload = default_config_dict()
+            payload["link"][field] = link_value
+            path = tmp_path / f"{out}.json"
+            path.write_text(json.dumps(payload))
+            assert main([subcommand, "--config", str(path), "--out", str(tmp_path / out)]) == 0
+            return tmp_path / out
+
+        out = run("simulate", value, "o")
+        orbits = json.loads((out / "campaign_result.json").read_text())["orbits"]
+        if value > 1.0 and field == "receiver_diameter_m":
+            full_capture = run("loss-profile", 1e3, "capture") / "fig2_loss.csv"
+            assert (out / "fig2_loss.csv").read_bytes() == full_capture.read_bytes()
+            assert all(o["n_signal_truth"] > 0 for o in orbits)
+        else:
+            assert all(o["n_signal_truth"] == 0 for o in orbits)
 
     @pytest.mark.parametrize("section, key", SCHEMA_KEYS)
     def test_every_schema_key_is_written_and_checked(self, tmp_path, section, key):

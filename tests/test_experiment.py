@@ -1,3 +1,5 @@
+import itertools
+import sys
 import warnings
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uplinksim import experiment
+from uplinksim import bsm, experiment, photonsrc, qstate
 from uplinksim.bsm import ACCEPTED_OUTCOMES, BsmModel, BsmOutcome, bsm_apply, teleport_expected
 from uplinksim.experiment import (
     CALIBRATED,
@@ -33,10 +35,12 @@ from uplinksim.experiment import (
     orbit_exposure,
     run_campaign,
     run_orbit,
+    STATE_BLOCH,
     STATE_LABELS,
+    EventModel,
     OrbitRecord,
 )
-from uplinksim.linkgeom import LinkModel, polarization_distortion
+from uplinksim.linkgeom import LinkModel, polarization_channel, polarization_distortion
 from uplinksim.photonsrc import SourceModel, werner_pair
 from uplinksim.qstate import mub_states, tensor
 
@@ -51,14 +55,50 @@ def quiet_config(**overrides) -> CampaignConfig:
     return default_config(**{**quiet, **overrides})
 
 
+def accepted_branches(resource_fidelity: float, mode_overlap: float, state_label: str) -> list:
+    """Accepted analyzer branches of |chi> teleported on a Werner pair, from
+    the 3-qubit density matrix."""
+    chi = mub_states()[state_label]
+    branches = bsm_apply(tensor(chi, werner_pair(resource_fidelity)), BsmModel(mode_overlap))
+    return [b for b in branches if b.outcome in ACCEPTED_OUTCOMES]
+
+
 def undistorted_conditionals(config: CampaignConfig, state_label: str) -> dict:
     """Accepted analyzer outcome -> conditional state before the uplink."""
-    chi = mub_states()[state_label]
-    branches = bsm_apply(
-        tensor(chi, werner_pair(config.resource_fidelity)),
-        config.bsm,
-    )
-    return {b.outcome: b.conditional.matrix for b in branches if b.outcome in ACCEPTED_OUTCOMES}
+    return {
+        b.outcome: b.conditional.matrix
+        for b in accepted_branches(config.resource_fidelity, config.bsm.mode_overlap, state_label)
+    }
+
+
+def density_matrix_event_model(
+    resource_fidelity: float,
+    mode_overlap: float,
+    delta: float,
+    jitter_sigma: float,
+    state_label: str,
+) -> EventModel:
+    """Oracle for `experiment._event_model`: the analyzer branches of the
+    3-qubit density matrix, each distorted by the density-matrix channel."""
+    accepted = accepted_branches(resource_fidelity, mode_overlap, state_label)
+    total_accepted = sum(b.probability for b in accepted)
+    if total_accepted <= 0:
+        raise SimulationError("no accepted analyzer outcomes for this input")
+
+    # A phi- event is relabeled by a pi phase shift, which leaves the poles
+    # in the |chi> port and sends the superpositions to the orthogonal one.
+    psi = mub_states()[state_label].amplitudes
+    z_fid = abs(np.vdot(psi, np.diag([1, -1]) @ psi)) ** 2
+    if not (z_fid < 1e-9 or z_fid > 1 - 1e-9):
+        raise ValueError(f"post-processing relabeling undefined for input {state_label!r}")
+
+    out_p, port_p, correct = [], [], []
+    for b in accepted:
+        distorted = polarization_channel(b.conditional.matrix, delta, jitter_sigma)
+        out_p.append(b.probability / total_accepted)
+        port_p.append(float(np.real(psi.conj() @ distorted @ psi)))
+        correct.append(b.outcome is BsmOutcome.PHI_PLUS or z_fid > 0.5)
+    return EventModel(*(np.array(column) for column in (out_p, port_p, correct)))
 
 
 def quadrature_port_probabilities(config: CampaignConfig, state_label: str) -> dict:
@@ -402,6 +442,46 @@ class TestAnalyticPipeline:
             assert closed.shape == (len(oracle),)
             for p_closed, p in zip(closed, oracle.values()):
                 assert abs(p_closed - p) <= 1e-12
+
+    def test_closed_form_matches_density_matrix_oracle(self):
+        grid = list(
+            itertools.product(
+                (1.0, 0.933, 0.6, 0.25),
+                (1.0, 0.73, 0.3, 0.0),
+                (0.0, 0.2137, 0.6, -1.1),
+                (0.0, 0.05, 0.7),
+                STATE_LABELS,
+            )
+        )
+        assert len(grid) == 1152
+        for key in grid:
+            closed = experiment._event_model(*key)
+            oracle = density_matrix_event_model(*key)
+            for name in ("outcome_probabilities", "signal_port_probability"):
+                got, expected = getattr(closed, name), getattr(oracle, name)
+                assert got.shape == expected.shape == (len(ACCEPTED_OUTCOMES),)
+                assert np.abs(got - expected).max() <= 1e-12, (key, name)
+            assert closed.correct_is_signal.tolist() == oracle.correct_is_signal.tolist(), key
+        paulis = (qstate.PAULI_X, qstate.PAULI_Y, qstate.PAULI_Z)
+        for label, chi in mub_states().items():
+            rho = chi.density().matrix
+            assert STATE_BLOCH[label] == tuple(np.real(np.trace(rho @ p)) for p in paulis)
+
+    def test_hot_path_skips_density_matrices(self, monkeypatch):
+        # Every reference any package module holds to the density-matrix
+        # functions raises, so a calibration and its budget that still run
+        # never build a 3-qubit state.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("density-matrix build on the hot path")
+
+        for fn in (bsm.bsm_apply, qstate.condition, qstate.tensor, photonsrc.werner_pair):
+            for name, module in list(sys.modules.items()):
+                if name.startswith("uplinksim") and getattr(module, fn.__name__, None) is fn:
+                    monkeypatch.setattr(module, fn.__name__, forbidden)
+        experiment._event_model.cache_clear()
+        result = calibrate()
+        error_budget(result.apply(default_config()))
+        assert experiment._event_model.cache_info().misses > 0
 
     def test_event_models_built_once_per_physical_key(self):
         # The campaign and the error budget need 24 distinct models: six

@@ -12,10 +12,19 @@ from uplinksim.linkgeom import (
     loss_profile,
     pointing_jitter_urad,
     polarization_channel,
+    polarization_channel_bloch,
     polarization_distortion,
     slant_range,
 )
-from uplinksim.qstate import KET_H, PureState, apply_unitary, fidelity
+from uplinksim.qstate import (
+    KET_H,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    PureState,
+    apply_unitary,
+    fidelity,
+)
 
 
 def calibrated_link(slew_k: float = 1.0) -> LinkModel:
@@ -219,3 +228,21 @@ class TestPolarizationDistortion:
         rho = PureState([1, 0.6 + 0.8j]).density().matrix
         dephased = (rho + ROTATION_AXIS @ rho @ ROTATION_AXIS) / 2.0
         np.testing.assert_allclose(polarization_channel(rho, 0.2, 1e300), dephased, atol=1e-15)
+        # the Bloch form keeps (v.n)n, also at an angle whose double overflows
+        assert polarization_channel_bloch((0.5, -0.25, 0.75), 1e308, 1e300) == (0.125, 0.125, 0.0)
+
+    def test_bloch_channel_matches_density_matrix_channel(self):
+        # Generic vectors pin the rotation sense, +2 delta about n: on the six
+        # test states +2 delta and -2 delta give the same port probabilities.
+        rng = np.random.default_rng(11)
+        paulis = (PAULI_X, PAULI_Y, PAULI_Z)
+        for _ in range(200):
+            v = rng.normal(size=3)
+            v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v)
+            delta, sigma = rng.uniform(-np.pi, np.pi), rng.uniform(0.0, 1.0)
+            rho = (np.eye(2) + sum(c * p for c, p in zip(v, paulis))) / 2.0
+            for angle in (delta, 1e300 * delta):  # a huge angle is reduced exactly
+                out = polarization_channel(rho, angle, sigma)
+                expected = [np.real(np.trace(out @ p)) for p in paulis]
+                got = polarization_channel_bloch(tuple(v.tolist()), angle, sigma)
+                np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)

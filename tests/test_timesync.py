@@ -119,8 +119,9 @@ class TestTypes:
         assert [clock.satellite_time(v) for v in t] == list(expected)
 
     def test_sync_config_defaults_keep_window_wide(self):
-        cfg = SyncConfig()
-        assert cfg.window_ps >= 6 * cfg.detector_jitter_sigma_ps
+        window_ps = experiment.DetectionModel().coincidence_window_s * 1e12
+        assert window_ps == pytest.approx(3000.0)
+        assert window_ps >= 6 * SyncConfig().detector_jitter_sigma_ps
 
     def test_dump_load_roundtrip(self, tmp_path):
         stream = TimeTagStream([5, 17, 17, 400], [1, 0, 2, 1])
