@@ -29,14 +29,9 @@ SCHEMA_VERSION = 1
 
 _NUMBER = (int, float)
 
-# file section -> the CampaignConfig attribute whose dataclass it fills
-SECTIONS = {
-    "source": "source",
-    "bsm": "bsm",
-    "link": "link",
-    "detection": "detection",
-    "polarization": "polarization",
-}
+# file sections, each named after the CampaignConfig attribute whose
+# dataclass it fills
+SECTIONS = ("source", "bsm", "link", "detection", "polarization")
 
 # field -> (file key, file units per field unit), for keys named with a unit
 UNIT_KEYS = {
@@ -66,7 +61,7 @@ def _schema(model: type) -> dict[str, tuple[tuple[type, ...], str]]:
 _MODEL_TYPES = get_type_hints(CampaignConfig)
 
 # file section -> its schema, read off the dataclass it fills
-SCHEMA = {section: _schema(_MODEL_TYPES[attr]) for section, attr in SECTIONS.items()}
+SCHEMA = {section: _schema(_MODEL_TYPES[section]) for section in SECTIONS}
 
 
 class ConfigError(ValueError):
@@ -172,13 +167,13 @@ def load_campaign_config(path: str | Path) -> CampaignConfig:
 
     try:
         models = {}
-        for section, attr in SECTIONS.items():
+        for section in SECTIONS:
             changes = {}
             for key, value in data.get(section, {}).items():
                 name = SCHEMA[section][key][1]
                 # division by the exact power of ten keeps "3" ns -> 3e-9 s bit-exact
                 changes[name] = value / UNIT_KEYS[name][1] if name in UNIT_KEYS else value
-            models[attr] = replace(getattr(base, attr), **changes)
+            models[section] = replace(getattr(base, section), **changes)
         config = CampaignConfig(
             orbits=orbits,
             input_schedule=schedule,
@@ -236,7 +231,7 @@ def default_config_dict(seed: int | None = None) -> dict:
             "resource_fidelity": cfg.resource_fidelity,
         },
         **{
-            section: _section_dict(getattr(cfg, attr), SCHEMA[section])
-            for section, attr in SECTIONS.items()
+            section: _section_dict(getattr(cfg, section), SCHEMA[section])
+            for section in SECTIONS
         },
     }

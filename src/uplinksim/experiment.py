@@ -269,10 +269,10 @@ def expected_accidental_count(config: CampaignConfig, orbit: OrbitPlan) -> float
 @dataclass(frozen=True)
 class EventModel:
     """Per-event branch data for one input state: one entry per accepted
-    analyzer outcome, in `ACCEPTED_OUTCOMES` order.  Both tiers read the
-    same model, so the arrays are read-only."""
+    analyzer outcome, in `ACCEPTED_OUTCOMES` order.  Each accepted outcome
+    has probability exactly 1/2 (see `_event_model`), so that split is no
+    data.  Both tiers read the same model, so the arrays are read-only."""
 
-    outcome_probabilities: np.ndarray  # renormalized over the accepted outcomes
     signal_port_probability: np.ndarray  # of the physical |chi> port
     correct_is_signal: np.ndarray  # bool: the correct port is the |chi> port
 
@@ -318,7 +318,7 @@ def _event_model(
     # A phi- event is relabeled by a pi phase shift, which leaves the poles
     # in the |chi> port and sends the superpositions to the orthogonal one.
     correct = (True, abs(r[2]) > 0.5)
-    arrays = [np.array(column) for column in ((0.5, 0.5), port_p, correct)]
+    arrays = [np.array(column) for column in (port_p, correct)]
     for a in arrays:
         a.flags.writeable = False
     return EventModel(*arrays)
@@ -329,36 +329,28 @@ def _quantum_event_fidelity(model: EventModel, config: CampaignConfig) -> float:
     double-pair branch (fully mixed, so even odds on the ports)."""
     d = config.source.double_pair_fraction
     f = 0.0
-    for w, p_signal_port, is_signal in zip(
-        model.outcome_probabilities.tolist(),
-        model.signal_port_probability.tolist(),
-        model.correct_is_signal.tolist(),
+    for p_signal_port, is_signal in zip(
+        model.signal_port_probability.tolist(), model.correct_is_signal.tolist()
     ):
-        f += w * (p_signal_port if is_signal else 1.0 - p_signal_port)
+        f += 0.5 * (p_signal_port if is_signal else 1.0 - p_signal_port)
     return (1.0 - d) * f + d * 0.5
 
 
-def analytic_state_fidelity(config: CampaignConfig, state_label: str) -> float:
-    """Expected campaign fidelity for one input state: the quantum branch
-    diluted by that state's accidental fraction across its assigned orbits."""
-    model = build_event_model(config, state_label)
-    f_quantum = _quantum_event_fidelity(model, config)
-    signal = 0.0
-    accidental = 0.0
-    for orbit, label in zip(config.orbits, config.input_schedule):
-        if label != state_label:
-            continue
-        signal += expected_signal_count(config, orbit)
-        accidental += expected_accidental_count(config, orbit)
-    total = signal + accidental
-    if total <= 0:
-        return f_quantum
-    b = accidental / total
-    return (1.0 - b) * f_quantum + b * 0.5
-
-
 def analytic_fidelities(config: CampaignConfig) -> dict[str, float]:
-    return {label: analytic_state_fidelity(config, label) for label in STATE_LABELS}
+    """Expected campaign fidelity per input state: the quantum branch
+    diluted by that state's accidental fraction across its assigned orbits."""
+    signal = dict.fromkeys(STATE_LABELS, 0.0)
+    accidental = dict.fromkeys(STATE_LABELS, 0.0)
+    for orbit, label in zip(config.orbits, config.input_schedule):
+        signal[label] += expected_signal_count(config, orbit)
+        accidental[label] += expected_accidental_count(config, orbit)
+    fidelities = {}
+    for label in STATE_LABELS:
+        f_quantum = _quantum_event_fidelity(build_event_model(config, label), config)
+        total = signal[label] + accidental[label]
+        b = 0.0 if total <= 0 else accidental[label] / total
+        fidelities[label] = (1.0 - b) * f_quantum + b * 0.5
+    return fidelities
 
 
 def analytic_mean_fidelity(config: CampaignConfig) -> float:
@@ -411,23 +403,18 @@ def run_orbit(config: CampaignConfig, orbit_index: int, rng: np.random.Generator
     n_signal = int(rng.poisson(_signal_rate(config) * exposure.transmittance).sum())
     n_accidental = int(rng.poisson(expected_accidental_count(config, orbit)))
 
-    model = build_event_model(config, state_label)
-    out_p = model.outcome_probabilities
-    if (out_p < 0).any() or not abs(out_p.sum() - 1.0) <= np.sqrt(np.finfo(float).eps):
-        raise ValueError(f"outcome probabilities {out_p} are not a distribution")
-    cdf = out_p.cumsum()
-    cdf /= cdf[-1]
-    p_port = model.signal_port_probability
+    p_port = build_event_model(config, state_label).signal_port_probability
     d = config.source.double_pair_fraction
 
-    # The per-event stream, drawn in blocks: Generator.choice(k, p=p) reads one
-    # double u and returns cdf.searchsorted(u, "right"), so a signal event
-    # reads (outcome, double pair, port) and an accidental (outcome, port).
-    tally = np.zeros(2 * out_p.size, dtype=np.int64)  # (outcome, signal/orthogonal)
+    # The per-event stream, drawn in blocks: a signal event reads (outcome,
+    # double pair, port) and an accidental (outcome, port).  The outcomes
+    # split 1/2 : 1/2, and Generator.choice(2, p=(0.5, 0.5)) reads one double
+    # u and returns [0.5, 1.0].searchsorted(u, "right"), which is u >= 0.5.
+    tally = np.zeros(2 * len(ACCEPTED_OUTCOMES), dtype=np.int64)  # (outcome, port)
     for n_events, width in ((n_signal, 3), (n_accidental, 2)):
         for start in range(0, n_events, _DRAW_BLOCK):
             u = rng.random((min(_DRAW_BLOCK, n_events - start), width))
-            index = cdf.searchsorted(u[:, 0], side="right")
+            index = (u[:, 0] >= 0.5).astype(np.intp)
             p_signal = np.where(u[:, 1] < d, 0.5, p_port[index]) if width == 3 else 0.5
             signal = u[:, -1] < p_signal
             tally += np.bincount(2 * index + ~signal, minlength=tally.size)
@@ -737,12 +724,12 @@ def calibrate(
         )
 
     # Counts and background fraction: joint solve on (receiver efficiency,
-    # background rate) through the exposure integrals.
-    transmit = sum(orbit_exposure(config, o).transmit_integral_s for o in config.orbits)
-    live = sum(orbit_exposure(config, o).live_time_s for o in config.orbits)
-    window = config.detection.coincidence_window_s
-    r4 = config.source.fourfold_ground_rate
-    r3 = config.threefold_herald_rate
+    # background rate).  The signal count is linear in the one and the
+    # accidental count in the other, so the count model at unit values gives
+    # the campaign totals per unit of each.
+    unit = with_params(config, {"receiver_efficiency": 1.0, "background_rate_hz": 1.0})
+    signal_per_eta = sum(expected_signal_count(unit, o) for o in unit.orbits)
+    accidental_per_hz = sum(expected_accidental_count(unit, o) for o in unit.orbits)
 
     def bg_deficit(eta: float, rate: float) -> float:
         cfg = with_params(config, {"receiver_efficiency": eta, "background_rate_hz": rate})
@@ -753,9 +740,9 @@ def calibrate(
     rate = 100.0
     for _ in range(24):
         signal_total = max(targets.total_fourfolds - accidental_total, 1e-9)
-        eta = signal_total / (r4 * transmit)
+        eta = signal_total / signal_per_eta
         eta = float(np.clip(eta, *CALIBRATION_BOUNDS["receiver_efficiency"]))
-        rate = accidental_total / (r3 * window * live)
+        rate = accidental_total / accidental_per_hz
         rate = float(np.clip(rate, *CALIBRATION_BOUNDS["background_rate_hz"]))
         deficit = bg_deficit(eta, rate)
         gap = targets.deficit_background - deficit
@@ -766,7 +753,7 @@ def calibrate(
     params["background_rate_hz"] = rate
     residuals["deficit_background"] = bg_deficit(eta, rate) - targets.deficit_background
     residuals["total_fourfolds"] = (
-        r4 * eta * transmit + r3 * rate * window * live - targets.total_fourfolds
+        eta * signal_per_eta + rate * accidental_per_hz - targets.total_fourfolds
     )
 
     tolerances = {

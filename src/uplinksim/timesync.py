@@ -9,6 +9,7 @@ timing jitter between the streams is lumped into the satellite tags.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -27,6 +28,8 @@ class ClockModel:
     drift_ppm: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.offset_ps) and math.isfinite(self.drift_ppm)):
+            raise ValueError("clock offset and drift must be finite")
         if abs(self.drift_ppm) >= MAX_DRIFT_PPM:
             raise ValueError(f"|drift| must stay below {MAX_DRIFT_PPM} ppm")
 
@@ -185,8 +188,9 @@ class ClockFit:
 def fit_clock(ground_sync_ps, satellite_sync_ps) -> ClockFit:
     """Least-squares line through matched sync-pulse arrival pairs.
 
-    Needs at least two pulses (unrecoverable below that); inputs must be
-    sorted ascending.  For full precision supply >= 100 matched pulses.
+    Needs at least two pulses at distinct ground times (unrecoverable
+    otherwise); inputs must be sorted ascending.  For full precision supply
+    >= 100 matched pulses.
     """
     g = np.asarray(ground_sync_ps, dtype=float).reshape(-1)
     s = np.asarray(satellite_sync_ps, dtype=float).reshape(-1)
@@ -196,6 +200,8 @@ def fit_clock(ground_sync_ps, satellite_sync_ps) -> ClockFit:
         raise ValueError("clock fit is unrecoverable with fewer than 2 sync pulses")
     if np.any(np.diff(g) < 0) or np.any(np.diff(s) < 0):
         raise ValueError("sync tags must be sorted ascending")
+    if g[0] == g[-1]:
+        raise ValueError("clock fit is unrecoverable when all ground sync times are equal")
     g_mean = g.mean()
     s_mean = s.mean()
     gc = g - g_mean
@@ -237,8 +243,8 @@ def match_coincidences(
     O((S + C) log G) for S satellite and G ground tags, and nothing is
     allocated per ground tag beyond the float copy of its times.
     """
-    if window_ps <= 0:
-        raise ValueError("window must be positive")
+    if not (math.isfinite(window_ps) and window_ps > 0):
+        raise ValueError("window must be finite and positive")
     half = window_ps / 2.0
     g = ground.times_ps.astype(float)
     s = clock.ground_time(satellite.times_ps)

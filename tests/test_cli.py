@@ -82,10 +82,10 @@ PINNED_SEED_DIGESTS = {
 # calibration.json of `calibrate --targets` on each targets section: the
 # published targets (converged) and an infeasible polarization deficit.
 PINNED_CALIBRATION_DIGESTS = {
-    "{}": (0, "a8971956cb13b98fe98bc35cf0ae0f95298afa225c2c16d162c91d8414dabe0b"),
+    "{}": (0, "6800f8bad0bef98289ea6dd5ac8279cc055f1a21bea84790efcfa19581b97b13"),
     '{"deficit_polarization": 0.5}': (
         4,
-        "3259cfe25fb852a50b6d766ace5e4b93ac55e281525ec3edf5cac6e4cc9bb687",
+        "21649e8d44a6011f672d3285d3db0809200ec4d82b0b889b5ad9817c83d141c8",
     ),
 }
 

@@ -106,6 +106,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             ClockModel(drift_ppm=150.0)
 
+    @pytest.mark.parametrize("field", ["offset_ps", "drift_ppm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_clock_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            ClockModel(**{field: value})
+
     def test_clock_roundtrip(self):
         clock = ClockModel(offset_ps=1e9, drift_ppm=12.0)
         t = np.array([0.0, 1e12, 3.5e14])
@@ -283,8 +289,20 @@ class TestFitClock:
         with pytest.raises(ValueError):
             fit_clock([2e8, 1e8], [2e8, 3e8])
 
+    def test_zero_ground_spread_rejected(self):
+        # No line fits sync pulses that all arrive at one ground time; the
+        # fit must say so instead of returning a NaN clock.
+        with pytest.raises(ValueError, match="ground sync times are equal"):
+            fit_clock([5.0, 5.0, 5.0], [7.0, 8.0, 9.0])
+
 
 class TestMatchCoincidences:
+    @pytest.mark.parametrize("window", [math.nan, math.inf, 0.0, -1.0])
+    def test_window_must_be_finite_and_positive(self, window):
+        stream = TimeTagStream([1, 2], [1, 1])
+        with pytest.raises(ValueError, match="window must be finite and positive"):
+            match_coincidences(stream, stream, ClockModel(), window)
+
     def test_single_event_matches(self):
         rng = np.random.default_rng(21)
         clock = ClockModel(offset_ps=7e8)
