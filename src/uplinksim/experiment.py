@@ -22,7 +22,7 @@ from .linkgeom import (
     LinkModel,
     PassGeometry,
     link_loss_db,
-    loss_profile,
+    loss_profiles,
     polarization_channel_bloch,
 )
 from .photonsrc import SourceModel
@@ -228,20 +228,45 @@ class OrbitExposure:
     transmittance: np.ndarray  # per-second channel transmittance (read-only)
 
 
-@functools.lru_cache(maxsize=4096)
-def _exposure(geometry: PassGeometry, link: LinkModel, duration_s: float) -> OrbitExposure:
-    loss = loss_profile(geometry, link, duration_s)[:, 3]
+# One entry per campaign: the link and the pass parameters as plain values,
+# so that a lookup hashes no geometry.
+@functools.lru_cache(maxsize=128)
+def _exposure(
+    link: LinkModel,
+    orbit_altitude_km: float,
+    min_elevation_deg: float,
+    max_elevations_deg: tuple[float, ...],
+    duration_s: float,
+) -> tuple[OrbitExposure, ...]:
+    geometries = [
+        _pass_geometry(orbit_altitude_km, e, min_elevation_deg) for e in max_elevations_deg
+    ]
+    sizes, _, _, loss = loss_profiles(geometries, link, duration_s)
     transmittance = 10.0 ** (-loss / 10.0)
     transmittance.flags.writeable = False  # shared by every cache hit
-    return OrbitExposure(
-        live_time_s=float(len(transmittance)),
-        transmit_integral_s=float(np.sum(transmittance)),
-        transmittance=transmittance,
+    return tuple(
+        OrbitExposure(
+            live_time_s=float(len(t)),
+            transmit_integral_s=float(np.sum(t)),
+            transmittance=t,
+        )
+        for t in np.split(transmittance, np.cumsum(sizes[:-1]))
+    )
+
+
+def campaign_exposure(config: CampaignConfig) -> tuple[OrbitExposure, ...]:
+    """Exposure of every pass of the campaign, in orbit order."""
+    return _exposure(
+        config.link,
+        config.orbit_altitude_km,
+        config.min_elevation_deg,
+        tuple(orbit.max_elevation_deg for orbit in config.orbits),
+        config.orbit_duration_s,
     )
 
 
 def orbit_exposure(config: CampaignConfig, orbit: OrbitPlan) -> OrbitExposure:
-    return _exposure(config.geometry(orbit), config.link, config.orbit_duration_s)
+    return campaign_exposure(config)[config.orbits.index(orbit)]
 
 
 def _signal_rate(config: CampaignConfig) -> float:
@@ -249,17 +274,30 @@ def _signal_rate(config: CampaignConfig) -> float:
     return config.source.fourfold_ground_rate * config.detection.receiver_efficiency
 
 
+def _accidental_rate(config: CampaignConfig) -> float:
+    return accidental_rate(
+        config.threefold_herald_rate,
+        config.detection.background_rate_hz,
+        config.detection.coincidence_window_s,
+    )
+
+
 def expected_signal_count(config: CampaignConfig, orbit: OrbitPlan) -> float:
     return _signal_rate(config) * orbit_exposure(config, orbit).transmit_integral_s
 
 
 def expected_accidental_count(config: CampaignConfig, orbit: OrbitPlan) -> float:
-    rate = accidental_rate(
-        config.threefold_herald_rate,
-        config.detection.background_rate_hz,
-        config.detection.coincidence_window_s,
-    )
-    return rate * orbit_exposure(config, orbit).live_time_s
+    return _accidental_rate(config) * orbit_exposure(config, orbit).live_time_s
+
+
+def _expected_counts(config: CampaignConfig) -> list[tuple[float, float]]:
+    """Expected (signal, accidental) counts of every pass, in orbit order,
+    from one read of the campaign's exposure."""
+    signal, accidental = _signal_rate(config), _accidental_rate(config)
+    return [
+        (signal * e.transmit_integral_s, accidental * e.live_time_s)
+        for e in campaign_exposure(config)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +379,9 @@ def analytic_fidelities(config: CampaignConfig) -> dict[str, float]:
     diluted by that state's accidental fraction across its assigned orbits."""
     signal = dict.fromkeys(STATE_LABELS, 0.0)
     accidental = dict.fromkeys(STATE_LABELS, 0.0)
-    for orbit, label in zip(config.orbits, config.input_schedule):
-        signal[label] += expected_signal_count(config, orbit)
-        accidental[label] += expected_accidental_count(config, orbit)
+    for (n_signal, n_accidental), label in zip(_expected_counts(config), config.input_schedule):
+        signal[label] += n_signal
+        accidental[label] += n_accidental
     fidelities = {}
     for label in STATE_LABELS:
         f_quantum = _quantum_event_fidelity(build_event_model(config, label), config)
@@ -398,10 +436,10 @@ def run_orbit(config: CampaignConfig, orbit_index: int, rng: np.random.Generator
     """
     orbit = config.orbits[orbit_index]
     state_label = config.input_schedule[orbit_index]
-    exposure = orbit_exposure(config, orbit)
+    exposure = campaign_exposure(config)[orbit_index]
     # The expected counts of the analytic tier, the signal drawn per second.
     n_signal = int(rng.poisson(_signal_rate(config) * exposure.transmittance).sum())
-    n_accidental = int(rng.poisson(expected_accidental_count(config, orbit)))
+    n_accidental = int(rng.poisson(_accidental_rate(config) * exposure.live_time_s))
 
     p_port = build_event_model(config, state_label).signal_port_probability
     d = config.source.double_pair_fraction
@@ -501,10 +539,8 @@ class CampaignResult:
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Run all passes on independent substreams of the campaign seed and
     aggregate raw counts into per-state fidelities."""
-    for orbit in config.orbits:
-        expected = max(
-            expected_signal_count(config, orbit), expected_accidental_count(config, orbit)
-        )
+    for orbit, counts in zip(config.orbits, _expected_counts(config)):
+        expected = max(counts)
         if expected > POISSON_MEAN_MAX:
             raise SimulationError(
                 f"{orbit.label} expects {expected:.3g} events, more than a Poisson draw "
@@ -728,8 +764,9 @@ def calibrate(
     # accidental count in the other, so the count model at unit values gives
     # the campaign totals per unit of each.
     unit = with_params(config, {"receiver_efficiency": 1.0, "background_rate_hz": 1.0})
-    signal_per_eta = sum(expected_signal_count(unit, o) for o in unit.orbits)
-    accidental_per_hz = sum(expected_accidental_count(unit, o) for o in unit.orbits)
+    unit_counts = _expected_counts(unit)
+    signal_per_eta = sum(n_signal for n_signal, _ in unit_counts)
+    accidental_per_hz = sum(n_accidental for _, n_accidental in unit_counts)
 
     def bg_deficit(eta: float, rate: float) -> float:
         cfg = with_params(config, {"receiver_efficiency": eta, "background_rate_hz": rate})

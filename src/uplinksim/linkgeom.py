@@ -12,6 +12,7 @@ and a plane-parallel atmosphere.  The signal wavelength is 780 nm
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,30 +157,41 @@ def slant_range(elevation_deg, geometry: PassGeometry):
     return float(out) if out.ndim == 0 else out
 
 
-def elevation_profile(geometry: PassGeometry, t_s):
+def elevation_profile(geometry: PassGeometry, t_s, min_central_angle=None):
     """Elevation in degrees at time t (s, relative to culmination).
 
     The central angle follows cos(beta(t)) = cos(beta_min) cos(w t); the
     profile is symmetric about t = 0 and peaks at max_elevation.
+
+    `min_central_angle` (rad, one value per sample) stands in for the
+    geometry's beta_min, so that one call covers several passes sharing
+    altitude and tracking limit; by default it is the geometry's own.
     """
     t_s = np.asarray(t_s, dtype=float)
-    cos_beta = np.cos(geometry.min_central_angle) * np.cos(geometry.orbital_rate * t_s)
+    if min_central_angle is None:
+        min_central_angle = geometry.min_central_angle
+    cos_beta = np.cos(min_central_angle) * np.cos(geometry.orbital_rate * t_s)
     beta = np.arccos(np.clip(cos_beta, -1.0, 1.0))
     elev = np.degrees(np.arctan2(cos_beta - geometry.radius_ratio, np.sin(beta)))
     return float(elev) if elev.ndim == 0 else elev
 
 
-def azimuth_rate(geometry: PassGeometry, t_s):
+def azimuth_rate(geometry: PassGeometry, t_s, min_central_angle=None):
     """Ground-mount azimuth rate (rad/s) along the pass.
 
     Peaks at culmination as w/sin(beta_min): near-overhead passes demand
-    slews an alt-az mount can barely follow.
+    slews an alt-az mount can barely follow.  `min_central_angle` is as in
+    `elevation_profile`.
     """
     t_s = np.asarray(t_s, dtype=float)
     w = geometry.orbital_rate
-    sin_b = max(np.sin(geometry.min_central_angle), 1e-6)
+    if min_central_angle is None:
+        min_central_angle = geometry.min_central_angle
+    sin_b = np.maximum(np.sin(min_central_angle), 1e-6)
     phase = w * t_s
-    rate = w * sin_b / (sin_b**2 * np.cos(phase) ** 2 + np.sin(phase) ** 2)
+    # a product, not sin_b**2: a numpy scalar squares through pow and an
+    # array by a multiply, which can differ in the last bit
+    rate = w * sin_b / (sin_b * sin_b * np.cos(phase) ** 2 + np.sin(phase) ** 2)
     return float(rate) if rate.ndim == 0 else rate
 
 
@@ -195,20 +207,23 @@ def effective_divergence(model: LinkModel) -> float:
     return math.sqrt(ex * ey)
 
 
-def pointing_jitter_urad(model: LinkModel, geometry: PassGeometry, t_s):
+def pointing_jitter_urad(model: LinkModel, geometry: PassGeometry, t_s, min_central_angle=None):
     """Tracking error inflated by the instantaneous slew demand."""
-    rate = azimuth_rate(geometry, t_s)
+    rate = azimuth_rate(geometry, t_s, min_central_angle)
     return model.tracking_error_urad * (
         1.0 + model.slew_degradation_k * rate / model.slew_rate_ref
     )
 
 
-def link_loss_db(elevation_deg, t_s, geometry: PassGeometry, model: LinkModel):
+def link_loss_db(
+    elevation_deg, t_s, geometry: PassGeometry, model: LinkModel, min_central_angle=None
+):
     """Total uplink attenuation in dB at one instant of a pass.
 
     Combines the capped far-field geometric factor, the pointing factor
     1/(1 + (2 sigma_p / theta)^2), the plane-parallel atmosphere
     T_zenith^(1/sin e), and the lumped system efficiency.
+    `min_central_angle` is as in `elevation_profile`.
 
     Extreme but valid parameters saturate at the physical limit: a factor
     that overflows or underflows to zero transmittance gives +inf dB, and a
@@ -221,7 +236,7 @@ def link_loss_db(elevation_deg, t_s, geometry: PassGeometry, model: LinkModel):
     with np.errstate(over="ignore", divide="ignore"):  # the saturation above
         spot_m = theta * 1e-6 * slant_range(elevation_deg, geometry) * 1e3
         eta_geo = np.minimum(1.0, (model.receiver_diameter_m / spot_m) ** 2)
-        sigma = pointing_jitter_urad(model, geometry, t_s)
+        sigma = pointing_jitter_urad(model, geometry, t_s, min_central_angle)
         eta_point = 1.0 / (1.0 + (2.0 * sigma / theta) ** 2)
         airmass = 1.0 / np.sin(np.deg2rad(elevation_deg))
         eta_atm = model.zenith_transmittance**airmass
@@ -280,19 +295,38 @@ def polarization_channel_bloch(
     return (a + c * (vx - a) + s * vz, a + c * (vy - a) - s * vz, c * vz + s * (vy - vx))
 
 
-def loss_profile(geometry: PassGeometry, model: LinkModel, duration_s: float) -> np.ndarray:
-    """Sampled pass table, an (n, 4) float64 array with one row
-    (t_s, elevation_deg, range_km, loss_db) per sample.
+def loss_profiles(
+    geometries: Sequence[PassGeometry], model: LinkModel, duration_s: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sampled passes that share altitude and tracking limit and differ
+    only in culmination elevation, computed in one pass over all samples.
 
-    Samples a window of `duration_s` centred on culmination at 1 s steps,
-    clipped to the tracking window, inclusive of both endpoints.
+    Each pass is sampled over a window of `duration_s` centred on its
+    culmination at 1 s steps, clipped to its tracking window, inclusive of
+    both endpoints.  Returns (sizes, t_s, elevation_deg, loss_db): the
+    sample count of each pass, then the 1-D sample columns of all passes
+    concatenated in order.
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")
-    half = min(duration_s / 2.0, geometry.half_duration_s())
-    n = int(np.floor(half))
-    times = np.arange(-n, n + 1, dtype=float)
-    elev = elevation_profile(geometry, times)
-    rng_km = slant_range(elev, geometry)
-    loss = link_loss_db(elev, times, geometry, model)
-    return np.column_stack((times, elev, rng_km, loss))
+    if not geometries:
+        raise ValueError("need at least one pass")
+    if len({(g.orbit_altitude_km, g.min_elevation_deg, g.earth_radius_km) for g in geometries}) > 1:
+        raise ValueError("passes must share altitude, tracking limit and Earth radius")
+    shared = geometries[0]
+    halves = [int(np.floor(min(duration_s / 2.0, g.half_duration_s()))) for g in geometries]
+    sizes = np.array([2 * n + 1 for n in halves])
+    times = np.concatenate([np.arange(-n, n + 1, dtype=float) for n in halves])
+    beta_min = np.repeat([g.min_central_angle for g in geometries], sizes)
+    elev = elevation_profile(shared, times, beta_min)
+    loss = link_loss_db(elev, times, shared, model, beta_min)
+    return sizes, times, elev, loss
+
+
+def loss_profile(geometry: PassGeometry, model: LinkModel, duration_s: float) -> np.ndarray:
+    """Sampled pass table, an (n, 4) float64 array with one row
+    (t_s, elevation_deg, range_km, loss_db) per sample: the one-pass view
+    of `loss_profiles`.
+    """
+    _, times, elev, loss = loss_profiles((geometry,), model, duration_s)
+    return np.column_stack((times, elev, slant_range(elev, geometry), loss))

@@ -52,10 +52,11 @@ class SyncConfig:
     detector_jitter_sigma_ps: float = 150.0
 
     def __post_init__(self):
-        if self.sync_rate_hz <= 0:
-            raise ValueError("sync rate must be positive")
-        if self.detector_jitter_sigma_ps < 0:
-            raise ValueError("jitter sigma must be non-negative")
+        if not (math.isfinite(self.sync_rate_hz) and self.sync_rate_hz > 0):
+            raise ValueError("sync rate must be finite and positive")
+        jitter = self.detector_jitter_sigma_ps
+        if not (math.isfinite(jitter) and jitter >= 0):
+            raise ValueError("jitter sigma must be finite and non-negative")
 
 
 class TimeTagStream:
@@ -153,10 +154,13 @@ def generate_streams(
     the clock relation plus Gaussian jitter (the lumped relative jitter of
     detectors and sync link).  Each stream gains its own Poisson background.
     """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    if jitter_sigma_ps < 0:
-        raise ValueError("jitter sigma must be non-negative")
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError("duration must be finite and positive")
+    if not (math.isfinite(jitter_sigma_ps) and jitter_sigma_ps >= 0):
+        raise ValueError("jitter sigma must be finite and non-negative")
+    rates = (ground_background_hz, satellite_background_hz)
+    if not all(math.isfinite(rate) and rate >= 0 for rate in rates):
+        raise ValueError("background rates must be finite and non-negative")
     events = np.asarray(event_times_ps, dtype=float).reshape(-1)
 
     span_ps = duration_s * 1e12
@@ -167,9 +171,7 @@ def generate_streams(
     sat_events = np.round(sat_times).astype(np.int64)
 
     backgrounds = []
-    for rate in (ground_background_hz, satellite_background_hz):
-        if rate < 0:
-            raise ValueError("background rate must be non-negative")
+    for rate in rates:
         n = rng.poisson(rate * duration_s)
         backgrounds.append(np.round(rng.uniform(0.0, span_ps, size=n)).astype(np.int64))
 
@@ -189,8 +191,8 @@ def fit_clock(ground_sync_ps, satellite_sync_ps) -> ClockFit:
     """Least-squares line through matched sync-pulse arrival pairs.
 
     Needs at least two pulses at distinct ground times (unrecoverable
-    otherwise); inputs must be sorted ascending.  For full precision supply
-    >= 100 matched pulses.
+    otherwise); inputs must be finite and sorted ascending.  For full
+    precision supply >= 100 matched pulses.
     """
     g = np.asarray(ground_sync_ps, dtype=float).reshape(-1)
     s = np.asarray(satellite_sync_ps, dtype=float).reshape(-1)
@@ -198,8 +200,13 @@ def fit_clock(ground_sync_ps, satellite_sync_ps) -> ClockFit:
         raise ValueError("sync streams must be matched one-to-one")
     if g.size < 2:
         raise ValueError("clock fit is unrecoverable with fewer than 2 sync pulses")
-    if np.any(np.diff(g) < 0) or np.any(np.diff(s) < 0):
-        raise ValueError("sync tags must be sorted ascending")
+    # In sorted times +-inf can only sit at the ends, and a NaN anywhere
+    # fails the order test, so neither check adds a pass over the pulses.
+    if any(math.isinf(t) for t in (g[0], g[-1], s[0], s[-1])):
+        raise ValueError("sync times must be finite")
+    with np.errstate(invalid="ignore"):  # inf - inf inside unsorted times
+        if not (np.all(np.diff(g) >= 0) and np.all(np.diff(s) >= 0)):
+            raise ValueError("sync tags must be sorted ascending, with no NaN")
     if g[0] == g[-1]:
         raise ValueError("clock fit is unrecoverable when all ground sync times are equal")
     g_mean = g.mean()

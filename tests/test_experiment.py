@@ -18,14 +18,17 @@ from uplinksim.experiment import (
     CampaignConfig,
     DetectionModel,
     NOISE_FREE,
+    OrbitPlan,
     PolarizationNoise,
     SimulationError,
     analytic_fidelities,
     analytic_mean_fidelity,
     build_event_model,
     calibrate,
+    campaign_exposure,
     classical_baseline,
     default_config,
+    default_schedule,
     error_budget,
     estimate_fidelity,
     expected_accidental_count,
@@ -40,7 +43,16 @@ from uplinksim.experiment import (
     EventModel,
     OrbitRecord,
 )
-from uplinksim.linkgeom import LinkModel, polarization_channel, polarization_distortion
+from uplinksim.cli import main
+from uplinksim.linkgeom import (
+    LinkModel,
+    elevation_profile,
+    link_loss_db,
+    loss_profile,
+    polarization_channel,
+    polarization_distortion,
+    slant_range,
+)
 from uplinksim.photonsrc import SourceModel, werner_pair
 from uplinksim.qstate import mub_states, tensor
 
@@ -218,6 +230,77 @@ def dense_config(**overrides) -> CampaignConfig:
 def with_double_pairs(d: float) -> CampaignConfig:
     base = default_config()
     return replace(base, source=replace(base.source, double_pair_fraction=d))
+
+
+def per_orbit_loss_table(config: CampaignConfig, orbit: OrbitPlan) -> np.ndarray:
+    """The (t_s, elevation_deg, range_km, loss_db) table of one pass, built
+    on its own: the oracle of the batched loss pass."""
+    geometry = config.geometry(orbit)
+    n = int(np.floor(min(config.orbit_duration_s / 2.0, geometry.half_duration_s())))
+    times = np.arange(-n, n + 1, dtype=float)
+    elev = elevation_profile(geometry, times)
+    rng_km = slant_range(elev, geometry)
+    loss = link_loss_db(elev, times, geometry, config.link)
+    return np.column_stack((times, elev, rng_km, loss))
+
+
+def campaign_of(*max_elevations_deg: float, **overrides) -> CampaignConfig:
+    orbits = tuple(OrbitPlan(f"pass-{i}", e) for i, e in enumerate(max_elevations_deg))
+    return default_config(
+        orbits=orbits, input_schedule=default_schedule(len(orbits)), **overrides
+    )
+
+
+EXPOSURE_GRID = {
+    "default": default_config(),
+    "duration 123.4 s": default_config(orbit_duration_s=123.4),
+    "duration 1 s": default_config(orbit_duration_s=1.0),
+    "altitude 300 km": default_config(orbit_altitude_km=300.0),
+    "altitude 1200 km": default_config(orbit_altitude_km=1200.0),
+    "min elevation 5 deg": default_config(min_elevation_deg=5.0),
+    "repeated culminations": campaign_of(60.0, 60.0, 45.0, 45.0, 30.0, 30.0, 60.0),
+    "unequal sample counts": campaign_of(
+        89.0, 70.0, 40.0, 22.0, 16.0, 15.0, orbit_duration_s=900.0
+    ),
+}
+
+
+class TestExposure:
+    @pytest.mark.parametrize("name", EXPOSURE_GRID)
+    def test_batched_pass_matches_per_orbit_oracle(self, name):
+        config = EXPOSURE_GRID[name]
+        exposures = campaign_exposure(config)
+        assert len(exposures) == len(config.orbits)
+        sizes = set()
+        for orbit, exposure in zip(config.orbits, exposures):
+            table = per_orbit_loss_table(config, orbit)
+            np.testing.assert_array_equal(
+                loss_profile(config.geometry(orbit), config.link, config.orbit_duration_s), table
+            )
+            transmittance = 10.0 ** (-table[:, 3] / 10.0)
+            assert np.array_equal(exposure.transmittance, transmittance)
+            assert exposure.live_time_s == float(len(transmittance))
+            assert exposure.transmit_integral_s == float(np.sum(transmittance))
+            assert orbit_exposure(config, orbit) is exposure
+            sizes.add(len(transmittance))
+        if name == "unequal sample counts":
+            assert len(sizes) == len(config.orbits)
+
+    def test_transmittance_is_read_only(self):
+        exposure = campaign_exposure(default_config())[0]
+        with pytest.raises(ValueError):
+            exposure.transmittance[0] = 1.0
+
+    def test_calibration_and_budget_run_one_loss_pass(self):
+        experiment._exposure.cache_clear()
+        result = calibrate()
+        error_budget(result.apply(default_config()))
+        assert experiment._exposure.cache_info().misses == 1
+
+    def test_simulate_runs_one_loss_pass(self, tmp_path):
+        experiment._exposure.cache_clear()
+        assert main(["simulate", "--seed", "7", "--out", str(tmp_path)]) == 0
+        assert experiment._exposure.cache_info().misses == 1
 
 
 class TestConfig:

@@ -10,6 +10,7 @@ from uplinksim.linkgeom import (
     elevation_profile,
     link_loss_db,
     loss_profile,
+    loss_profiles,
     pointing_jitter_urad,
     polarization_channel,
     polarization_channel_bloch,
@@ -181,6 +182,14 @@ class TestLinkLoss:
         t_min = rows[int(np.argmin(losses))][0]
         assert abs(t_min) <= 60.0
         assert abs(t_min) > 1.0  # the bump pushes the minimum off culmination
+
+    def test_batched_profiles_need_shared_passes(self):
+        m = calibrated_link()
+        with pytest.raises(ValueError, match="at least one pass"):
+            loss_profiles((), m, 350.0)
+        mixed = (PassGeometry(), PassGeometry(orbit_altitude_km=600.0))
+        with pytest.raises(ValueError, match="share altitude"):
+            loss_profiles(mixed, m, 350.0)
 
     def test_culmination_bump_from_slew_degradation(self):
         g = PassGeometry()

@@ -112,6 +112,16 @@ class TestTypes:
         with pytest.raises(ValueError, match="finite"):
             ClockModel(**{field: value})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_sync_rate_rejected(self, value):
+        with pytest.raises(ValueError, match="sync rate must be finite"):
+            SyncConfig(sync_rate_hz=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_detector_jitter_rejected(self, value):
+        with pytest.raises(ValueError, match="jitter sigma must be finite"):
+            SyncConfig(detector_jitter_sigma_ps=value)
+
     def test_clock_roundtrip(self):
         clock = ClockModel(offset_ps=1e9, drift_ppm=12.0)
         t = np.array([0.0, 1e12, 3.5e14])
@@ -217,6 +227,37 @@ class TestGenerateStreams:
         assert abs(residual.mean()) < 20.0
         assert 80.0 < residual.std() < 120.0
 
+    # Positional arguments after the clock: jitter sigma, ground and
+    # satellite background rates, duration.
+    VALID = (0.0, 0.0, 0.0, 1.0)
+
+    def _generate_with(self, index, value):
+        args = list(self.VALID)
+        args[index] = value
+        rng = np.random.default_rng(0)
+        return generate_streams([1e6], ClockModel(), *args, rng)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_jitter_rejected(self, value):
+        # NaN used to pass `< 0` and then skip the jitter, silently.
+        with pytest.raises(ValueError, match="jitter sigma must be finite"):
+            self._generate_with(0, value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_ground_background_rejected(self, value):
+        with pytest.raises(ValueError, match="background rates must be finite"):
+            self._generate_with(1, value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_satellite_background_rejected(self, value):
+        with pytest.raises(ValueError, match="background rates must be finite"):
+            self._generate_with(2, value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_duration_rejected(self, value):
+        with pytest.raises(ValueError, match="duration must be finite"):
+            self._generate_with(3, value)
+
     def test_merge_matches_argsort_oracle(self, monkeypatch):
         # A 2 ns slice with ~100 tags per stream forces ties between event
         # and background tags; jitter leaves the satellite events unsorted.
@@ -288,6 +329,25 @@ class TestFitClock:
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
             fit_clock([2e8, 1e8], [2e8, 3e8])
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_sync_time_rejected(self, side, value):
+        times = [[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]]
+        times[side][0 if value < 0 else -1] = value
+        with pytest.raises(ValueError, match="sync times must be finite"):
+            fit_clock(*times)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_nan_sync_time_rejected(self, side):
+        times = [[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]]
+        times[side][1] = math.nan
+        with pytest.raises(ValueError, match="no NaN"):
+            fit_clock(*times)
+
+    def test_adjacent_infinities_inside_unsorted_times_rejected(self):
+        with pytest.raises(ValueError, match="sorted ascending"):
+            fit_clock([0.0, math.inf, math.inf, 1.0], [0.0, 1.0, 2.0, 3.0])
 
     def test_zero_ground_spread_rejected(self):
         # No line fits sync pulses that all arrive at one ground time; the
