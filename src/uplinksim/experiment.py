@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
@@ -68,8 +69,10 @@ class DetectionModel:
             raise ValueError("receiver efficiency must lie in (0, 1]")
         if not 0.0 < self.photon3_ground_efficiency <= 1.0:
             raise ValueError("ground photon-3 efficiency must lie in (0, 1]")
-        if self.background_rate_hz < 0 or self.coincidence_window_s <= 0:
-            raise ValueError("background rate and window must be physical")
+        # NaN fails too; an infinite rate or window would give inf/inf
+        finite = math.isfinite(self.background_rate_hz) and math.isfinite(self.coincidence_window_s)
+        if not (finite and self.background_rate_hz >= 0 and self.coincidence_window_s > 0):
+            raise ValueError("background rate and window must be finite and physical")
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,10 @@ class PolarizationNoise:
     jitter_sigma_rad: float = 0.0
 
     def __post_init__(self):
-        if self.jitter_sigma_rad < 0:
+        if not math.isfinite(self.delta_rad):
+            raise ValueError("polarization angle delta must be finite")
+        # inf is the dephased limit; NaN fails
+        if not self.jitter_sigma_rad >= 0:
             raise ValueError("jitter sigma must be non-negative")
 
 
@@ -108,7 +114,7 @@ class CampaignConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.orbit_duration_s <= 0:
+        if not self.orbit_duration_s > 0:  # inf is the full pass; NaN fails
             raise ValueError("orbit duration must be positive")
         if len(self.orbits) != len(self.input_schedule):
             raise ValueError("schedule must assign one input state per orbit")
@@ -121,8 +127,7 @@ class CampaignConfig:
             raise ValueError("resource fidelity must lie in [1/4, 1]")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        for orbit in self.orbits:
-            self.geometry(orbit)  # rejects elevations and altitudes that give no pass
+        _campaign_passes(*_pass_key(self))  # rejects elevations and altitudes that give no pass
 
     @property
     def threefold_herald_rate(self) -> float:
@@ -135,8 +140,7 @@ class CampaignConfig:
         )
 
 
-# Every config build and exposure lookup asks for its passes, so each
-# distinct pass is built and checked once.
+# Each distinct pass is built and checked once.
 @functools.lru_cache(maxsize=4096)
 def _pass_geometry(
     orbit_altitude_km: float, max_elevation_deg: float, min_elevation_deg: float
@@ -145,6 +149,27 @@ def _pass_geometry(
         orbit_altitude_km=orbit_altitude_km,
         max_elevation_deg=max_elevation_deg,
         min_elevation_deg=min_elevation_deg,
+    )
+
+
+def _pass_key(config: CampaignConfig) -> tuple[float, float, tuple[float, ...]]:
+    """The campaign's passes as plain values: altitude, tracking limit and
+    the culmination elevation of each orbit."""
+    return (
+        config.orbit_altitude_km,
+        config.min_elevation_deg,
+        tuple(orbit.max_elevation_deg for orbit in config.orbits),
+    )
+
+
+# Every config build and exposure asks for the campaign's passes, so a
+# `replace` that leaves them alone costs one lookup, not one per orbit.
+@functools.lru_cache(maxsize=128)
+def _campaign_passes(
+    orbit_altitude_km: float, min_elevation_deg: float, max_elevations_deg: tuple[float, ...]
+) -> tuple[PassGeometry, ...]:
+    return tuple(
+        _pass_geometry(orbit_altitude_km, e, min_elevation_deg) for e in max_elevations_deg
     )
 
 
@@ -238,9 +263,7 @@ def _exposure(
     max_elevations_deg: tuple[float, ...],
     duration_s: float,
 ) -> tuple[OrbitExposure, ...]:
-    geometries = [
-        _pass_geometry(orbit_altitude_km, e, min_elevation_deg) for e in max_elevations_deg
-    ]
+    geometries = _campaign_passes(orbit_altitude_km, min_elevation_deg, max_elevations_deg)
     sizes, _, _, loss = loss_profiles(geometries, link, duration_s)
     transmittance = 10.0 ** (-loss / 10.0)
     transmittance.flags.writeable = False  # shared by every cache hit
@@ -256,13 +279,7 @@ def _exposure(
 
 def campaign_exposure(config: CampaignConfig) -> tuple[OrbitExposure, ...]:
     """Exposure of every pass of the campaign, in orbit order."""
-    return _exposure(
-        config.link,
-        config.orbit_altitude_km,
-        config.min_elevation_deg,
-        tuple(orbit.max_elevation_deg for orbit in config.orbits),
-        config.orbit_duration_s,
-    )
+    return _exposure(config.link, *_pass_key(config), config.orbit_duration_s)
 
 
 def orbit_exposure(config: CampaignConfig, orbit: OrbitPlan) -> OrbitExposure:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,7 @@ class PassGeometry:
 
     Elevations in degrees; `min_elevation` is where tracking starts and
     stops ("t" arguments everywhere are seconds relative to culmination).
+    The pass scalars are computed once per instance.
     """
 
     orbit_altitude_km: float = 500.0
@@ -59,7 +61,7 @@ class PassGeometry:
                 f"between {self.min_elevation_deg:g} and {self.max_elevation_deg:g} degrees"
             )
 
-    @property
+    @cached_property
     def orbital_rate(self) -> float:
         """Two-body angular rate in rad/s."""
         r = self.earth_radius_km + self.orbit_altitude_km
@@ -76,15 +78,19 @@ class PassGeometry:
         eps = np.deg2rad(elevation_deg)
         return float(np.arccos(self.radius_ratio * np.cos(eps)) - eps)
 
-    @property
+    @cached_property
     def min_central_angle(self) -> float:
         return self.central_angle(self.max_elevation_deg)
 
-    def half_duration_s(self) -> float:
-        """Seconds from culmination to the tracking limit."""
+    @cached_property
+    def _half_duration_s(self) -> float:
         beta_edge = self.central_angle(self.min_elevation_deg)
         ratio = np.cos(beta_edge) / np.cos(self.min_central_angle)
         return float(np.arccos(np.clip(ratio, -1.0, 1.0)) / self.orbital_rate)
+
+    def half_duration_s(self) -> float:
+        """Seconds from culmination to the tracking limit."""
+        return self._half_duration_s
 
 
 @dataclass(frozen=True)
@@ -116,11 +122,11 @@ class LinkModel:
             "tracking_error_urad",
             "receiver_diameter_m",
         ):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN fails every range check here
                 raise ValueError(f"{name} must be non-negative")
-        if self.receiver_diameter_m <= 0:
+        if not self.receiver_diameter_m > 0:
             raise ValueError("receiver diameter must be positive")
-        if self.slew_rate_ref <= 0:
+        if not self.slew_rate_ref > 0:
             raise ValueError("slew_rate_ref must be positive")
         theta = effective_divergence(self)
         if theta <= 0:
@@ -136,9 +142,9 @@ class LinkModel:
             )
         if not 0.0 < self.zenith_transmittance <= 1.0:
             raise ValueError("zenith transmittance must lie in (0, 1]")
-        if self.system_efficiency_db < 0:
+        if not self.system_efficiency_db >= 0:
             raise ValueError("system efficiency (dB) must be non-negative")
-        if self.slew_degradation_k < 0:
+        if not self.slew_degradation_k >= 0:
             raise ValueError("slew degradation gain must be non-negative")
 
 
@@ -299,7 +305,8 @@ def loss_profiles(
     geometries: Sequence[PassGeometry], model: LinkModel, duration_s: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sampled passes that share altitude and tracking limit and differ
-    only in culmination elevation, computed in one pass over all samples.
+    only in culmination elevation, computed in one pass over the t >= 0
+    samples of all of them.
 
     Each pass is sampled over a window of `duration_s` centred on its
     culmination at 1 s steps, clipped to its tracking window, inclusive of
@@ -307,20 +314,27 @@ def loss_profiles(
     sample count of each pass, then the 1-D sample columns of all passes
     concatenated in order.
     """
-    if duration_s <= 0:
+    if not duration_s > 0:  # inf is the full pass; NaN fails
         raise ValueError("duration must be positive")
     if not geometries:
         raise ValueError("need at least one pass")
     if len({(g.orbit_altitude_km, g.min_elevation_deg, g.earth_radius_km) for g in geometries}) > 1:
         raise ValueError("passes must share altitude, tracking limit and Earth radius")
     shared = geometries[0]
-    halves = [int(np.floor(min(duration_s / 2.0, g.half_duration_s()))) for g in geometries]
-    sizes = np.array([2 * n + 1 for n in halves])
+    halves = np.array(
+        [int(np.floor(min(duration_s / 2.0, g.half_duration_s()))) for g in geometries]
+    )
+    sizes = 2 * halves + 1
+    # A pass is even in t about culmination (cos wt, cos^2 and sin^2 are),
+    # so only t >= 0 is evaluated and t < 0 is gathered from |t|.
+    half_t = np.concatenate([np.arange(n + 1, dtype=float) for n in halves])
+    beta_min = np.repeat([g.min_central_angle for g in geometries], halves + 1)
+    elev = elevation_profile(shared, half_t, beta_min)
+    loss = link_loss_db(elev, half_t, shared, model, beta_min)
     times = np.concatenate([np.arange(-n, n + 1, dtype=float) for n in halves])
-    beta_min = np.repeat([g.min_central_angle for g in geometries], sizes)
-    elev = elevation_profile(shared, times, beta_min)
-    loss = link_loss_db(elev, times, shared, model, beta_min)
-    return sizes, times, elev, loss
+    start = np.repeat(np.cumsum(halves + 1) - (halves + 1), sizes)
+    index = start + np.abs(times).astype(np.intp)
+    return sizes, times, elev[index], loss[index]
 
 
 def loss_profile(geometry: PassGeometry, model: LinkModel, duration_s: float) -> np.ndarray:

@@ -39,8 +39,8 @@ class SourceModel:
     fourfold_ground_rate: float = 8210.0
 
     def __post_init__(self):
-        if self.fourfold_ground_rate < 0:
-            raise ValueError("fourfold_ground_rate must be non-negative")
+        if not 0.0 <= self.fourfold_ground_rate < np.inf:  # NaN fails too
+            raise ValueError("fourfold_ground_rate must be finite and non-negative")
         if not 0.0 <= self.double_pair_fraction < 1.0:
             raise ValueError("double_pair_fraction must lie in [0, 1)")
 

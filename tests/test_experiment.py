@@ -46,6 +46,7 @@ from uplinksim.experiment import (
 from uplinksim.cli import main
 from uplinksim.linkgeom import (
     LinkModel,
+    PassGeometry,
     elevation_profile,
     link_loss_db,
     loss_profile,
@@ -262,7 +263,31 @@ EXPOSURE_GRID = {
     "unequal sample counts": campaign_of(
         89.0, 70.0, 40.0, 22.0, 16.0, 15.0, orbit_duration_s=900.0
     ),
+    "slew gain 0": default_config(link=replace(default_config().link, slew_degradation_k=0.0)),
+    "slew gain 3": default_config(link=replace(default_config().link, slew_degradation_k=3.0)),
+    "zenith transmittance 0.5": default_config(
+        link=replace(default_config().link, zenith_transmittance=0.5)
+    ),
 }
+
+
+def _random_pass_configs(n: int, seed: int) -> dict[str, CampaignConfig]:
+    """Seeded draws of altitude, tracking limit, duration and slew gain on
+    the default 32 culminations (76 down to 20 degrees)."""
+    rng = np.random.default_rng(seed)
+    link = default_config().link
+    return {
+        f"draw {i}": default_config(
+            orbit_altitude_km=float(rng.uniform(200.0, 2000.0)),
+            min_elevation_deg=float(rng.uniform(1.0, 19.5)),
+            orbit_duration_s=float(rng.uniform(1.0, 1200.0)),
+            link=replace(link, slew_degradation_k=float(rng.uniform(0.0, 5.0))),
+        )
+        for i in range(n)
+    }
+
+
+EXPOSURE_GRID.update(_random_pass_configs(20, seed=14))
 
 
 class TestExposure:
@@ -297,6 +322,26 @@ class TestExposure:
         error_budget(result.apply(default_config()))
         assert experiment._exposure.cache_info().misses == 1
 
+    def test_calibration_and_budget_build_each_pass_once(self, monkeypatch):
+        built = []
+        post_init = PassGeometry.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(PassGeometry, "__post_init__", counted)
+        for cache in (experiment._pass_geometry, experiment._campaign_passes, experiment._exposure):
+            cache.cache_clear()
+        result = calibrate()
+        error_budget(result.apply(default_config()))
+        # one pass build per orbit, the 76 degree reference of the channel
+        # fit being orbit 1's pass and its one lookup past the campaign table
+        assert experiment._pass_geometry.cache_info().misses == 32
+        assert experiment._pass_geometry.cache_info().hits == 1
+        assert experiment._campaign_passes.cache_info().misses == 1
+        assert len(built) == 32
+
     def test_simulate_runs_one_loss_pass(self, tmp_path):
         experiment._exposure.cache_clear()
         assert main(["simulate", "--seed", "7", "--out", str(tmp_path)]) == 0
@@ -317,6 +362,49 @@ class TestConfig:
     def test_bad_resource_fidelity_rejected(self):
         with pytest.raises(ValueError):
             default_config(resource_fidelity=0.1)
+
+    @pytest.mark.parametrize(
+        "attr, name, value",
+        [
+            *(
+                (attr, name, np.nan)
+                for attr, name in (
+                    ("detection", "background_rate_hz"),
+                    ("detection", "coincidence_window_s"),
+                    ("polarization", "jitter_sigma_rad"),
+                    ("polarization", "delta_rad"),
+                    ("link", "divergence_x_urad"),
+                    ("link", "divergence_y_urad"),
+                    ("link", "seeing_urad"),
+                    ("link", "tracking_error_urad"),
+                    ("link", "receiver_diameter_m"),
+                    ("link", "system_efficiency_db"),
+                    ("link", "slew_degradation_k"),
+                    ("link", "slew_rate_ref"),
+                    ("source", "fourfold_ground_rate"),
+                    (None, "orbit_duration_s"),
+                )
+            ),
+            ("detection", "background_rate_hz", np.inf),
+            ("detection", "coincidence_window_s", np.inf),
+            ("polarization", "delta_rad", np.inf),
+            ("polarization", "delta_rad", -np.inf),
+            ("source", "fourfold_ground_rate", np.inf),
+        ],
+    )
+    def test_non_finite_value_rejected(self, attr, name, value):
+        cfg = default_config()
+        with pytest.raises(ValueError):
+            replace(cfg if attr is None else getattr(cfg, attr), **{name: value})
+
+    def test_infinite_limits_accepted(self):
+        cfg = default_config()
+        dephased = replace(cfg, polarization=replace(cfg.polarization, jitter_sigma_rad=np.inf))
+        full_pass = replace(cfg, orbit_duration_s=np.inf)
+        for config in (dephased, full_pass):
+            assert np.all(np.isfinite(list(analytic_fidelities(config).values())))
+        assert analytic_fidelities(dephased)["+"] < analytic_fidelities(cfg)["+"]
+        assert campaign_exposure(full_pass)[0].live_time_s > campaign_exposure(cfg)[0].live_time_s
 
     def test_isolate_source_quiets_the_other_three(self):
         cfg = default_config(

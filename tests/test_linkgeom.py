@@ -190,6 +190,9 @@ class TestLinkLoss:
         mixed = (PassGeometry(), PassGeometry(orbit_altitude_km=600.0))
         with pytest.raises(ValueError, match="share altitude"):
             loss_profiles(mixed, m, 350.0)
+        for duration in (0.0, np.nan):
+            with pytest.raises(ValueError, match="duration must be positive"):
+                loss_profiles((PassGeometry(),), m, duration)
 
     def test_culmination_bump_from_slew_degradation(self):
         g = PassGeometry()
