@@ -127,7 +127,19 @@ class CampaignConfig:
             raise ValueError("resource fidelity must lie in [1/4, 1]")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        _campaign_passes(*_pass_key(self))  # rejects elevations and altitudes that give no pass
+        _campaign_passes(*self._pass_key)  # rejects elevations and altitudes that give no pass
+
+    # Built once per instance: `replace` makes a new instance, so a changed
+    # pass is never read from a stale key.
+    @functools.cached_property
+    def _pass_key(self) -> tuple[float, float, tuple[float, ...]]:
+        """The campaign's passes as plain values: altitude, tracking limit
+        and the culmination elevation of each orbit."""
+        return (
+            self.orbit_altitude_km,
+            self.min_elevation_deg,
+            tuple(orbit.max_elevation_deg for orbit in self.orbits),
+        )
 
     @property
     def threefold_herald_rate(self) -> float:
@@ -149,16 +161,6 @@ def _pass_geometry(
         orbit_altitude_km=orbit_altitude_km,
         max_elevation_deg=max_elevation_deg,
         min_elevation_deg=min_elevation_deg,
-    )
-
-
-def _pass_key(config: CampaignConfig) -> tuple[float, float, tuple[float, ...]]:
-    """The campaign's passes as plain values: altitude, tracking limit and
-    the culmination elevation of each orbit."""
-    return (
-        config.orbit_altitude_km,
-        config.min_elevation_deg,
-        tuple(orbit.max_elevation_deg for orbit in config.orbits),
     )
 
 
@@ -279,7 +281,7 @@ def _exposure(
 
 def campaign_exposure(config: CampaignConfig) -> tuple[OrbitExposure, ...]:
     """Exposure of every pass of the campaign, in orbit order."""
-    return _exposure(config.link, *_pass_key(config), config.orbit_duration_s)
+    return _exposure(config.link, *config._pass_key, config.orbit_duration_s)
 
 
 def orbit_exposure(config: CampaignConfig, orbit: OrbitPlan) -> OrbitExposure:

@@ -18,6 +18,10 @@ from pathlib import Path
 import numpy as np
 
 MAX_DRIFT_PPM = 100.0
+# Float bounds of the int64 picosecond range: -2**63 is exact, and the
+# largest float below 2**63 is 2**63 - 1024.
+_INT64_FLOOR = -(2.0**63)
+_INT64_TOP = 2.0**63 - 1024.0
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,7 @@ class TimeTagStream:
         chans = np.asarray(channels, dtype=np.int16).reshape(-1)
         if times.size != chans.size:
             raise ValueError("times and channels must have equal length")
-        if times.size > 1 and np.any(np.diff(times) < 0):
+        if np.any(times[1:] < times[:-1]):
             raise ValueError("time tags must be sorted ascending")
         times.flags.writeable = False
         chans.flags.writeable = False
@@ -112,8 +116,8 @@ class TimeTagStream:
 
 def sync_pulse_times_ps(config: SyncConfig, duration_s: float) -> np.ndarray:
     """Emission grid of the synchronization laser over a pass."""
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError("duration must be finite and positive")
     period_ps = 1e12 / config.sync_rate_hz
     n = int(np.floor(duration_s * config.sync_rate_hz))
     return np.arange(n) * period_ps
@@ -123,18 +127,40 @@ def _merge_sorted(
     events: np.ndarray, event_channel: int, background: np.ndarray, background_channel: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Time-ordered union of two unsorted tag sets; on equal times the
-    event tags come first."""
-    ev = np.sort(events)
-    bg = np.sort(background)
-    at = np.searchsorted(bg, ev, "left") + np.arange(ev.size)
-    times = np.empty(ev.size + bg.size, dtype=np.int64)
+    event tags come first.
+
+    Both inputs hold integer values within int64, in any numeric dtype, and
+    are sorted in place; the background is cast once, straight into the
+    merged times.
+    """
+    events.sort()
+    background.sort()
+    at = np.searchsorted(background, events, "left")
+    at += np.arange(events.size)
+    times = np.empty(events.size + background.size, dtype=np.int64)
     channels = np.full(times.size, background_channel, dtype=np.int16)
+    channels[at] = event_channel
     is_background = np.ones(times.size, dtype=bool)
     is_background[at] = False
-    times[at] = ev
-    times[is_background] = bg
-    channels[at] = event_channel
+    times[is_background] = background
+    times[at] = events
     return times, channels
+
+
+def _event_tags(times: np.ndarray) -> np.ndarray:
+    """Round float tag times to integer ps in place; reject any that an
+    int64 cannot hold."""
+    np.rint(times, out=times)
+    if times.size and not (_INT64_FLOOR <= times.min() and times.max() <= _INT64_TOP):
+        raise ValueError("event times must be finite and within the int64 picosecond range")
+    return times
+
+
+def _background_tags(rate_hz: float, duration_s: float, rng: np.random.Generator) -> np.ndarray:
+    """Poisson number of uniform tags over the span, rounded in place."""
+    n = rng.poisson(rate_hz * duration_s)
+    times = rng.uniform(0.0, duration_s * 1e12, size=n)
+    return np.rint(times, out=times)
 
 
 def generate_streams(
@@ -156,6 +182,8 @@ def generate_streams(
     """
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise ValueError("duration must be finite and positive")
+    if not duration_s * 1e12 <= _INT64_TOP:
+        raise ValueError("duration must span no more than 2**63 - 1024 ps")
     if not (math.isfinite(jitter_sigma_ps) and jitter_sigma_ps >= 0):
         raise ValueError("jitter sigma must be finite and non-negative")
     rates = (ground_background_hz, satellite_background_hz)
@@ -163,21 +191,23 @@ def generate_streams(
         raise ValueError("background rates must be finite and non-negative")
     events = np.asarray(event_times_ps, dtype=float).reshape(-1)
 
-    span_ps = duration_s * 1e12
-    ground_events = np.round(events).astype(np.int64)
+    # Fresh arrays: the caller's event times are never rounded in place.
+    ground_events = _event_tags(events.copy())
     sat_times = clock.satellite_time(events)
     if jitter_sigma_ps > 0 and events.size:
-        sat_times = sat_times + rng.normal(0.0, jitter_sigma_ps, size=events.size)
-    sat_events = np.round(sat_times).astype(np.int64)
+        sat_times += rng.normal(0.0, jitter_sigma_ps, size=events.size)
+    sat_events = _event_tags(sat_times)
 
-    backgrounds = []
-    for rate in rates:
-        n = rng.poisson(rate * duration_s)
-        backgrounds.append(np.round(rng.uniform(0.0, span_ps, size=n)).astype(np.int64))
-
-    g_t, g_c = _merge_sorted(ground_events, event_channel, backgrounds[0], background_channel)
-    s_t, s_c = _merge_sorted(sat_events, event_channel, backgrounds[1], background_channel)
-    return TimeTagStream(g_t, g_c), TimeTagStream(s_t, s_c)
+    # Rounding is monotone, so sorting the rounded floats orders them as
+    # their int64 values.  The ground stream is built, and its background
+    # freed, before the satellite background is drawn.
+    ground, satellite = (
+        TimeTagStream(*_merge_sorted(
+            tags, event_channel, _background_tags(rate, duration_s, rng), background_channel
+        ))
+        for tags, rate in zip((ground_events, sat_events), rates)
+    )
+    return ground, satellite
 
 
 @dataclass(frozen=True)
@@ -204,9 +234,8 @@ def fit_clock(ground_sync_ps, satellite_sync_ps) -> ClockFit:
     # fails the order test, so neither check adds a pass over the pulses.
     if any(math.isinf(t) for t in (g[0], g[-1], s[0], s[-1])):
         raise ValueError("sync times must be finite")
-    with np.errstate(invalid="ignore"):  # inf - inf inside unsorted times
-        if not (np.all(np.diff(g) >= 0) and np.all(np.diff(s) >= 0)):
-            raise ValueError("sync tags must be sorted ascending, with no NaN")
+    if not (np.all(g[1:] >= g[:-1]) and np.all(s[1:] >= s[:-1])):
+        raise ValueError("sync tags must be sorted ascending, with no NaN")
     if g[0] == g[-1]:
         raise ValueError("clock fit is unrecoverable when all ground sync times are equal")
     g_mean = g.mean()
@@ -214,8 +243,12 @@ def fit_clock(ground_sync_ps, satellite_sync_ps) -> ClockFit:
     gc = g - g_mean
     slope = float(gc @ (s - s_mean) / (gc @ gc))
     offset = s_mean - slope * g_mean
-    residuals = s - (offset + slope * g)
-    rms = float(np.sqrt(np.mean(residuals**2)))
+    # s - (offset + slope * g), squared, in the buffer of the centred times.
+    residuals = np.multiply(slope, g, out=gc)
+    residuals += offset
+    np.subtract(s, residuals, out=residuals)
+    residuals *= residuals
+    rms = float(np.sqrt(np.mean(residuals)))
     clock = ClockModel(offset_ps=float(offset), drift_ppm=(slope - 1.0) * 1e6)
     return ClockFit(clock=clock, residual_rms_ps=rms, n_pulses=int(g.size))
 
@@ -247,13 +280,13 @@ def match_coincidences(
     Candidates are found from the satellite side: each mapped satellite
     tag binary-searches the ground times, and only the C candidate pairs
     so found go through the greedy rule, in ground order.  The cost is
-    O((S + C) log G) for S satellite and G ground tags, and nothing is
-    allocated per ground tag beyond the float copy of its times.
+    O((S + C) log G) for S satellite and G ground tags; the ground times
+    are searched as int64, and only the candidates' are converted to float.
     """
     if not (math.isfinite(window_ps) and window_ps > 0):
         raise ValueError("window must be finite and positive")
     half = window_ps / 2.0
-    g = ground.times_ps.astype(float)
+    g = ground.times_ps
     s = clock.ground_time(satellite.times_ps)
     if g.size == 0 or s.size == 0:
         return MatchResult(pairs=(), n_ground_unmatched=g.size, n_satellite_unmatched=s.size)
@@ -261,14 +294,19 @@ def match_coincidences(
     # The search is padded by a few ulps of the largest magnitude, so that
     # no rounding of `t - half` or `t + half` can drop a candidate; the
     # exact window test below then decides which candidates are inside.
-    scale = max(abs(g[0]), abs(g[-1])) + max(abs(s[0]), abs(s[-1])) + window_ps
+    scale = max(abs(float(g[0])), abs(float(g[-1]))) + max(abs(s[0]), abs(s[-1])) + window_ps
     reach = half + 8.0 * np.spacing(scale)
-    first = np.searchsorted(g, s - reach, "left")
-    count = np.searchsorted(g, s + reach, "right") - first
+    # Integer keys, clipped so that their cast cannot overflow; a key
+    # clipped at the top still reaches the last ground tag.
+    low, high = np.ceil(s - reach), np.floor(s + reach)
+    first = np.searchsorted(g, np.clip(low, _INT64_FLOOR, _INT64_TOP).astype(np.int64), "left")
+    stop = np.searchsorted(g, np.clip(high, _INT64_FLOOR, _INT64_TOP).astype(np.int64), "right")
+    stop[high > _INT64_TOP] = g.size
+    count = stop - first
     # Candidate k of satellite tag j is ground tag first[j] + k.
     sat_idx = np.repeat(np.arange(s.size), count)
     gnd_idx = np.arange(sat_idx.size) - np.repeat(np.cumsum(count) - count - first, count)
-    t = g[gnd_idx]
+    t = g[gnd_idx].astype(float)
     sj = s[sat_idx]
     inside = (t - half <= sj) & (sj <= t + half)
     gnd_idx, sat_idx = gnd_idx[inside], sat_idx[inside]
@@ -293,6 +331,7 @@ def match_coincidences(
 
 def accidental_rate(trigger_rate_hz: float, background_rate_hz: float, window_s: float) -> float:
     """Rate of uncorrelated clicks falling inside a trigger's window."""
-    if trigger_rate_hz < 0 or background_rate_hz < 0 or window_s < 0:
-        raise ValueError("rates and window must be non-negative")
+    for value in (trigger_rate_hz, background_rate_hz, window_s):
+        if not (value >= 0 and math.isfinite(value)):  # NaN fails `>= 0`
+            raise ValueError("rates and window must be finite and non-negative")
     return trigger_rate_hz * background_rate_hz * window_s

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -92,6 +94,136 @@ def write_lines_oracle(stream, path):
             fh.write(f"{int(ch)},{int(t)}\n")
 
 
+def tags_chain(seed):
+    """The tag chain on a 30 s culmination slice: ~4.9e5 ground tags (a
+    16.4 kHz herald background), ~4.2e3 satellite tags (141 Hz), eight
+    true pairs, a drifting clock and the 10 kHz sync grid."""
+    rng = np.random.default_rng([seed, 30])
+    clock = ClockModel(offset_ps=1_234_567.0, drift_ppm=3.2)
+    duration = 30.0
+    pairs = np.sort(rng.uniform(0.0, duration * 1e12, size=8))
+    sync_ground = sync_pulse_times_ps(SyncConfig(), duration)
+    sync_satellite = np.round(
+        clock.satellite_time(sync_ground) + rng.normal(0.0, 150.0, size=sync_ground.size)
+    ).astype(np.int64)
+    ground, satellite = generate_streams(
+        pairs, clock, 150.0, 16_400.0, 141.0, duration, rng, event_channel=1, background_channel=2
+    )
+    fit = fit_clock(sync_ground, sync_satellite)
+    match = match_coincidences(ground, satellite, fit.clock, 3000.0)
+    return (ground, satellite), (sync_ground, sync_satellite), fit, match
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the peak bytes it held allocated during the call
+    (numpy buffers included)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def digest(array: np.ndarray) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+# The tag chain's output on `tags_chain`, as first computed with the
+# straightforward copying implementation: sha256 of each stream's times
+# and channels, the clock fit's repr and the matches.  Any change here is a
+# change to the seeded streams or to the fit or matcher, and must be
+# deliberate.
+PINNED_CHAIN = {
+    5: {
+        "ground": (
+            "27737a601d2b87924a62e91e6605c125e4e5510643e69aa44f92329dda510b8e",
+            "667fb240d88b41503626b834e93866103448ca355ff00298a3196e876e3680fd",
+        ),
+        "satellite": (
+            "0ad4070ea617ad83fd61d25cf53a715d572c96df9ba043e9a154dacd029bde2d",
+            "0216f8a7e9757c31d2005401e01ffb10c53feade11d8db484b460f8e9f190a5a",
+        ),
+        "fit": (
+            "ClockFit(clock=ClockModel(offset_ps=1234567.20703125, drift_ppm=3.199999961900346), "
+            "residual_rms_ps=149.95902062516296, n_pulses=300000)"
+        ),
+        "pairs": (
+            (15771, 152), (86941, 783), (174842, 1509), (217450, 1857),
+            (233902, 1995), (253206, 2177), (311931, 2687), (446462, 3889),
+        ),
+        "unmatched": (491923, 4262),
+    },
+    6: {
+        "ground": (
+            "78d26ec80fef9028c77c025f1b644ecaf0ba6d4ddd873b319b844f9a45a8cba6",
+            "d7eb7f85b3e02913f1678402bed71cf2999f0196ea622cd3cd8dd3b281f24642",
+        ),
+        "satellite": (
+            "45ddb16cca2d67d9a5653a927ac8f0b8cb12d49ee0f025f0f39e4b5a2388620c",
+            "27c9882767ced195dda4fb8379fe3b1c82ef2356f84f06eab83ee1fff34de174",
+        ),
+        "fit": (
+            "ClockFit(clock=ClockModel(offset_ps=1234567.7109375, drift_ppm=3.199999957459454), "
+            "residual_rms_ps=149.77747988628994, n_pulses=300000)"
+        ),
+        "pairs": (
+            (2100, 18), (72069, 623), (96655, 793), (100592, 827), (118563, 992),
+            (223952, 1892), (296229, 2481), (480322, 4019), (488862, 4083),
+        ),
+        "unmatched": (491659, 4099),
+    },
+}
+
+
+class TestTagChain:
+    @pytest.mark.parametrize("seed", sorted(PINNED_CHAIN))
+    def test_chain_output_matches_pinned_values(self, seed):
+        pinned = PINNED_CHAIN[seed]
+        (ground, satellite), _, fit, match = tags_chain(seed)
+        assert (digest(ground.times_ps), digest(ground.channels)) == pinned["ground"]
+        assert (digest(satellite.times_ps), digest(satellite.channels)) == pinned["satellite"]
+        assert repr(fit) == pinned["fit"]
+        assert match.pairs == pinned["pairs"]
+        assert (match.n_ground_unmatched, match.n_satellite_unmatched) == pinned["unmatched"]
+
+    def test_generate_streams_peak_allocation(self):
+        # Drawn background, merged times and channels, and a byte mask:
+        # no int64 copy of the background and no sorted copy.
+        clock = ClockModel(offset_ps=1_234_567.0, drift_ppm=3.2)
+        pairs = np.linspace(1e9, 29e12, 8)
+        rng = np.random.default_rng(5)
+        streams, peak = traced_peak(
+            generate_streams, pairs, clock, 150.0, 16_400.0, 141.0, 30.0, rng
+        )
+        returned = sum(s.times_ps.nbytes + s.channels.nbytes for s in streams)
+        assert len(streams[0]) > 480_000
+        assert peak <= 2.2 * returned, peak / returned
+
+    def test_stream_order_check_allocates_one_byte_per_tag(self):
+        times = np.arange(500_000, dtype=np.int64) * 60_000_000
+        stream, peak = traced_peak(TimeTagStream, times, np.ones(times.size, dtype=np.int16))
+        assert np.shares_memory(stream.times_ps, times)
+        assert peak <= 1.1 * times.size
+
+    def test_match_coincidences_does_not_copy_ground_stream(self):
+        (ground, satellite), _, fit, _ = tags_chain(5)
+        match, peak = traced_peak(match_coincidences, ground, satellite, fit.clock, 3000.0)
+        assert match.pairs == PINNED_CHAIN[5]["pairs"]
+        assert ground.times_ps.nbytes > 3_900_000
+        assert peak < 1_000_000
+
+    def test_fit_clock_peak_allocation(self):
+        # Float ground grid and int64 satellite tags, as the sync link
+        # delivers them: the satellite cast, the centred ground times and
+        # one more pulse-sized buffer.
+        _, (sync_ground, sync_satellite), fit, _ = tags_chain(5)
+        again, peak = traced_peak(fit_clock, sync_ground, sync_satellite)
+        assert again == fit
+        assert peak <= 3.2 * 8 * sync_ground.size, peak / (8 * sync_ground.size)
+
+
 class TestTypes:
     def test_stream_requires_sorted(self):
         with pytest.raises(ValueError):
@@ -121,6 +253,13 @@ class TestTypes:
     def test_non_finite_detector_jitter_rejected(self, value):
         with pytest.raises(ValueError, match="jitter sigma must be finite"):
             SyncConfig(detector_jitter_sigma_ps=value)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_sync_duration_rejected(self, duration):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="duration must be finite and positive"):
+                sync_pulse_times_ps(SyncConfig(), duration)
 
     def test_clock_roundtrip(self):
         clock = ClockModel(offset_ps=1e9, drift_ppm=12.0)
@@ -257,6 +396,29 @@ class TestGenerateStreams:
     def test_non_finite_duration_rejected(self, value):
         with pytest.raises(ValueError, match="duration must be finite"):
             self._generate_with(3, value)
+
+    @pytest.mark.parametrize(
+        "events, clock, duration, message",
+        [
+            ([math.nan], ClockModel(), 1.0, "event times"),
+            ([math.inf], ClockModel(), 1.0, "event times"),
+            ([1e30], ClockModel(), 1.0, "event times"),
+            # The ground tag fits int64 picoseconds, its satellite copy not.
+            ([9.2e18], ClockModel(offset_ps=1e17), 1.0, "event times"),
+            ([1e6], ClockModel(), 1e7, "duration"),
+        ],
+    )
+    def test_tags_outside_int64_rejected(self, events, clock, duration, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                generate_streams(events, clock, 0.0, 0.0, 0.0, duration, np.random.default_rng(0))
+
+    def test_caller_event_times_left_unchanged(self):
+        events = np.array([3e9, 0.4, 1e9 + 0.6])
+        before = events.copy()
+        generate_streams(events, ClockModel(offset_ps=5.5), 10.0, 1e3, 1e3, 4e-3, np.random.default_rng(0))
+        np.testing.assert_array_equal(events, before)
 
     def test_merge_matches_argsort_oracle(self, monkeypatch):
         # A 2 ns slice with ~100 tags per stream forces ties between event
@@ -452,6 +614,18 @@ class TestMatchCoincidences:
         assert res.pairs == ((0, 0),)
         assert res == greedy_match_oracle(ground, sat, clock, window)
 
+    def test_tags_at_int64_limits_match(self):
+        # Search keys are clipped to the int64 range; a clipped key must
+        # still reach the tags at either end of it.
+        top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+        for t in (top, bottom):
+            stream = TimeTagStream([t], [1])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = match_coincidences(stream, stream, ClockModel(), 3000.0)
+            assert res.pairs == ((0, 0),)
+            assert res == greedy_match_oracle(stream, stream, ClockModel(), 3000.0)
+
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
     def test_matches_greedy_oracle(self, data):
@@ -498,6 +672,16 @@ class TestAccidentalRate:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             accidental_rate(-1.0, 500.0, 3e-9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_bad_value_rejected(self, bad, position):
+        args = [0.26, 500.0, 3e-9]
+        args[position] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite and non-negative"):
+                accidental_rate(*args)
 
     def test_matched_accidentals_at_calibrated_herald_rate(self):
         # The campaign's accidental count is accidental_rate(herald rate,
