@@ -127,19 +127,17 @@ class CampaignConfig:
             raise ValueError("resource fidelity must lie in [1/4, 1]")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        _campaign_passes(*self._pass_key)  # rejects elevations and altitudes that give no pass
-
-    # Built once per instance: `replace` makes a new instance, so a changed
-    # pass is never read from a stale key.
-    @functools.cached_property
-    def _pass_key(self) -> tuple[float, float, tuple[float, ...]]:
-        """The campaign's passes as plain values: altitude, tracking limit
-        and the culmination elevation of each orbit."""
-        return (
+        # The campaign's passes as plain values: altitude, tracking limit and
+        # the culmination elevation of each orbit.  Built once per instance
+        # and read by `campaign_exposure`; `replace` builds a new instance,
+        # so a changed pass never meets a stale key.
+        pass_key = (
             self.orbit_altitude_km,
             self.min_elevation_deg,
             tuple(orbit.max_elevation_deg for orbit in self.orbits),
         )
+        _campaign_passes(*pass_key)  # rejects elevations and altitudes that give no pass
+        object.__setattr__(self, "_pass_key", pass_key)
 
     @property
     def threefold_herald_rate(self) -> float:
