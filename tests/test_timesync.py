@@ -417,7 +417,8 @@ class TestGenerateStreams:
     def test_caller_event_times_left_unchanged(self):
         events = np.array([3e9, 0.4, 1e9 + 0.6])
         before = events.copy()
-        generate_streams(events, ClockModel(offset_ps=5.5), 10.0, 1e3, 1e3, 4e-3, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        generate_streams(events, ClockModel(offset_ps=5.5), 10.0, 1e3, 1e3, 4e-3, rng)
         np.testing.assert_array_equal(events, before)
 
     def test_merge_matches_argsort_oracle(self, monkeypatch):
