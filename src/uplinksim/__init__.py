@@ -59,4 +59,4 @@ from .experiment import (
     run_orbit,
 )
 
-__version__ = "0.1.2"
+__version__ = "0.1.3"

@@ -317,6 +317,53 @@ def _expected_counts(config: CampaignConfig) -> list[tuple[float, float]]:
     ]
 
 
+def _state_sums(config: CampaignConfig) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Transmit integral and live time summed over each input state's
+    passes, in `STATE_LABELS` order, from one read of the campaign's
+    exposure: all the analytic tier needs of the passes."""
+    transmit = dict.fromkeys(STATE_LABELS, 0.0)
+    live = dict.fromkeys(STATE_LABELS, 0.0)
+    for exposure, label in zip(campaign_exposure(config), config.input_schedule):
+        transmit[label] += exposure.transmit_integral_s
+        live[label] += exposure.live_time_s
+    return tuple(transmit.values()), tuple(live.values())
+
+
+# The fields the analytic tier reads besides the exposure, the source rate
+# and the resource fidelity, each with the CampaignConfig attribute that
+# holds it: the settings that calibration fits and the error budget quiets.
+_SETTING_FIELDS = {
+    "receiver_efficiency": "detection",
+    "background_rate_hz": "detection",
+    "double_pair_fraction": "source",
+    "mode_overlap": "bsm",
+    "delta_rad": "polarization",
+    "jitter_sigma_rad": "polarization",
+}
+
+
+def _settings(config: CampaignConfig) -> dict[str, float]:
+    """The `_SETTING_FIELDS` of `config`, by field name."""
+    return {name: getattr(getattr(config, attr), name) for name, attr in _SETTING_FIELDS.items()}
+
+
+def _state_counts(
+    config: CampaignConfig, sums: tuple, settings: Mapping[str, float]
+) -> tuple[list[float], list[float]]:
+    """Expected signal and accidental fourfolds of each input state, from
+    the per-state sums of `_state_sums` and the rates of `config` (as
+    `_signal_rate` and `_accidental_rate` give them) at the receiver
+    efficiency and background rate in `settings`."""
+    signal_rate = config.source.fourfold_ground_rate * settings["receiver_efficiency"]
+    accidental = accidental_rate(
+        config.threefold_herald_rate,
+        settings["background_rate_hz"],
+        config.detection.coincidence_window_s,
+    )
+    transmit, live = sums
+    return [signal_rate * x for x in transmit], [accidental * x for x in live]
+
+
 # ---------------------------------------------------------------------------
 # Quantum pipeline shared by the analytic tier and the Monte Carlo tier.
 
@@ -379,33 +426,53 @@ def _event_model(
     return EventModel(*arrays)
 
 
-def _quantum_event_fidelity(model: EventModel, config: CampaignConfig) -> float:
-    """Probability a signal event lands in its correct port, including the
-    double-pair branch (fully mixed, so even odds on the ports)."""
-    d = config.source.double_pair_fraction
-    f = 0.0
-    for p_signal_port, is_signal in zip(
-        model.signal_port_probability.tolist(), model.correct_is_signal.tolist()
-    ):
-        f += 0.5 * (p_signal_port if is_signal else 1.0 - p_signal_port)
-    return (1.0 - d) * f + d * 0.5
+def _state_fidelities(
+    config: CampaignConfig, sums: tuple, settings: Mapping[str, float]
+) -> tuple[float, ...]:
+    """The analytic tier's kernel: the expected campaign fidelity of each
+    input state, in `STATE_LABELS` order, of `config` with its
+    `_SETTING_FIELDS` read from `settings`.
+
+    A signal event lands in its correct port with the event model's
+    probability, or at even odds when it is a double pair (fully mixed);
+    each state's accidental fraction b dilutes that towards 1/2.  Scalars
+    only: no config is built, so calibration and the error budget can vary
+    `settings` freely.
+    """
+    d = settings["double_pair_fraction"]
+    fidelities = []
+    for label, signal, accidental in zip(STATE_LABELS, *_state_counts(config, sums, settings)):
+        model = _event_model(
+            config.resource_fidelity,
+            settings["mode_overlap"],
+            settings["delta_rad"],
+            settings["jitter_sigma_rad"],
+            label,
+        )
+        f = 0.0
+        for p_signal_port, is_signal in zip(
+            model.signal_port_probability.tolist(), model.correct_is_signal.tolist()
+        ):
+            f += 0.5 * (p_signal_port if is_signal else 1.0 - p_signal_port)
+        f_quantum = (1.0 - d) * f + d * 0.5
+        total = signal + accidental
+        b = 0.0 if total <= 0 else accidental / total
+        fidelities.append((1.0 - b) * f_quantum + b * 0.5)
+    return tuple(fidelities)
+
+
+def _mean_deficit(config: CampaignConfig, sums: tuple, settings: Mapping[str, float]) -> float:
+    """1 - the mean over the input states of `_state_fidelities`."""
+    fidelities = _state_fidelities(config, sums, settings)
+    return 1.0 - sum(fidelities) / len(fidelities)
 
 
 def analytic_fidelities(config: CampaignConfig) -> dict[str, float]:
     """Expected campaign fidelity per input state: the quantum branch
     diluted by that state's accidental fraction across its assigned orbits."""
-    signal = dict.fromkeys(STATE_LABELS, 0.0)
-    accidental = dict.fromkeys(STATE_LABELS, 0.0)
-    for (n_signal, n_accidental), label in zip(_expected_counts(config), config.input_schedule):
-        signal[label] += n_signal
-        accidental[label] += n_accidental
-    fidelities = {}
-    for label in STATE_LABELS:
-        f_quantum = _quantum_event_fidelity(build_event_model(config, label), config)
-        total = signal[label] + accidental[label]
-        b = 0.0 if total <= 0 else accidental[label] / total
-        fidelities[label] = (1.0 - b) * f_quantum + b * 0.5
-    return fidelities
+    return dict(
+        zip(STATE_LABELS, _state_fidelities(config, _state_sums(config), _settings(config)))
+    )
 
 
 def analytic_mean_fidelity(config: CampaignConfig) -> float:
@@ -612,6 +679,18 @@ NOISE_FREE = {
 
 BUDGET_SOURCES = tuple(NOISE_FREE)
 
+# Error source -> the noise-free values of every other source's fields, by
+# field name: the `_SETTING_FIELDS` view of `isolate_source`.
+_QUIET = {
+    name: {
+        key: value
+        for source, (_, values) in NOISE_FREE.items()
+        if source != name
+        for key, value in values.items()
+    }
+    for name in NOISE_FREE
+}
+
 
 def isolate_source(config: CampaignConfig, name: str, **changes) -> CampaignConfig:
     """`config` with every error source but `name` at its noise-free value,
@@ -630,11 +709,12 @@ def error_budget(config: CampaignConfig) -> dict[str, float]:
     """Mean-fidelity deficit of each error source alone, the other three at
     their noise-free values, plus the deficit of `config` as given
     ("combined")."""
+    sums, settings = _state_sums(config), _settings(config)
     budget = {
-        source: 1.0 - analytic_mean_fidelity(isolate_source(config, source))
+        source: _mean_deficit(config, sums, {**settings, **_QUIET[source]})
         for source in BUDGET_SOURCES
     }
-    budget["combined"] = 1.0 - analytic_mean_fidelity(config)
+    budget["combined"] = _mean_deficit(config, sums, settings)
     return budget
 
 
@@ -717,11 +797,16 @@ def calibrate(
     base config), so the analytic pipeline at the two plausibility bounds
     fixes the line that is inverted; then the receiver efficiency and
     background rate jointly from the campaign total and the background
-    deficit by a fixed-point loop.  Every trial value reaches the config
-    through `with_params`, so `PARAMETER_FIELDS` alone says which field a
-    parameter sets.  Parameters pinned at a plausibility bound leave a
-    reported residual.  Raises CalibrationError when any residual exceeds
-    its tolerance, carrying the best-so-far result.
+    deficit by a fixed-point loop.  The fitted channel is the one config
+    built; every later trial value is a setting of the analytic kernel
+    (`_state_fidelities`) on that config's per-state sums, with the other
+    error sources quiet as in `isolate_source`, and `PARAMETER_FIELDS` says
+    which field a parameter sets.  Parameters pinned at a plausibility
+    bound leave a reported residual.  A loss target no channel meets leaves
+    a large or infinite loss residual: the zenith transmittance saturates
+    at the smallest positive float and, with no signal, the receiver
+    efficiency at its upper bound.  Raises CalibrationError when any
+    residual exceeds its tolerance, carrying the best-so-far result.
     """
     targets = targets or CalibrationTargets()
     config = base or default_config()
@@ -744,7 +829,8 @@ def calibrate(
     x_db, sys_db = np.linalg.solve(np.array(rows), np.array(rhs))
     x_db = max(x_db, 0.0)
     sys_db = max(sys_db, 0.0)
-    params["zenith_transmittance"] = float(10.0 ** (-x_db / 10.0))
+    # past about 3230 dB per airmass the transmittance underflows to 0
+    params["zenith_transmittance"] = max(float(10.0 ** (-x_db / 10.0)), math.ulp(0.0))
     params["system_efficiency_db"] = float(sys_db)
     config = with_params(config, params)
     residuals["loss_max_db"] = (
@@ -753,11 +839,13 @@ def calibrate(
     residuals["loss_min_db"] = (
         link_loss_db(76.0, 0.0, ref_geom, config.link) - targets.loss_min_db
     )
+    sums, settings = _state_sums(config), _settings(config)
 
     # Noise sources, each deficit inverted in closed form.
     def deficit_residual(source: str, name: str, value: float) -> float:
-        cfg = isolate_source(with_params(config, {name: value}), source)
-        return 1.0 - analytic_mean_fidelity(cfg) - getattr(targets, f"deficit_{source}")
+        changes = {PARAMETER_FIELDS[name][1]: value, **_QUIET[source]}
+        deficit = _mean_deficit(config, sums, {**settings, **changes})
+        return deficit - getattr(targets, f"deficit_{source}")
 
     for source, name, to_u, from_u in (
         ("double_pair", "double_pair_fraction", float, float),
@@ -780,21 +868,24 @@ def calibrate(
     # background rate).  The signal count is linear in the one and the
     # accidental count in the other, so the count model at unit values gives
     # the campaign totals per unit of each.
-    unit = with_params(config, {"receiver_efficiency": 1.0, "background_rate_hz": 1.0})
-    unit_counts = _expected_counts(unit)
-    signal_per_eta = sum(n_signal for n_signal, _ in unit_counts)
-    accidental_per_hz = sum(n_accidental for _, n_accidental in unit_counts)
+    unit_signal, unit_accidental = _state_counts(
+        config, sums, {"receiver_efficiency": 1.0, "background_rate_hz": 1.0}
+    )
+    signal_per_eta, accidental_per_hz = sum(unit_signal), sum(unit_accidental)
+    quiet = {**settings, **_QUIET["background"]}
 
     def bg_deficit(eta: float, rate: float) -> float:
-        cfg = with_params(config, {"receiver_efficiency": eta, "background_rate_hz": rate})
-        return 1.0 - analytic_mean_fidelity(isolate_source(cfg, "background"))
+        return _mean_deficit(
+            config, sums, {**quiet, "receiver_efficiency": eta, "background_rate_hz": rate}
+        )
 
     accidental_total = 2.0 * targets.deficit_background * targets.total_fourfolds
     eta = 0.5
     rate = 100.0
     for _ in range(24):
         signal_total = max(targets.total_fourfolds - accidental_total, 1e-9)
-        eta = signal_total / signal_per_eta
+        # no signal reaches the receiver once the channel underflows
+        eta = signal_total / signal_per_eta if signal_per_eta > 0 else math.inf
         eta = float(np.clip(eta, *CALIBRATION_BOUNDS["receiver_efficiency"]))
         rate = accidental_total / accidental_per_hz
         rate = float(np.clip(rate, *CALIBRATION_BOUNDS["background_rate_hz"]))

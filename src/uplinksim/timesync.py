@@ -225,7 +225,10 @@ def fit_clock(ground_sync_ps, satellite_sync_ps) -> ClockFit:
     precision supply >= 100 matched pulses.
     """
     g = np.asarray(ground_sync_ps, dtype=float).reshape(-1)
-    s = np.asarray(satellite_sync_ps, dtype=float).reshape(-1)
+    pulses = np.asarray(satellite_sync_ps).reshape(-1)  # int64 tags are read as they are
+    if pulses.dtype.kind not in "iuf":
+        pulses = pulses.astype(float)
+    s = pulses.astype(float)  # always a copy: it is centred in place below
     if g.size != s.size:
         raise ValueError("sync streams must be matched one-to-one")
     if g.size < 2:
@@ -240,13 +243,16 @@ def fit_clock(ground_sync_ps, satellite_sync_ps) -> ClockFit:
         raise ValueError("clock fit is unrecoverable when all ground sync times are equal")
     g_mean = g.mean()
     s_mean = s.mean()
+    # Each pulse's cast to float is exact per element, so the pulses stand
+    # in for s below and s itself holds the centred satellite times.
+    sc = np.subtract(pulses, s_mean, out=s)
     gc = g - g_mean
-    slope = float(gc @ (s - s_mean) / (gc @ gc))
+    slope = float(gc @ sc / (gc @ gc))
     offset = s_mean - slope * g_mean
     # s - (offset + slope * g), squared, in the buffer of the centred times.
     residuals = np.multiply(slope, g, out=gc)
     residuals += offset
-    np.subtract(s, residuals, out=residuals)
+    np.subtract(pulses, residuals, out=residuals)
     residuals *= residuals
     rms = float(np.sqrt(np.mean(residuals)))
     clock = ClockModel(offset_ps=float(offset), drift_ppm=(slope - 1.0) * 1e6)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -82,10 +83,10 @@ PINNED_SEED_DIGESTS = {
 # calibration.json of `calibrate --targets` on each targets section: the
 # published targets (converged) and an infeasible polarization deficit.
 PINNED_CALIBRATION_DIGESTS = {
-    "{}": (0, "6800f8bad0bef98289ea6dd5ac8279cc055f1a21bea84790efcfa19581b97b13"),
+    "{}": (0, "61d14171462715a464b03a4d8e409ac76ebcb29946c521605a0ddf6b8b3c47c1"),
     '{"deficit_polarization": 0.5}': (
         4,
-        "21649e8d44a6011f672d3285d3db0809200ec4d82b0b889b5ad9817c83d141c8",
+        "45c18a2755e3502673331a49f7492e316195d502b9c6d69c1badd12c7a60aa93",
     ),
 }
 
@@ -439,6 +440,22 @@ class TestCalibrateCommand:
         path.write_text(json.dumps(targets))
         code = main(["calibrate", "--targets", str(path), "--out", str(tmp_path / "o")])
         assert code == 4
+
+    @pytest.mark.parametrize("value", [3000, 5000, 1e12, 1e300])
+    @pytest.mark.parametrize("target", ["loss_max_db", "loss_min_db"])
+    def test_unreachable_loss_target_exits_4(self, tmp_path, capsys, target, value):
+        path = tmp_path / "targets.json"
+        path.write_text(json.dumps({"schema_version": 1, "targets": {target: value}}))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["calibrate", "--targets", str(path), "--out", str(out)])
+        assert code == 4
+        payload = json.loads((out / "calibration.json").read_text())
+        assert not payload["converged"]
+        assert set(payload["residuals"]) == {f.name for f in fields(CalibrationTargets)}
+        assert payload["residuals"]["loss_max_db"] > 1.0
+        assert capsys.readouterr().err.startswith("calibration failed: ")
 
     def test_unknown_target_field_rejected(self, tmp_path):
         targets = {"schema_version": 1, "targets": {"loss_mean_db": 45.0}}

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from uplinksim import bsm, experiment, photonsrc, qstate
 from uplinksim.bsm import ACCEPTED_OUTCOMES, BsmModel, BsmOutcome, bsm_apply, teleport_expected
 from uplinksim.experiment import (
+    BUDGET_SOURCES,
     CALIBRATED,
     CALIBRATION_BOUNDS,
     CalibrationError,
@@ -245,6 +246,53 @@ def per_orbit_loss_table(config: CampaignConfig, orbit: OrbitPlan) -> np.ndarray
     return np.column_stack((times, elev, rng_km, loss))
 
 
+def per_orbit_analytic_fidelities(config: CampaignConfig) -> dict[str, float]:
+    """Oracle for the analytic kernel: the per-orbit loop it replaced, each
+    pass's expected counts added to its state's tally and each state's
+    correct-port probability read off its event model."""
+    signal = dict.fromkeys(STATE_LABELS, 0.0)
+    accidental = dict.fromkeys(STATE_LABELS, 0.0)
+    for (n_signal, n_accidental), label in zip(
+        experiment._expected_counts(config), config.input_schedule
+    ):
+        signal[label] += n_signal
+        accidental[label] += n_accidental
+    d = config.source.double_pair_fraction
+    fidelities = {}
+    for label in STATE_LABELS:
+        model = build_event_model(config, label)
+        f = 0.0
+        for p_signal_port, is_signal in zip(
+            model.signal_port_probability.tolist(), model.correct_is_signal.tolist()
+        ):
+            f += 0.5 * (p_signal_port if is_signal else 1.0 - p_signal_port)
+        f_quantum = (1.0 - d) * f + d * 0.5
+        total = signal[label] + accidental[label]
+        b = 0.0 if total <= 0 else accidental[label] / total
+        fidelities[label] = (1.0 - b) * f_quantum + b * 0.5
+    return fidelities
+
+
+def noise_draws(n: int, seed: int) -> list[CampaignConfig]:
+    """Seeded draws of the resource fidelity and of every error source's
+    parameters on the calibrated campaign."""
+    rng = np.random.default_rng(seed)
+    base = default_config()
+    return [
+        default_config(
+            resource_fidelity=float(rng.uniform(0.25, 1.0)),
+            source=replace(base.source, double_pair_fraction=float(rng.uniform(0.0, 0.5))),
+            bsm=BsmModel(mode_overlap=float(rng.uniform(0.0, 1.0))),
+            polarization=PolarizationNoise(
+                delta_rad=float(rng.uniform(-0.8, 0.8)),
+                jitter_sigma_rad=float(rng.uniform(0.0, 0.8)),
+            ),
+            detection=replace(base.detection, background_rate_hz=float(rng.uniform(0.0, 5000.0))),
+        )
+        for _ in range(n)
+    ]
+
+
 def campaign_of(*max_elevations_deg: float, **overrides) -> CampaignConfig:
     orbits = tuple(OrbitPlan(f"pass-{i}", e) for i, e in enumerate(max_elevations_deg))
     return default_config(
@@ -288,6 +336,7 @@ def _random_pass_configs(n: int, seed: int) -> dict[str, CampaignConfig]:
 
 
 EXPOSURE_GRID.update(_random_pass_configs(20, seed=14))
+NOISE_DRAWS = noise_draws(20, seed=16)
 
 
 class TestExposure:
@@ -573,6 +622,15 @@ class TestAnalyticPipeline:
     def test_all_off_is_exactly_one(self):
         assert analytic_mean_fidelity(quiet_config()) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("name", EXPOSURE_GRID)
+    def test_kernel_matches_per_orbit_oracle(self, name):
+        config = EXPOSURE_GRID[name]
+        got = analytic_fidelities(config)
+        expected = per_orbit_analytic_fidelities(config)
+        assert list(got) == list(STATE_LABELS)
+        for label in STATE_LABELS:
+            assert abs(got[label] - expected[label]) <= 1e-12, label
+
     def test_monotone_in_each_noise_parameter(self):
         cfg = default_config()
         for grids, make in [
@@ -716,6 +774,36 @@ class TestErrorBudget:
         assert budget["combined"] == pytest.approx(1 - analytic_mean_fidelity(cfg), abs=1e-12)
         assert abs(budget["combined"] - 0.20) < 0.04
 
+    @pytest.mark.parametrize("draw", range(len(NOISE_DRAWS)))
+    def test_budget_matches_isolated_configs(self, draw):
+        # The budget sets each source's fields on the kernel; the oracle
+        # builds each isolated config and runs the per-orbit loop on it.
+        config = NOISE_DRAWS[draw]
+        budget = error_budget(config)
+        for source in BUDGET_SOURCES:
+            isolated = isolate_source(config, source)
+            oracle = 1.0 - np.mean(list(per_orbit_analytic_fidelities(isolated).values()))
+            assert abs(budget[source] - oracle) <= 1e-12, source
+            assert abs(budget[source] - (1.0 - analytic_mean_fidelity(isolated))) <= 1e-12
+        oracle = 1.0 - np.mean(list(per_orbit_analytic_fidelities(config).values()))
+        assert abs(budget["combined"] - oracle) <= 1e-12
+
+    def test_calibration_and_budget_build_no_config_in_a_solve(self, monkeypatch):
+        built = []
+
+        def counted(obj, **changes):
+            built.append(type(obj).__name__)
+            return replace(obj, **changes)
+
+        monkeypatch.setattr(experiment, "replace", counted)
+        result = calibrate()
+        # the default config, the channel probe and the fitted channel
+        assert len(built) <= 15, built
+        config = result.apply(default_config())
+        built.clear()
+        error_budget(config)
+        assert built == []
+
     def test_noise_free_budget_vanishes(self):
         cfg = default_config(
             source=SourceModel(double_pair_fraction=0.0),
@@ -856,15 +944,15 @@ class TestCalibrate:
 
     def test_closed_form_inversions_hit_targets(self, monkeypatch):
         noise_evaluations = []
-        pipeline = experiment.analytic_mean_fidelity
+        kernel = experiment._state_fidelities
 
-        def counted(cfg):
+        def counted(config, sums, settings):
             # every inversion but the background one runs with no background
-            if cfg.detection.background_rate_hz == 0.0:
-                noise_evaluations.append(cfg)
-            return pipeline(cfg)
+            if settings["background_rate_hz"] == 0.0:
+                noise_evaluations.append(dict(settings))
+            return kernel(config, sums, settings)
 
-        monkeypatch.setattr(experiment, "analytic_mean_fidelity", counted)
+        monkeypatch.setattr(experiment, "_state_fidelities", counted)
         result = calibrate()
         assert result.converged
         for key, frozen in CALIBRATED.items():
@@ -875,6 +963,23 @@ class TestCalibrate:
         assert result.residuals["deficit_distinguishability"] == pytest.approx(-0.01, abs=1e-12)
         # Two bound evaluations per noise source, plus one at each root.
         assert len(noise_evaluations) == 3 + 2 + 3
+
+    @pytest.mark.parametrize("value", [3000.0, 5000.0, 1e12, 1e300])
+    @pytest.mark.parametrize("target", ["loss_max_db", "loss_min_db"])
+    def test_unreachable_loss_target_is_a_calibration_error(self, target, value):
+        # The channel that would meet such a target transmits nothing: no
+        # signal reaches the count model and the zenith transmittance
+        # saturates at the smallest positive float.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CalibrationError, match="loss_max_db") as err:
+                calibrate(CalibrationTargets(**{target: value}))
+        result = err.value.result
+        assert result.residuals["loss_max_db"] > 1.0
+        assert abs(result.residuals["total_fourfolds"]) > 25.0
+        assert 0.0 < result.params["zenith_transmittance"] <= 1.0
+        assert result.params["receiver_efficiency"] == CALIBRATION_BOUNDS["receiver_efficiency"][1]
+        result.apply(default_config())  # a valid config
 
     def test_flat_deficits_fall_back_to_lower_bounds(self):
         # A resource at fidelity 1/4 is fully mixed: no noise parameter moves
