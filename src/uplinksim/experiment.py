@@ -829,7 +829,8 @@ def calibrate(
     x_db, sys_db = np.linalg.solve(np.array(rows), np.array(rhs))
     x_db = max(x_db, 0.0)
     sys_db = max(sys_db, 0.0)
-    # past about 3230 dB per airmass the transmittance underflows to 0
+    # past about 3230 dB per airmass 10 ** (-x / 10) underflows to 0, outside
+    # the model's (0, 1]: saturate at the smallest positive float instead
     params["zenith_transmittance"] = max(float(10.0 ** (-x_db / 10.0)), math.ulp(0.0))
     params["system_efficiency_db"] = float(sys_db)
     config = with_params(config, params)

@@ -225,10 +225,13 @@ def fit_clock(ground_sync_ps, satellite_sync_ps) -> ClockFit:
     precision supply >= 100 matched pulses.
     """
     g = np.asarray(ground_sync_ps, dtype=float).reshape(-1)
-    pulses = np.asarray(satellite_sync_ps).reshape(-1)  # int64 tags are read as they are
+    # The satellite tags as given, int64 from a tag stream; input that numpy
+    # cannot subtract into a float buffer (Python ints past int64, say) is
+    # cast once here.
+    pulses = np.asarray(satellite_sync_ps).reshape(-1)
     if pulses.dtype.kind not in "iuf":
         pulses = pulses.astype(float)
-    s = pulses.astype(float)  # always a copy: it is centred in place below
+    s = pulses.astype(float)  # a copy, centred in place below
     if g.size != s.size:
         raise ValueError("sync streams must be matched one-to-one")
     if g.size < 2:
@@ -243,8 +246,8 @@ def fit_clock(ground_sync_ps, satellite_sync_ps) -> ClockFit:
         raise ValueError("clock fit is unrecoverable when all ground sync times are equal")
     g_mean = g.mean()
     s_mean = s.mean()
-    # Each pulse's cast to float is exact per element, so the pulses stand
-    # in for s below and s itself holds the centred satellite times.
+    # A ufunc casts each pulse to float as astype did, so the pulses stand
+    # in for s from here on, and s holds the centred satellite times.
     sc = np.subtract(pulses, s_mean, out=s)
     gc = g - g_mean
     slope = float(gc @ sc / (gc @ gc))
