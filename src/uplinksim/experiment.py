@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,6 +24,7 @@ from .linkgeom import (
     PassGeometry,
     link_loss_db,
     loss_profiles,
+    pass_table,
     polarization_channel_bloch,
 )
 from .photonsrc import SourceModel
@@ -136,7 +137,7 @@ class CampaignConfig:
             self.min_elevation_deg,
             tuple(orbit.max_elevation_deg for orbit in self.orbits),
         )
-        _campaign_passes(*pass_key)  # rejects elevations and altitudes that give no pass
+        _pass_table(*pass_key)  # rejects elevations and altitudes that give no pass
         object.__setattr__(self, "_pass_key", pass_key)
 
     @property
@@ -145,32 +146,13 @@ class CampaignConfig:
         return self.source.fourfold_ground_rate / self.detection.photon3_ground_efficiency
 
     def geometry(self, orbit: OrbitPlan) -> PassGeometry:
-        return _pass_geometry(
-            self.orbit_altitude_km, orbit.max_elevation_deg, self.min_elevation_deg
-        )
-
-
-# Each distinct pass is built and checked once.
-@functools.lru_cache(maxsize=4096)
-def _pass_geometry(
-    orbit_altitude_km: float, max_elevation_deg: float, min_elevation_deg: float
-) -> PassGeometry:
-    return PassGeometry(
-        orbit_altitude_km=orbit_altitude_km,
-        max_elevation_deg=max_elevation_deg,
-        min_elevation_deg=min_elevation_deg,
-    )
+        return PassGeometry(self.orbit_altitude_km, orbit.max_elevation_deg, self.min_elevation_deg)
 
 
 # Every config build and exposure asks for the campaign's passes, so a
-# `replace` that leaves them alone costs one lookup, not one per orbit.
-@functools.lru_cache(maxsize=128)
-def _campaign_passes(
-    orbit_altitude_km: float, min_elevation_deg: float, max_elevations_deg: tuple[float, ...]
-) -> tuple[PassGeometry, ...]:
-    return tuple(
-        _pass_geometry(orbit_altitude_km, e, min_elevation_deg) for e in max_elevations_deg
-    )
+# `replace` that leaves them alone costs one lookup: (orbit_altitude_km,
+# min_elevation_deg, max_elevations_deg) -> the campaign's `PassTable`.
+_pass_table = functools.lru_cache(maxsize=128)(pass_table)
 
 
 # Calibrated operating point.  The channel terms reproduce the published
@@ -203,20 +185,27 @@ PARAMETER_FIELDS = {
 }
 
 
-def with_params(config: CampaignConfig, params: Mapping[str, float]) -> CampaignConfig:
-    """`config` with any subset of the fitted parameters set, in one `replace`."""
+def _field_changes(params: Mapping[str, float]) -> dict[str, dict[str, float]]:
+    """Fitted parameters as field changes, by the CampaignConfig attribute they set."""
     changes: dict[str, dict[str, float]] = {}
     for name, value in params.items():
         attr, key = PARAMETER_FIELDS[name]
         changes.setdefault(attr, {})[key] = value
+    return changes
+
+
+def with_params(config: CampaignConfig, params: Mapping[str, float]) -> CampaignConfig:
+    """`config` with any subset of the fitted parameters set, in one `replace`."""
     return replace(
-        config, **{attr: replace(getattr(config, attr), **c) for attr, c in changes.items()}
+        config,
+        **{attr: replace(getattr(config, attr), **c) for attr, c in _field_changes(params).items()},
     )
 
 
 DEFAULT_SEED = 20160839
 
 
+@functools.lru_cache(maxsize=16)  # immutable plans, built once per campaign length
 def default_orbit_plans(n_orbits: int = 32) -> tuple[OrbitPlan, ...]:
     """Campaign passes with culminations evenly covering 76 down to 20
     degrees (per-pass elevations were not published; the span was)."""
@@ -234,12 +223,15 @@ def default_schedule(n_orbits: int = 32) -> tuple[str, ...]:
 
 
 def default_config(seed: int = DEFAULT_SEED, **overrides) -> CampaignConfig:
-    """The calibrated 32-orbit campaign configuration: `CALIBRATED` applied
-    to the bare campaign, then `overrides` replacing whole fields."""
-    bare = CampaignConfig(
-        orbits=default_orbit_plans(), input_schedule=default_schedule(), seed=seed
-    )
-    return replace(with_params(bare, CALIBRATED), **overrides)
+    """The calibrated 32-orbit campaign configuration: the default models
+    with `CALIBRATED` set, and `overrides` replacing whole fields, built as
+    one config."""
+    models = {
+        attr: CampaignConfig.__dataclass_fields__[attr].default_factory(**changes)
+        for attr, changes in _field_changes(CALIBRATED).items()
+    }
+    fields = dict(orbits=default_orbit_plans(), input_schedule=default_schedule(), seed=seed)
+    return CampaignConfig(**{**fields, **models, **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +255,13 @@ def _exposure(
     max_elevations_deg: tuple[float, ...],
     duration_s: float,
 ) -> tuple[OrbitExposure, ...]:
-    geometries = _campaign_passes(orbit_altitude_km, min_elevation_deg, max_elevations_deg)
-    sizes, _, _, loss = loss_profiles(geometries, link, duration_s)
-    transmittance = 10.0 ** (-loss / 10.0)
+    table = _pass_table(orbit_altitude_km, min_elevation_deg, max_elevations_deg)
+    sizes, _, index, _, loss = loss_profiles(table, link, duration_s)
+    transmittance = (10.0 ** (-loss / 10.0))[index]
     transmittance.flags.writeable = False  # shared by every cache hit
-    return tuple(
-        OrbitExposure(
-            live_time_s=float(len(t)),
-            transmit_integral_s=float(np.sum(t)),
-            transmittance=t,
-        )
-        for t in np.split(transmittance, np.cumsum(sizes[:-1]))
-    )
+    ends = np.cumsum(sizes).tolist()
+    slices = [transmittance[start:end] for start, end in zip([0, *ends], ends)]
+    return tuple(OrbitExposure(float(len(t)), float(t.sum()), t) for t in slices)
 
 
 def campaign_exposure(config: CampaignConfig) -> tuple[OrbitExposure, ...]:
@@ -305,16 +292,6 @@ def expected_signal_count(config: CampaignConfig, orbit: OrbitPlan) -> float:
 
 def expected_accidental_count(config: CampaignConfig, orbit: OrbitPlan) -> float:
     return _accidental_rate(config) * orbit_exposure(config, orbit).live_time_s
-
-
-def _expected_counts(config: CampaignConfig) -> list[tuple[float, float]]:
-    """Expected (signal, accidental) counts of every pass, in orbit order,
-    from one read of the campaign's exposure."""
-    signal, accidental = _signal_rate(config), _accidental_rate(config)
-    return [
-        (signal * e.transmit_integral_s, accidental * e.live_time_s)
-        for e in campaign_exposure(config)
-    ]
 
 
 def _state_sums(config: CampaignConfig) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -486,7 +463,7 @@ def analytic_mean_fidelity(config: CampaignConfig) -> float:
 # Largest mean numpy's Generator.poisson accepts (its own bound on a C long).
 POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
-# Events whose uniforms are drawn at once; bounds memory, not the stream.
+# Events drawn and classified at once, across pass boundaries; bounds memory, not the stream.
 _DRAW_BLOCK = 1 << 16
 
 
@@ -509,49 +486,87 @@ class OrbitRecord:
         return int(self.counts.sum())
 
 
-def run_orbit(config: CampaignConfig, orbit_index: int, rng: np.random.Generator) -> OrbitRecord:
-    """Simulate one pass: Poisson event arrivals thinned by the loss
-    profile, analyzer outcomes, uplink distortion, and accidental
-    coincidences, recorded as raw (outcome, port) fourfold counts.
+def _uniform_blocks(rngs: Sequence[np.random.Generator], n_events: Sequence[int], width: int):
+    """The `width` uniforms of each of `n_events[j]` events, drawn from
+    `rngs[j]` for each j in turn, as (u, j of each row) blocks of at most
+    `_DRAW_BLOCK` rows that cross pass boundaries; each block's arrays are
+    reused by the next."""
+    total = sum(n_events)
+    if total == 0:
+        return
+    u = np.empty((min(_DRAW_BLOCK, total), width))
+    owner = np.empty(len(u), dtype=np.intp)
+    fill = 0
+    for j, n in enumerate(n_events):
+        while n:
+            k = min(n, len(u) - fill)
+            rngs[j].random(out=u[fill : fill + k])
+            owner[fill : fill + k] = j
+            fill, n = fill + k, n - k
+            if fill == len(u):
+                yield u, owner
+                fill = 0
+    if fill:
+        yield u[:fill], owner[:fill]
 
-    Each event lands in the signal port with the event model's probability.
-    Under polarization jitter that is the jitter-averaged channel, which is
-    exact in distribution because every event draws its angle afresh.
+
+def _run_orbits(
+    config: CampaignConfig, orbit_indices: Sequence[int], rngs: Sequence[np.random.Generator]
+) -> list[OrbitRecord]:
+    """Simulate passes, `orbit_indices[j]` on `rngs[j]`: Poisson event
+    arrivals thinned by the loss profile, analyzer outcomes, uplink
+    distortion, and accidental coincidences, recorded as raw (outcome, port)
+    fourfold counts.
+
+    Each generator draws its pass's signal count of every second, its
+    accidental count, then per event the uniforms (outcome, double pair,
+    port) of a signal event or (outcome, port) of an accidental.  The
+    outcomes split 1/2 : 1/2, and Generator.choice(2, p=(0.5, 0.5)) reads one
+    double u and returns u >= 0.5.  An event lands in the signal port with
+    the event model's probability: under polarization jitter the
+    jitter-averaged channel, exact in distribution because every event draws
+    its angle afresh.  The events of all passes are classified together.
     """
-    orbit = config.orbits[orbit_index]
-    state_label = config.input_schedule[orbit_index]
-    exposure = campaign_exposure(config)[orbit_index]
-    # The expected counts of the analytic tier, the signal drawn per second.
-    n_signal = int(rng.poisson(_signal_rate(config) * exposure.transmittance).sum())
-    n_accidental = int(rng.poisson(_accidental_rate(config) * exposure.live_time_s))
+    exposures = campaign_exposure(config)
+    signal_rate, accidental_rate = _signal_rate(config), _accidental_rate(config)
+    for i in orbit_indices:  # the expected counts of the analytic tier, before any draw
+        e = exposures[i]
+        expected = max(signal_rate * e.transmit_integral_s, accidental_rate * e.live_time_s)
+        if expected > POISSON_MEAN_MAX:
+            raise SimulationError(
+                f"{config.orbits[i].label} expects {expected:.3g} events, more than a Poisson "
+                f"draw accepts ({POISSON_MEAN_MAX:.3g}); lower the rates"
+            )
+    n_signal, n_accidental = [], []  # the signal drawn per second
+    for i, rng in zip(orbit_indices, rngs):
+        n_signal.append(int(rng.poisson(signal_rate * exposures[i].transmittance).sum()))
+        n_accidental.append(int(rng.poisson(accidental_rate * exposures[i].live_time_s)))
 
-    p_port = build_event_model(config, state_label).signal_port_probability
+    # [state, outcome] -> probability of the signal (|chi>) port
+    p_port = np.array([build_event_model(config, s).signal_port_probability for s in STATE_LABELS])
+    state = np.array([STATE_LABELS.index(config.input_schedule[i]) for i in orbit_indices])
     d = config.source.double_pair_fraction
-
-    # The per-event stream, drawn in blocks: a signal event reads (outcome,
-    # double pair, port) and an accidental (outcome, port).  The outcomes
-    # split 1/2 : 1/2, and Generator.choice(2, p=(0.5, 0.5)) reads one double
-    # u and returns [0.5, 1.0].searchsorted(u, "right"), which is u >= 0.5.
-    tally = np.zeros(2 * len(ACCEPTED_OUTCOMES), dtype=np.int64)  # (outcome, port)
+    tally = np.zeros(4 * len(orbit_indices), dtype=np.int64)  # [pass, outcome, port]
     for n_events, width in ((n_signal, 3), (n_accidental, 2)):
-        for start in range(0, n_events, _DRAW_BLOCK):
-            u = rng.random((min(_DRAW_BLOCK, n_events - start), width))
-            index = (u[:, 0] >= 0.5).astype(np.intp)
-            p_signal = np.where(u[:, 1] < d, 0.5, p_port[index]) if width == 3 else 0.5
-            signal = u[:, -1] < p_signal
-            tally += np.bincount(2 * index + ~signal, minlength=tally.size)
-    counts = tally.reshape(-1, 2)
+        for u, j in _uniform_blocks(rngs, n_events, width):
+            outcome = (u[:, 0] >= 0.5).astype(np.intp)
+            p_signal = np.where(u[:, 1] < d, 0.5, p_port[state[j], outcome]) if width == 3 else 0.5
+            tally += np.bincount(4 * j + 2 * outcome + (u[:, -1] >= p_signal), minlength=tally.size)
+    counts = tally.reshape(-1, 2, 2)
     counts.flags.writeable = False
 
-    return OrbitRecord(
-        label=orbit.label,
-        state_label=state_label,
-        max_elevation_deg=orbit.max_elevation_deg,
-        live_time_s=exposure.live_time_s,
-        counts=counts,
-        n_signal_truth=n_signal,
-        n_accidental_truth=n_accidental,
-    )
+    return [
+        OrbitRecord(
+            config.orbits[i].label, config.input_schedule[i], config.orbits[i].max_elevation_deg,
+            exposures[i].live_time_s, counts[j], n_signal[j], n_accidental[j],
+        )
+        for j, i in enumerate(orbit_indices)
+    ]
+
+
+def run_orbit(config: CampaignConfig, orbit_index: int, rng: np.random.Generator) -> OrbitRecord:
+    """Simulate one pass on `rng`, as `run_campaign` simulates each."""
+    return _run_orbits(config, (orbit_index,), (rng,))[0]
 
 
 def estimate_fidelity(n_correct: int, n_wrong: int) -> tuple[float, float]:
@@ -623,20 +638,13 @@ class CampaignResult:
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Run all passes on independent substreams of the campaign seed and
     aggregate raw counts into per-state fidelities."""
-    for orbit, counts in zip(config.orbits, _expected_counts(config)):
-        expected = max(counts)
-        if expected > POISSON_MEAN_MAX:
-            raise SimulationError(
-                f"{orbit.label} expects {expected:.3g} events, more than a Poisson draw "
-                f"accepts ({POISSON_MEAN_MAX:.3g}); lower the rates"
-            )
-    root = np.random.SeedSequence(config.seed)
-    children = root.spawn(len(config.orbits))
-    records = [
-        run_orbit(config, i, np.random.default_rng(children[i]))
-        for i in range(len(config.orbits))
-    ]
+    children = np.random.SeedSequence(config.seed).spawn(len(config.orbits))
+    rngs = [np.random.default_rng(child) for child in children]
+    return _aggregate(config, _run_orbits(config, range(len(config.orbits)), rngs))
 
+
+def _aggregate(config: CampaignConfig, records: Sequence[OrbitRecord]) -> CampaignResult:
+    """The campaign result of the pass records, in orbit order."""
     counts = np.array([rec.counts for rec in records])  # [orbit, outcome, port]
     states = np.array([rec.state_label for rec in records])
     per_state: dict[str, StateSummary] = {}

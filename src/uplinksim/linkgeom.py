@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,13 +28,71 @@ GM_EARTH_KM3_S2 = 398600.4418
 ROTATION_AXIS = (PAULI_X + PAULI_Y) / np.sqrt(2.0)
 
 
+class PassTable(NamedTuple):
+    """Passes that share altitude, tracking limit and Earth radius: the
+    shared scalars, then beta_min (rad) and the half duration (s, from
+    culmination to the tracking limit) of each pass as arrays."""
+
+    orbit_altitude_km: float
+    earth_radius_km: float
+    orbital_rate: float  # two-body angular rate in rad/s
+    radius_ratio: float
+    min_central_angle: np.ndarray
+    half_duration_s: np.ndarray
+
+
+def central_angle(radius_ratio: float, elevation_deg):
+    """Ground-to-satellite central angle (rad) at the given elevation(s)."""
+    eps = np.deg2rad(elevation_deg)
+    return np.arccos(radius_ratio * np.cos(eps)) - eps
+
+
+def pass_table(
+    orbit_altitude_km: float, min_elevation_deg: float, max_elevations_deg: Sequence[float],
+    earth_radius_km: float = EARTH_RADIUS_KM,
+) -> PassTable:
+    """The passes with the given culmination elevations (degrees), in one
+    ufunc chain over all of them.  The first pass that gives none raises
+    the error that building its `PassGeometry` alone raises.
+    """
+    if orbit_altitude_km <= 0:
+        raise ValueError("orbit altitude must be positive")
+    max_el = np.asarray(max_elevations_deg, dtype=float)
+    r = earth_radius_km + orbit_altitude_km
+    # a product, not r**3: a float power raises OverflowError for huge r,
+    # while the product goes to inf and the rate to 0
+    rate = float(np.sqrt(GM_EARTH_KM3_S2 / (r * r * r)))
+    ratio = earth_radius_km / r
+    with np.errstate(all="ignore"):  # only a pass rejected below can warn here
+        beta_min = central_angle(ratio, max_el)
+        cos_ratio = np.cos(central_angle(ratio, min_elevation_deg)) / np.cos(beta_min)
+        half = np.arccos(np.clip(cos_ratio, -1.0, 1.0)) / rate
+    # An altitude can be positive and finite and still leave no pass: too
+    # high, the orbital rate underflows to 0; too low, the pass rounds to 0 s.
+    ordered = (0.0 < min_elevation_deg) & (min_elevation_deg < max_el) & (max_el <= 90.0)
+    moving = 0.0 < rate < np.inf
+    for i in np.flatnonzero(~(ordered & moving & (half > 0.0)))[:1]:
+        if not ordered[i]:
+            raise ValueError("need 0 < min_elevation < max_elevation <= 90 degrees")
+        if not moving:
+            raise ValueError(
+                f"orbit_altitude_km = {orbit_altitude_km:g} gives no finite, positive orbital rate"
+            )
+        raise ValueError(
+            f"orbit_altitude_km = {orbit_altitude_km:g} gives a pass of 0 s "
+            f"between {min_elevation_deg:g} and {max_el[i]:g} degrees"
+        )
+    return PassTable(orbit_altitude_km, earth_radius_km, rate, ratio, beta_min, half)
+
+
 @dataclass(frozen=True)
 class PassGeometry:
     """One overhead pass of a circular-orbit satellite.
 
     Elevations in degrees; `min_elevation` is where tracking starts and
     stops ("t" arguments everywhere are seconds relative to culmination).
-    The pass scalars are computed once per instance.
+    The pass is checked and its scalars computed once per instance, as the
+    one-pass `PassTable` in `table`.
     """
 
     orbit_altitude_km: float = 500.0
@@ -43,54 +101,25 @@ class PassGeometry:
     earth_radius_km: float = EARTH_RADIUS_KM
 
     def __post_init__(self):
-        if self.orbit_altitude_km <= 0:
-            raise ValueError("orbit altitude must be positive")
-        if not 0.0 < self.min_elevation_deg < self.max_elevation_deg <= 90.0:
-            raise ValueError("need 0 < min_elevation < max_elevation <= 90 degrees")
-        # An altitude can be positive and finite and still leave no pass:
-        # too high, the orbital rate underflows to 0; too low, the pass
-        # rounds to 0 s.
-        if not 0.0 < self.orbital_rate < np.inf:
-            raise ValueError(
-                f"orbit_altitude_km = {self.orbit_altitude_km:g} gives no finite, "
-                "positive orbital rate"
-            )
-        if not self.half_duration_s() > 0.0:
-            raise ValueError(
-                f"orbit_altitude_km = {self.orbit_altitude_km:g} gives a pass of 0 s "
-                f"between {self.min_elevation_deg:g} and {self.max_elevation_deg:g} degrees"
-            )
+        args = (self.orbit_altitude_km, self.min_elevation_deg, (self.max_elevation_deg,))
+        object.__setattr__(self, "table", pass_table(*args, self.earth_radius_km))
 
-    @cached_property
+    @property
     def orbital_rate(self) -> float:
         """Two-body angular rate in rad/s."""
-        r = self.earth_radius_km + self.orbit_altitude_km
-        # a product, not r**3: a float power raises OverflowError for huge r,
-        # while the product goes to inf and the rate to 0
-        return float(np.sqrt(GM_EARTH_KM3_S2 / (r * r * r)))
+        return self.table.orbital_rate
 
     @property
     def radius_ratio(self) -> float:
-        return self.earth_radius_km / (self.earth_radius_km + self.orbit_altitude_km)
+        return self.table.radius_ratio
 
-    def central_angle(self, elevation_deg: float) -> float:
-        """Ground-to-satellite central angle (rad) at a given elevation."""
-        eps = np.deg2rad(elevation_deg)
-        return float(np.arccos(self.radius_ratio * np.cos(eps)) - eps)
-
-    @cached_property
+    @property
     def min_central_angle(self) -> float:
-        return self.central_angle(self.max_elevation_deg)
-
-    @cached_property
-    def _half_duration_s(self) -> float:
-        beta_edge = self.central_angle(self.min_elevation_deg)
-        ratio = np.cos(beta_edge) / np.cos(self.min_central_angle)
-        return float(np.arccos(np.clip(ratio, -1.0, 1.0)) / self.orbital_rate)
+        return float(self.table.min_central_angle[0])
 
     def half_duration_s(self) -> float:
         """Seconds from culmination to the tracking limit."""
-        return self._half_duration_s
+        return float(self.table.half_duration_s[0])
 
 
 @dataclass(frozen=True)
@@ -170,8 +199,9 @@ def elevation_profile(geometry: PassGeometry, t_s, min_central_angle=None):
     profile is symmetric about t = 0 and peaks at max_elevation.
 
     `min_central_angle` (rad, one value per sample) stands in for the
-    geometry's beta_min, so that one call covers several passes sharing
-    altitude and tracking limit; by default it is the geometry's own.
+    geometry's beta_min, so that one call covers all passes of a
+    `PassTable`, which then stands in for the geometry; by default it is
+    the geometry's own.
     """
     t_s = np.asarray(t_s, dtype=float)
     if min_central_angle is None:
@@ -302,39 +332,30 @@ def polarization_channel_bloch(
 
 
 def loss_profiles(
-    geometries: Sequence[PassGeometry], model: LinkModel, duration_s: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sampled passes that share altitude and tracking limit and differ
-    only in culmination elevation, computed in one pass over the t >= 0
+    table: PassTable, model: LinkModel, duration_s: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sampled passes of `table`, computed in one pass over the t >= 0
     samples of all of them.
 
     Each pass is sampled over a window of `duration_s` centred on its
     culmination at 1 s steps, clipped to its tracking window, inclusive of
-    both endpoints.  Returns (sizes, t_s, elevation_deg, loss_db): the
-    sample count of each pass, then the 1-D sample columns of all passes
-    concatenated in order.
+    both endpoints.  A pass is even in t about culmination (cos wt, cos^2
+    and sin^2 are), so only t >= 0 is evaluated.  Returns (sizes, t_s,
+    index, elevation_deg, loss_db): the sample count of each pass, the t_s
+    column of all passes in order, and the row of each of those samples in
+    elevation_deg and loss_db, the t >= 0 columns.
     """
     if not duration_s > 0:  # inf is the full pass; NaN fails
         raise ValueError("duration must be positive")
-    if not geometries:
-        raise ValueError("need at least one pass")
-    if len({(g.orbit_altitude_km, g.min_elevation_deg, g.earth_radius_km) for g in geometries}) > 1:
-        raise ValueError("passes must share altitude, tracking limit and Earth radius")
-    shared = geometries[0]
-    halves = np.array(
-        [int(np.floor(min(duration_s / 2.0, g.half_duration_s()))) for g in geometries]
-    )
-    sizes = 2 * halves + 1
-    # A pass is even in t about culmination (cos wt, cos^2 and sin^2 are),
-    # so only t >= 0 is evaluated and t < 0 is gathered from |t|.
-    half_t = np.concatenate([np.arange(n + 1, dtype=float) for n in halves])
-    beta_min = np.repeat([g.min_central_angle for g in geometries], halves + 1)
-    elev = elevation_profile(shared, half_t, beta_min)
-    loss = link_loss_db(elev, half_t, shared, model, beta_min)
-    times = np.concatenate([np.arange(-n, n + 1, dtype=float) for n in halves])
-    start = np.repeat(np.cumsum(halves + 1) - (halves + 1), sizes)
-    index = start + np.abs(times).astype(np.intp)
-    return sizes, times, elev[index], loss[index]
+    halves = np.floor(np.minimum(duration_s / 2.0, table.half_duration_s)).astype(np.intp)
+    counts, sizes = halves + 1, 2 * halves + 1
+    starts = np.cumsum(counts) - counts
+    half_t = (np.arange(counts.sum()) - np.repeat(starts, counts)).astype(float)
+    beta_min = np.repeat(table.min_central_angle, counts)
+    elev = elevation_profile(table, half_t, beta_min)
+    loss = link_loss_db(elev, half_t, table, model, beta_min)
+    times = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - counts, sizes)
+    return sizes, times.astype(float), np.repeat(starts, sizes) + np.abs(times), elev, loss
 
 
 def loss_profile(geometry: PassGeometry, model: LinkModel, duration_s: float) -> np.ndarray:
@@ -342,5 +363,6 @@ def loss_profile(geometry: PassGeometry, model: LinkModel, duration_s: float) ->
     (t_s, elevation_deg, range_km, loss_db) per sample: the one-pass view
     of `loss_profiles`.
     """
-    _, times, elev, loss = loss_profiles((geometry,), model, duration_s)
-    return np.column_stack((times, elev, slant_range(elev, geometry), loss))
+    _, times, index, elev, loss = loss_profiles(geometry.table, model, duration_s)
+    elev = elev[index]
+    return np.column_stack((times, elev, slant_range(elev, geometry), loss[index]))

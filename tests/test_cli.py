@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -25,6 +26,7 @@ from uplinksim.experiment import (
     default_config,
     error_budget,
 )
+from uplinksim.linkgeom import PassGeometry
 
 # Every file key of every model section, and every calibration target.
 SCHEMA_KEYS = [(section, key) for section, keys in SCHEMA.items() for key in keys] + [
@@ -203,6 +205,42 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("configuration error:") and field in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"orbit_altitude_km": 0.0},
+            {"orbit_altitude_km": -1.0},
+            {"orbit_altitude_km": float("nan")},
+            {"orbit_altitude_km": 1e-12},
+            {"orbit_altitude_km": 1e300},
+            {"max_elevations_deg": [76.0, 60.0, 45.0, 30.0, 20.0, 14.5, 25.0], "orbits": 7},
+            {"max_elevations_deg": [76.0, 60.0, 45.0, 30.0, 20.0, 90.5, 25.0], "orbits": 7},
+        ],
+        ids=["altitude 0", "altitude -1", "altitude nan", "altitude 1e-12", "altitude 1e300",
+             "culmination at the tracking limit", "culmination above 90"],
+    )
+    def test_passless_campaign_exits_2_with_one_line(self, tmp_path, capsys, values):
+        payload = default_config_dict()
+        payload["campaign"].update(values)
+        path = tmp_path / "passless.json"
+        path.write_text(json.dumps(payload))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        altitude = values.get("orbit_altitude_km", 500.0)
+        if not math.isnan(altitude):  # NaN is refused as not finite before any pass is built
+            for e in values.get("max_elevations_deg", [76.0]):
+                try:
+                    PassGeometry(altitude, e, 14.5)
+                except ValueError as expected:
+                    assert err == f"configuration error: {expected}\n"
+                    break
+            else:
+                raise AssertionError("no pass rejected")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

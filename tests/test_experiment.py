@@ -1,5 +1,6 @@
 import itertools
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from uplinksim.experiment import (
     BUDGET_SOURCES,
     CALIBRATED,
     CALIBRATION_BOUNDS,
+    DEFAULT_SEED,
     CalibrationError,
     CalibrationResult,
     CalibrationTargets,
@@ -29,6 +31,7 @@ from uplinksim.experiment import (
     campaign_exposure,
     classical_baseline,
     default_config,
+    default_orbit_plans,
     default_schedule,
     error_budget,
     estimate_fidelity,
@@ -39,6 +42,7 @@ from uplinksim.experiment import (
     orbit_exposure,
     run_campaign,
     run_orbit,
+    with_params,
     STATE_BLOCH,
     STATE_LABELS,
     EventModel,
@@ -218,6 +222,37 @@ def run_orbit_per_event_oracle(
     )
 
 
+def per_orbit_sampler(oracle, calls: list):
+    """A stand-in for `experiment._run_orbits` that draws each pass with
+    `oracle(config, i, rng)` on the generator `run_campaign` gives it, so
+    that the oracle's records meet the campaign's seeding and aggregation;
+    each call's orbit index is appended to `calls`."""
+
+    def run_orbits(config, orbit_indices, rngs):
+        records = []
+        for i, rng in zip(orbit_indices, rngs):
+            calls.append(i)
+            records.append(oracle(config, i, rng))
+        return records
+
+    return run_orbits
+
+
+class NoDraws:
+    """A generator stand-in that fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"generator method {name!r} used")
+
+
+def scaled_rate(factor: float) -> CampaignConfig:
+    """The calibrated campaign at `factor` times the fourfold rate."""
+    base = default_config()
+    return replace(
+        base, source=replace(base.source, fourfold_ground_rate=base.source.fourfold_ground_rate * factor)
+    )
+
+
 def dense_config(**overrides) -> CampaignConfig:
     """Ten times the calibrated fourfold rate, with 0.05 rad polarization
     jitter: about 9k events over the campaign."""
@@ -252,11 +287,9 @@ def per_orbit_analytic_fidelities(config: CampaignConfig) -> dict[str, float]:
     correct-port probability read off its event model."""
     signal = dict.fromkeys(STATE_LABELS, 0.0)
     accidental = dict.fromkeys(STATE_LABELS, 0.0)
-    for (n_signal, n_accidental), label in zip(
-        experiment._expected_counts(config), config.input_schedule
-    ):
-        signal[label] += n_signal
-        accidental[label] += n_accidental
+    for orbit, label in zip(config.orbits, config.input_schedule):
+        signal[label] += expected_signal_count(config, orbit)
+        accidental[label] += expected_accidental_count(config, orbit)
     d = config.source.double_pair_fraction
     fidelities = {}
     for label in STATE_LABELS:
@@ -365,13 +398,7 @@ class TestExposure:
         with pytest.raises(ValueError):
             exposure.transmittance[0] = 1.0
 
-    def test_calibration_and_budget_run_one_loss_pass(self):
-        experiment._exposure.cache_clear()
-        result = calibrate()
-        error_budget(result.apply(default_config()))
-        assert experiment._exposure.cache_info().misses == 1
-
-    def test_calibration_and_budget_build_each_pass_once(self, monkeypatch):
+    def test_calibration_and_budget_build_one_pass_table_and_loss_pass(self, monkeypatch):
         built = []
         post_init = PassGeometry.__post_init__
 
@@ -380,24 +407,112 @@ class TestExposure:
             post_init(self)
 
         monkeypatch.setattr(PassGeometry, "__post_init__", counted)
-        for cache in (experiment._pass_geometry, experiment._campaign_passes, experiment._exposure):
+        for cache in (experiment._pass_table, experiment._exposure):
             cache.cache_clear()
         result = calibrate()
         error_budget(result.apply(default_config()))
-        # one pass build per orbit, the 76 degree reference of the channel
-        # fit being orbit 1's pass and its one lookup past the campaign table
-        assert experiment._pass_geometry.cache_info().misses == 32
-        assert experiment._pass_geometry.cache_info().hits == 1
-        assert experiment._campaign_passes.cache_info().misses == 1
-        assert len(built) == 32
+        assert experiment._pass_table.cache_info().misses == 1
+        assert experiment._exposure.cache_info().misses == 1
+        # the 76 degree reference of the channel fit is the one pass built alone
+        assert [g.max_elevation_deg for g in built] == [76.0]
 
-    def test_simulate_runs_one_loss_pass(self, tmp_path):
-        experiment._exposure.cache_clear()
+    def test_simulate_builds_one_pass_table_and_loss_pass(self, tmp_path):
+        for cache in (experiment._pass_table, experiment._exposure):
+            cache.cache_clear()
         assert main(["simulate", "--seed", "7", "--out", str(tmp_path)]) == 0
+        assert experiment._pass_table.cache_info().misses == 1
         assert experiment._exposure.cache_info().misses == 1
 
 
+def calibrated_oracle(seed: int = DEFAULT_SEED, **overrides) -> CampaignConfig:
+    """Oracle for `default_config`: the bare campaign, `CALIBRATED` set by
+    `with_params`, then `overrides` by `replace`, three configs built."""
+    bare = CampaignConfig(
+        orbits=default_orbit_plans(), input_schedule=default_schedule(), seed=seed
+    )
+    return replace(with_params(bare, CALIBRATED), **overrides)
+
+
+DEFAULT_OVERRIDES = {
+    "none": {},
+    "duration": {"orbit_duration_s": 123.4},
+    "passes": {"orbit_altitude_km": 800.0, "min_elevation_deg": 10.0},
+    "link": {"link": LinkModel()},
+    "source": {"source": SourceModel(double_pair_fraction=0.3)},
+    "noise": {
+        "resource_fidelity": 0.9,
+        "bsm": BsmModel(mode_overlap=0.8),
+        "polarization": PolarizationNoise(delta_rad=0.1, jitter_sigma_rad=0.05),
+    },
+    "detection": {"detection": DetectionModel(background_rate_hz=10.0)},
+    "orbits": {
+        "orbits": tuple(OrbitPlan(f"pass-{i}", 30.0 + 5.0 * i) for i in range(7)),
+        "input_schedule": default_schedule(7),
+    },
+}
+
+
 class TestConfig:
+    def test_default_config_builds_one_config(self, monkeypatch):
+        built = []
+        post_init = CampaignConfig.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(CampaignConfig, "__post_init__", counted)
+        default_config()
+        assert len(built) == 1
+        default_config(3, orbit_duration_s=100.0, link=LinkModel())
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("seed", [0, 7, DEFAULT_SEED, 2**63])
+    @pytest.mark.parametrize("name", DEFAULT_OVERRIDES)
+    def test_default_config_matches_with_params_oracle(self, seed, name):
+        overrides = DEFAULT_OVERRIDES[name]
+        assert default_config(seed, **overrides) == calibrated_oracle(seed, **overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            ({"orbit_duration_s": 0.0}, ValueError),
+            ({"resource_fidelity": 0.1}, ValueError),
+            ({"orbit_altitude_km": 1e300}, ValueError),
+            ({"bogus": 1.0}, TypeError),
+        ],
+    )
+    def test_default_config_rejects_as_oracle(self, overrides, error):
+        with pytest.raises(error) as expected:
+            calibrated_oracle(**overrides)
+        with pytest.raises(error) as got:
+            default_config(**overrides)
+        if error is ValueError:
+            assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "altitude, culminations",
+        [
+            (0.0, (76.0, 60.0, 45.0, 30.0, 20.0, 15.0)),
+            (1e-12, (76.0, 60.0, 45.0, 30.0, 20.0, 15.0)),
+            (1e300, (76.0, 60.0, 45.0, 30.0, 20.0, 15.0)),
+            (500.0, (76.0, 60.0, 45.0, 14.5, 20.0, 15.0)),
+            (500.0, (76.0, 60.0, 45.0, 30.0, 90.5, 15.0)),
+        ],
+    )
+    def test_campaign_rejects_what_its_first_bad_pass_rejects(self, altitude, culminations):
+        expected = None
+        for e in culminations:
+            try:
+                PassGeometry(altitude, e, 14.5)
+            except ValueError as err:
+                expected = str(err)
+                break
+        assert expected is not None
+        with pytest.raises(ValueError) as info:
+            campaign_of(*culminations, orbit_altitude_km=altitude)
+        assert str(info.value) == expected
+
     def test_default_is_valid_and_covers_states(self):
         cfg = default_config()
         assert len(cfg.orbits) == 32
@@ -568,7 +683,10 @@ class TestRunCampaign:
         # Per-event angle draws (the oracle sampler, run through the
         # campaign's seeding and aggregation) against the jitter-averaged
         # rotation channel of the analytic tier.
-        monkeypatch.setattr(experiment, "run_orbit", run_orbit_per_event_jitter)
+        calls = []
+        monkeypatch.setattr(
+            experiment, "_run_orbits", per_orbit_sampler(run_orbit_per_event_jitter, calls)
+        )
         cfg = default_config(
             source=SourceModel(
                 double_pair_fraction=0.12, fourfold_ground_rate=8210.0 * 50
@@ -578,6 +696,7 @@ class TestRunCampaign:
             ),
         )
         res = run_campaign(cfg)
+        assert calls == list(range(len(cfg.orbits)))
         expected = analytic_fidelities(cfg)
         for label, summary in res.per_state.items():
             assert summary.sigma < 0.01  # enough statistics to be stringent
@@ -603,19 +722,49 @@ class TestRunCampaign:
         if block is not None:
             monkeypatch.setattr(experiment, "_DRAW_BLOCK", block)
         blocked = run_campaign(config).to_json()
-        monkeypatch.setattr(experiment, "run_orbit", run_orbit_per_event_oracle)
+        calls = []
+        monkeypatch.setattr(
+            experiment, "_run_orbits", per_orbit_sampler(run_orbit_per_event_oracle, calls)
+        )
         assert run_campaign(config).to_json() == blocked
+        assert calls == list(range(len(config.orbits)))
 
     def test_undrawable_event_count_raises_before_any_draw(self, monkeypatch):
-        def no_draw(*args):
-            raise AssertionError("run_orbit was called")
+        built = []
 
-        monkeypatch.setattr(experiment, "run_orbit", no_draw)
+        def default_rng(seed):
+            built.append(seed)
+            return NoDraws()
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
         cfg = default_config(
             source=SourceModel(double_pair_fraction=0.12, fourfold_ground_rate=1e30)
         )
         with pytest.raises(SimulationError, match="orbit-01 expects"):
             run_campaign(cfg)
+        assert len(built) == len(cfg.orbits)  # every generator built, none drew
+        with pytest.raises(SimulationError, match="orbit-04 expects"):
+            run_orbit(cfg, 3, NoDraws())
+
+    def test_draw_memory_is_bounded_by_the_block(self, monkeypatch):
+        # About 9e4 and 9e5 events, in blocks of 4096 rows that cross pass
+        # boundaries (a pass holds about 2800 events at x100).
+        block = 4096
+        monkeypatch.setattr(experiment, "_DRAW_BLOCK", block)
+        peaks = []
+        for factor in (100, 1000):
+            config = scaled_rate(factor)
+            run_campaign(config)  # fills the exposure and event-model caches
+            tracemalloc.start()
+            try:
+                result = run_campaign(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert result.total_fourfolds > 900 * factor
+        row_bytes = 8 * block  # one float64 column of a block
+        assert peaks[0] < 16 * row_bytes + 64 * 1024  # the block's arrays and the 32 generators
+        assert peaks[1] - peaks[0] < row_bytes  # ten times the events, no more memory
 
 
 class TestAnalyticPipeline:

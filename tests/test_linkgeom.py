@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 
 from uplinksim.linkgeom import (
+    EARTH_RADIUS_KM,
+    GM_EARTH_KM3_S2,
     ROTATION_AXIS,
     LinkModel,
     PassGeometry,
     azimuth_rate,
+    central_angle,
     effective_divergence,
     elevation_profile,
     link_loss_db,
     loss_profile,
     loss_profiles,
+    pass_table,
     pointing_jitter_urad,
     polarization_channel,
     polarization_channel_bloch,
@@ -52,6 +56,104 @@ def calibrated_link(slew_k: float = 1.0) -> LinkModel:
     )
 
 
+def scalar_pass(
+    orbit_altitude_km: float, max_elevation_deg: float, min_elevation_deg: float
+) -> tuple[float, float, float, float]:
+    """Oracle for `pass_table`: one pass checked and computed in scalars,
+    as a pass was built on its own before the table.  Returns the orbital
+    rate, the radius ratio, beta_min and the half duration."""
+    if orbit_altitude_km <= 0:
+        raise ValueError("orbit altitude must be positive")
+    if not 0.0 < min_elevation_deg < max_elevation_deg <= 90.0:
+        raise ValueError("need 0 < min_elevation < max_elevation <= 90 degrees")
+    r = EARTH_RADIUS_KM + orbit_altitude_km
+    rate = float(np.sqrt(GM_EARTH_KM3_S2 / (r * r * r)))
+    if not 0.0 < rate < np.inf:
+        raise ValueError(
+            f"orbit_altitude_km = {orbit_altitude_km:g} gives no finite, positive orbital rate"
+        )
+    ratio = EARTH_RADIUS_KM / r
+
+    def angle(elevation_deg):
+        eps = np.deg2rad(elevation_deg)
+        return float(np.arccos(ratio * np.cos(eps)) - eps)
+
+    beta_min = angle(max_elevation_deg)
+    cos_ratio = np.cos(angle(min_elevation_deg)) / np.cos(beta_min)
+    half = float(np.arccos(np.clip(cos_ratio, -1.0, 1.0)) / rate)
+    if not half > 0.0:
+        raise ValueError(
+            f"orbit_altitude_km = {orbit_altitude_km:g} gives a pass of 0 s "
+            f"between {min_elevation_deg:g} and {max_elevation_deg:g} degrees"
+        )
+    return rate, ratio, beta_min, half
+
+
+def first_pass_error(build, orbit_altitude_km, max_elevations_deg, min_elevation_deg=14.5):
+    """The message of the first pass that `build(altitude, culmination,
+    tracking limit)` rejects, building the passes one by one."""
+    for e in max_elevations_deg:
+        try:
+            build(orbit_altitude_km, e, min_elevation_deg)
+        except ValueError as err:
+            return str(err)
+    return None
+
+
+# Campaign passes that give no pass, with the default culminations (76 down
+# to 20 degrees) and the tracking limit of 14.5 degrees unless changed; a
+# bad culmination sits at the sixth pass.
+DEFAULT_CULMINATIONS = tuple(np.linspace(76.0, 20.0, 32).tolist())
+NO_PASS = {
+    "altitude 0": (0.0, DEFAULT_CULMINATIONS),
+    "altitude -1": (-1.0, DEFAULT_CULMINATIONS),
+    "altitude nan": (float("nan"), DEFAULT_CULMINATIONS),
+    "altitude 1e-12 (a 0 s pass)": (1e-12, DEFAULT_CULMINATIONS),
+    "altitude 1e300": (1e300, DEFAULT_CULMINATIONS),
+    "culmination at the tracking limit": (500.0, (*DEFAULT_CULMINATIONS[:5], 14.5)),
+    "culmination above 90": (500.0, (*DEFAULT_CULMINATIONS[:5], 90.5, 30.0)),
+    "culmination above 90 and altitude 1e300": (1e300, (*DEFAULT_CULMINATIONS[:5], 90.5)),
+    "first culmination above 90 and altitude 1e300": (1e300, (90.5, *DEFAULT_CULMINATIONS)),
+    "culmination nan": (500.0, (*DEFAULT_CULMINATIONS[:5], float("nan"))),
+    "culmination inf": (500.0, (*DEFAULT_CULMINATIONS[:5], float("inf"))),
+}
+
+
+class TestPassTable:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scalar_oracle_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            altitude = float(rng.uniform(150.0, 3000.0))
+            min_elevation = float(rng.uniform(0.5, 30.0))
+            culminations = rng.uniform(min_elevation + 1e-6, 90.0, size=rng.integers(1, 40))
+            table = pass_table(altitude, min_elevation, culminations)
+            for k, e in enumerate(culminations.tolist()):
+                rate, ratio, beta_min, half = scalar_pass(altitude, e, min_elevation)
+                assert (table.orbital_rate, table.radius_ratio) == (rate, ratio)
+                assert (table.min_central_angle[k], table.half_duration_s[k]) == (beta_min, half)
+                g = PassGeometry(altitude, e, min_elevation)
+                assert (g.orbital_rate, g.radius_ratio) == (rate, ratio)
+                assert (g.min_central_angle, g.half_duration_s()) == (beta_min, half)
+
+    @pytest.mark.parametrize("name", NO_PASS)
+    def test_rejects_what_each_pass_rejects(self, name):
+        altitude, culminations = NO_PASS[name]
+        expected = first_pass_error(PassGeometry, altitude, culminations)
+        assert expected is not None
+        assert first_pass_error(scalar_pass, altitude, culminations) == expected
+        with pytest.raises(ValueError) as info:
+            pass_table(altitude, 14.5, culminations)
+        assert str(info.value) == expected
+
+    def test_tracking_limit_edges_rejected(self):
+        for limit in (0.0, -1.0, float("nan"), 80.0):
+            expected = first_pass_error(scalar_pass, 500.0, DEFAULT_CULMINATIONS, limit)
+            with pytest.raises(ValueError) as info:
+                pass_table(500.0, limit, DEFAULT_CULMINATIONS)
+            assert str(info.value) == expected
+
+
 class TestSlantRange:
     def test_zenith_equals_altitude(self):
         g = PassGeometry(max_elevation_deg=90.0, min_elevation_deg=10.0)
@@ -70,7 +172,7 @@ class TestSlantRange:
         g = PassGeometry()
         r, rs = g.earth_radius_km, g.earth_radius_km + g.orbit_altitude_km
         for elev in np.linspace(1.0, 90.0, 90):
-            beta = g.central_angle(elev)
+            beta = central_angle(g.radius_ratio, elev)
             oracle = np.sqrt(r**2 + rs**2 - 2 * r * rs * np.cos(beta))
             assert slant_range(elev, g) == pytest.approx(oracle, abs=1e-6)
 
@@ -183,16 +285,20 @@ class TestLinkLoss:
         assert abs(t_min) <= 60.0
         assert abs(t_min) > 1.0  # the bump pushes the minimum off culmination
 
-    def test_batched_profiles_need_shared_passes(self):
+    def test_batched_profiles_need_a_positive_duration(self):
         m = calibrated_link()
-        with pytest.raises(ValueError, match="at least one pass"):
-            loss_profiles((), m, 350.0)
-        mixed = (PassGeometry(), PassGeometry(orbit_altitude_km=600.0))
-        with pytest.raises(ValueError, match="share altitude"):
-            loss_profiles(mixed, m, 350.0)
-        for duration in (0.0, np.nan):
+        table = pass_table(500.0, 14.5, (76.0, 40.0))
+        for duration in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError, match="duration must be positive"):
-                loss_profiles((PassGeometry(),), m, duration)
+                loss_profiles(table, m, duration)
+        # the full passes, each evaluated at t >= 0 and mirrored about culmination
+        sizes, times, index, elev, loss = loss_profiles(table, m, np.inf)
+        halves = [int(h) for h in table.half_duration_s]
+        assert sizes.tolist() == [2 * h + 1 for h in halves]
+        assert len(elev) == len(loss) == sum(h + 1 for h in halves)
+        first = elev[index[: sizes[0]]]
+        assert np.array_equal(times[: sizes[0]], np.arange(-halves[0], halves[0] + 1))
+        assert np.array_equal(first, first[::-1])
 
     def test_culmination_bump_from_slew_degradation(self):
         g = PassGeometry()
