@@ -205,7 +205,6 @@ def with_params(config: CampaignConfig, params: Mapping[str, float]) -> Campaign
 DEFAULT_SEED = 20160839
 
 
-@functools.lru_cache(maxsize=16)  # immutable plans, built once per campaign length
 def default_orbit_plans(n_orbits: int = 32) -> tuple[OrbitPlan, ...]:
     """Campaign passes with culminations evenly covering 76 down to 20
     degrees (per-pass elevations were not published; the span was)."""
@@ -464,7 +463,7 @@ def analytic_mean_fidelity(config: CampaignConfig) -> float:
 POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
 # Events drawn and classified at once, across pass boundaries; bounds memory, not the stream.
-_DRAW_BLOCK = 1 << 16
+_DRAW_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -640,11 +639,8 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     aggregate raw counts into per-state fidelities."""
     children = np.random.SeedSequence(config.seed).spawn(len(config.orbits))
     rngs = [np.random.default_rng(child) for child in children]
-    return _aggregate(config, _run_orbits(config, range(len(config.orbits)), rngs))
+    records = _run_orbits(config, range(len(config.orbits)), rngs)
 
-
-def _aggregate(config: CampaignConfig, records: Sequence[OrbitRecord]) -> CampaignResult:
-    """The campaign result of the pass records, in orbit order."""
     counts = np.array([rec.counts for rec in records])  # [orbit, outcome, port]
     states = np.array([rec.state_label for rec in records])
     per_state: dict[str, StateSummary] = {}

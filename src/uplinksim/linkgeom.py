@@ -82,6 +82,7 @@ def pass_table(
             f"orbit_altitude_km = {orbit_altitude_km:g} gives a pass of 0 s "
             f"between {min_elevation_deg:g} and {max_el[i]:g} degrees"
         )
+    beta_min.flags.writeable = half.flags.writeable = False  # shared by every cache hit
     return PassTable(orbit_altitude_km, earth_radius_km, rate, ratio, beta_min, half)
 
 
@@ -347,6 +348,8 @@ def loss_profiles(
     """
     if not duration_s > 0:  # inf is the full pass; NaN fails
         raise ValueError("duration must be positive")
+    if not len(table.half_duration_s):
+        raise ValueError("need at least one pass")
     halves = np.floor(np.minimum(duration_s / 2.0, table.half_duration_s)).astype(np.intp)
     counts, sizes = halves + 1, 2 * halves + 1
     starts = np.cumsum(counts) - counts

@@ -394,9 +394,14 @@ class TestExposure:
             assert len(sizes) == len(config.orbits)
 
     def test_transmittance_is_read_only(self):
-        exposure = campaign_exposure(default_config())[0]
+        config = default_config()
+        exposure = campaign_exposure(config)[0]
         with pytest.raises(ValueError):
             exposure.transmittance[0] = 1.0
+        table = experiment._pass_table(*config._pass_key)  # shared by every cache hit too
+        for column in (table.min_central_angle, table.half_duration_s):
+            with pytest.raises(ValueError):
+                column[0] = 1.0
 
     def test_calibration_and_budget_build_one_pass_table_and_loss_pass(self, monkeypatch):
         built = []

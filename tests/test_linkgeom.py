@@ -285,8 +285,12 @@ class TestLinkLoss:
         assert abs(t_min) <= 60.0
         assert abs(t_min) > 1.0  # the bump pushes the minimum off culmination
 
-    def test_batched_profiles_need_a_positive_duration(self):
+    def test_batched_profiles_need_passes_and_a_positive_duration(self):
+        # A `PassTable` cannot mix altitudes, so only the empty table and
+        # the duration remain to reject.
         m = calibrated_link()
+        with pytest.raises(ValueError, match="at least one pass"):
+            loss_profiles(pass_table(500.0, 14.5, ()), m, 350.0)
         table = pass_table(500.0, 14.5, (76.0, 40.0))
         for duration in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError, match="duration must be positive"):
