@@ -8,12 +8,10 @@ timing jitter between the streams is lumped into the satellite tags.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from pathlib import Path
 
 import numpy as np
 
@@ -89,30 +87,6 @@ class TimeTagStream:
     def channel(self, channel_id: int) -> np.ndarray:
         return self.times_ps[self.channels == channel_id]
 
-    def dump(self, path: str | Path) -> None:
-        """Write the line-oriented text format `channel,time_ps`."""
-        lines = np.char.add(self.channels.astype(str), ",")
-        lines = np.char.add(np.char.add(lines, self.times_ps.astype(str)), "\n")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("".join(lines.tolist()))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TimeTagStream":
-        """Read the `dump` format; tags come back in stable time order."""
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-        if not text.strip():
-            return cls([], [])
-        rows = np.loadtxt(
-            io.StringIO(text),
-            delimiter=",",
-            dtype=[("channel", np.int16), ("time_ps", np.int64)],
-            comments=None,
-            ndmin=1,
-        )
-        order = np.argsort(rows["time_ps"], kind="stable")
-        return cls(rows["time_ps"][order], rows["channel"][order])
-
 
 def sync_pulse_times_ps(config: SyncConfig, duration_s: float) -> np.ndarray:
     """Emission grid of the synchronization laser over a pass."""
@@ -121,30 +95,6 @@ def sync_pulse_times_ps(config: SyncConfig, duration_s: float) -> np.ndarray:
     period_ps = 1e12 / config.sync_rate_hz
     n = int(np.floor(duration_s * config.sync_rate_hz))
     return np.arange(n) * period_ps
-
-
-def _merge_sorted(
-    events: np.ndarray, event_channel: int, background: np.ndarray, background_channel: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Time-ordered union of two unsorted tag sets; on equal times the
-    event tags come first.
-
-    Both inputs hold integer values within int64, in any numeric dtype, and
-    are sorted in place; the background is cast once, straight into the
-    merged times.
-    """
-    events.sort()
-    background.sort()
-    at = np.searchsorted(background, events, "left")
-    at += np.arange(events.size)
-    times = np.empty(events.size + background.size, dtype=np.int64)
-    channels = np.full(times.size, background_channel, dtype=np.int16)
-    channels[at] = event_channel
-    is_background = np.ones(times.size, dtype=bool)
-    is_background[at] = False
-    times[is_background] = background
-    times[at] = events
-    return times, channels
 
 
 def _event_tags(times: np.ndarray) -> np.ndarray:
@@ -156,11 +106,41 @@ def _event_tags(times: np.ndarray) -> np.ndarray:
     return times
 
 
-def _background_tags(rate_hz: float, duration_s: float, rng: np.random.Generator) -> np.ndarray:
-    """Poisson number of uniform tags over the span, rounded in place."""
+def _tag_stream(
+    events: np.ndarray,
+    event_channel: int,
+    rate_hz: float,
+    duration_s: float,
+    rng: np.random.Generator,
+    background_channel: int,
+) -> TimeTagStream:
+    """The rounded event tags plus a Poisson number of uniform background
+    tags over the span, built in the stream's own int64 buffer; on equal
+    times the event tags come first.
+
+    The background is drawn into the float64 view of that buffer: `random`
+    times the span is `uniform(0, span)` bit for bit.  Rounding is
+    monotone, so sorting the rounded floats orders them as their int64
+    values, and one in-place cast turns the sorted floats into the times.
+    """
     n = rng.poisson(rate_hz * duration_s)
-    times = rng.uniform(0.0, duration_s * 1e12, size=n)
-    return np.rint(times, out=times)
+    times = np.empty(n + events.size, dtype=np.int64)
+    buf = times.view(np.float64)
+    background = rng.random(out=buf[:n])
+    background *= duration_s * 1e12
+    np.rint(background, out=background)
+    buf[n:] = events
+    buf.sort()
+    # copyto casts element by element in place; np.rint(buf, out=times)
+    # would first copy the whole buffer, as its input overlaps its output.
+    np.copyto(times, buf, casting="unsafe")
+    # Event i of the sorted events sits after every smaller tag and after
+    # the events before it, which precede any equal background tag.
+    ev = np.sort(events).astype(np.int64)
+    at = np.searchsorted(times, ev) + (np.arange(ev.size) - np.searchsorted(ev, ev))
+    channels = np.full(times.size, background_channel, dtype=np.int16)
+    channels[at] = event_channel
+    return TimeTagStream(times, channels)
 
 
 def generate_streams(
@@ -198,13 +178,8 @@ def generate_streams(
         sat_times += rng.normal(0.0, jitter_sigma_ps, size=events.size)
     sat_events = _event_tags(sat_times)
 
-    # Rounding is monotone, so sorting the rounded floats orders them as
-    # their int64 values.  The ground stream is built, and its background
-    # freed, before the satellite background is drawn.
     ground, satellite = (
-        TimeTagStream(*_merge_sorted(
-            tags, event_channel, _background_tags(rate, duration_s, rng), background_channel
-        ))
+        _tag_stream(tags, event_channel, rate, duration_s, rng, background_channel)
         for tags, rate in zip((ground_events, sat_events), rates)
     )
     return ground, satellite
@@ -246,9 +221,10 @@ def fit_clock(ground_sync_ps, satellite_sync_ps) -> ClockFit:
         raise ValueError("clock fit is unrecoverable when all ground sync times are equal")
     g_mean = g.mean()
     s_mean = s.mean()
-    # A ufunc casts each pulse to float as astype did, so the pulses stand
-    # in for s from here on, and s holds the centred satellite times.
-    sc = np.subtract(pulses, s_mean, out=s)
+    # s is the per-element cast of the pulses, so it is centred in place
+    # and the pulses stand in for the uncentred satellite times below.
+    s -= s_mean
+    sc = s
     gc = g - g_mean
     slope = float(gc @ sc / (gc @ gc))
     offset = s_mean - slope * g_mean

@@ -76,22 +76,44 @@ def greedy_match_oracle(ground, satellite, clock, window_ps):
     )
 
 
+def background_tags_oracle(rate_hz, duration_s, rng):
+    """Reference background: a Poisson number of `rng.uniform` tags over
+    the span, rounded to integer ps."""
+    n = rng.poisson(rate_hz * duration_s)
+    times = rng.uniform(0.0, duration_s * 1e12, size=n)
+    return np.rint(times, out=times)
+
+
 def merge_sorted_oracle(events, event_channel, background, background_channel):
-    """Reference merge: concatenate events then background, stable argsort."""
-    all_t = np.concatenate([np.asarray(events, dtype=np.int64), np.asarray(background, dtype=np.int64)])
-    all_c = np.concatenate(
-        [np.full(len(events), event_channel, dtype=np.int16),
-         np.full(len(background), background_channel, dtype=np.int16)]
-    )
-    order = np.argsort(all_t, kind="stable")
-    return all_t[order], all_c[order]
+    """Reference merge of two unsorted tag sets: both sorted, the events
+    inserted at `searchsorted(background, events) + arange`, so that they
+    come first on equal times, and the background scattered around them."""
+    events.sort()
+    background.sort()
+    at = np.searchsorted(background, events, "left")
+    at += np.arange(events.size)
+    times = np.empty(events.size + background.size, dtype=np.int64)
+    channels = np.full(times.size, background_channel, dtype=np.int16)
+    channels[at] = event_channel
+    is_background = np.ones(times.size, dtype=bool)
+    is_background[at] = False
+    times[is_background] = background
+    times[at] = events
+    return times, channels
 
 
-def write_lines_oracle(stream, path):
-    """Reference writer of the `channel,time_ps` format, one line at a time."""
-    with open(path, "w", encoding="ascii") as fh:
-        for ch, t in zip(stream.channels, stream.times_ps):
-            fh.write(f"{int(ch)},{int(t)}\n")
+def tag_stream_oracle(events, event_channel, rate_hz, duration_s, rng, background_channel):
+    """Reference stream builder, with the draws of `timesync._tag_stream`:
+    the background drawn into its own array, then merged with the events."""
+    background = background_tags_oracle(rate_hz, duration_s, rng)
+    return TimeTagStream(*merge_sorted_oracle(events, event_channel, background, background_channel))
+
+
+def owns_its_buffer(array: np.ndarray) -> bool:
+    """True when the array's memory is a buffer of exactly its own bytes:
+    its own, or that of the one array it is a reshaped view of."""
+    owner = array if array.base is None else array.base
+    return owner.flags.owndata and owner.nbytes == array.nbytes
 
 
 def tags_chain(seed):
@@ -189,8 +211,9 @@ class TestTagChain:
         assert (match.n_ground_unmatched, match.n_satellite_unmatched) == pinned["unmatched"]
 
     def test_generate_streams_peak_allocation(self):
-        # Drawn background, merged times and channels, and a byte mask:
-        # no int64 copy of the background and no sorted copy.
+        # Each stream's times and channels, with its background drawn,
+        # sorted and cast in the times' own buffer, plus the stream's order
+        # check of one byte per tag: no background copy and no mask.
         clock = ClockModel(offset_ps=1_234_567.0, drift_ppm=3.2)
         pairs = np.linspace(1e9, 29e12, 8)
         rng = np.random.default_rng(5)
@@ -199,7 +222,7 @@ class TestTagChain:
         )
         returned = sum(s.times_ps.nbytes + s.channels.nbytes for s in streams)
         assert len(streams[0]) > 480_000
-        assert peak <= 2.2 * returned, peak / returned
+        assert peak <= 1.2 * returned, peak / returned
 
     def test_stream_order_check_allocates_one_byte_per_tag(self):
         times = np.arange(500_000, dtype=np.int64) * 60_000_000
@@ -285,52 +308,6 @@ class TestTypes:
         window_ps = experiment.DetectionModel().coincidence_window_s * 1e12
         assert window_ps == pytest.approx(3000.0)
         assert window_ps >= 6 * SyncConfig().detector_jitter_sigma_ps
-
-    def test_dump_load_roundtrip(self, tmp_path):
-        stream = TimeTagStream([5, 17, 17, 400], [1, 0, 2, 1])
-        path = tmp_path / "tags.txt"
-        stream.dump(path)
-        back = TimeTagStream.load(path)
-        np.testing.assert_array_equal(back.times_ps, stream.times_ps)
-        np.testing.assert_array_equal(back.channels, stream.channels)
-
-    def test_dump_load_roundtrip_large_with_ties(self, tmp_path):
-        rng = np.random.default_rng(31)
-        times = np.sort(rng.integers(-10**6, 3 * 10**14, size=100_000))
-        times[1::7] = times[::7][: times[1::7].size]  # ties across channels
-        times = np.sort(times)
-        channels = rng.integers(-32768, 32768, size=times.size).astype(np.int16)
-        stream = TimeTagStream(times, channels)
-        path, reference = tmp_path / "tags.txt", tmp_path / "reference.txt"
-        stream.dump(path)
-        write_lines_oracle(stream, reference)
-        assert path.read_bytes() == reference.read_bytes()
-        back = TimeTagStream.load(path)
-        np.testing.assert_array_equal(back.times_ps, stream.times_ps)
-        np.testing.assert_array_equal(back.channels, stream.channels)
-
-    def test_load_orders_by_time_stably(self, tmp_path):
-        path = tmp_path / "tags.txt"
-        path.write_text("3,40\n1,17\n\n0,17\n2,5\n1,40\n", encoding="ascii")
-        back = TimeTagStream.load(path)
-        np.testing.assert_array_equal(back.times_ps, [5, 17, 17, 40, 40])
-        np.testing.assert_array_equal(back.channels, [2, 1, 0, 3, 1])
-
-    def test_empty_file_loads_empty_stream_without_warning(self, tmp_path):
-        path = tmp_path / "tags.txt"
-        TimeTagStream([], []).dump(path)
-        assert path.read_bytes() == b""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            back = TimeTagStream.load(path)
-        assert len(back) == 0
-
-    @pytest.mark.parametrize("line", ["1,x", "1", "1,2,3", "40000,5"])
-    def test_malformed_line_rejected(self, tmp_path, line):
-        path = tmp_path / "tags.txt"
-        path.write_text(f"0,1\n{line}\n", encoding="ascii")
-        with pytest.raises(ValueError):
-            TimeTagStream.load(path)
 
 
 class TestGenerateStreams:
@@ -429,33 +406,61 @@ class TestGenerateStreams:
         generate_streams(events, ClockModel(offset_ps=5.5), 10.0, 1e3, 1e3, 4e-3, rng)
         np.testing.assert_array_equal(events, before)
 
-    def test_merge_matches_argsort_oracle(self, monkeypatch):
-        # A 2 ns slice with ~100 tags per stream forces ties between event
-        # and background tags; jitter leaves the satellite events unsorted.
-        kwargs = dict(event_channel=1, background_channel=2)
-        clock = ClockModel(offset_ps=3.0, drift_ppm=50.0)
-        ties = 0
-        for seed in range(5):
-            events = np.random.default_rng(seed).integers(0, 2000, size=40)
-            args = (events, clock, 30.0, 5e10, 5e10, 2e-9)
-            with monkeypatch.context() as patch:
-                patch.setattr(timesync, "_merge_sorted", merge_sorted_oracle)
-                expected = generate_streams(*args, np.random.default_rng(seed), **kwargs)
-            streams = generate_streams(*args, np.random.default_rng(seed), **kwargs)
-            for got, want in zip(streams, expected):
-                np.testing.assert_array_equal(got.times_ps, want.times_ps)
-                np.testing.assert_array_equal(got.channels, want.channels)
-                ties += np.intersect1d(got.channel(1), got.channel(2)).size
-        assert ties > 0
+    # Arguments after the events: clock, jitter sigma, ground and satellite
+    # background rates, duration.  40 events and 100 background tags per
+    # stream on a 200 ps span force ties between event and background tags.
+    TOP = 2.0**63 - 1024.0
+    BUILDER_CASES = {
+        # Unsorted events; jitter leaves the satellite copies unsorted too.
+        "ties": (
+            np.random.default_rng(7).integers(0, 200, size=40),
+            ClockModel(3.0, 50.0), 30.0, 5e11, 5e11, 2e-10,
+        ),
+        "duplicate events": ([700, 700, 300, 700, 300], ClockModel(), 0.0, 5e10, 5e10, 2e-9),
+        "no events": ([], ClockModel(3.0, 50.0), 30.0, 5e10, 5e10, 2e-9),
+        "no background": ([1500, 3, 1999, 700, 700], ClockModel(3.0, 50.0), 30.0, 0.0, 0.0, 2e-9),
+        # The last tag of the span sits at the top of the int64 range.
+        "int64 top": ([TOP, 0.0, TOP], ClockModel(), 0.0, 1e-5, 1e-5, math.nextafter(TOP / 1e12, 0)),
+    }
 
-    def test_merge_puts_event_before_background_on_tie(self):
-        events, background = np.array([10, 5]), np.array([10, 3, 10])
-        times, channels = timesync._merge_sorted(events, 1, background, 2)
-        np.testing.assert_array_equal(times, [3, 5, 10, 10, 10])
-        np.testing.assert_array_equal(channels, [2, 1, 1, 2, 2])
-        want_t, want_c = merge_sorted_oracle(events, 1, background, 2)
-        np.testing.assert_array_equal(times, want_t)
-        np.testing.assert_array_equal(channels, want_c)
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("case", sorted(BUILDER_CASES))
+    def test_builder_matches_merge_oracle(self, monkeypatch, case, seed):
+        events, *args = self.BUILDER_CASES[case]
+        kwargs = dict(event_channel=1, background_channel=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(timesync, "_tag_stream", tag_stream_oracle)
+            expected = generate_streams(events, *args, np.random.default_rng(seed), **kwargs)
+        streams = generate_streams(events, *args, np.random.default_rng(seed), **kwargs)
+        for got, want in zip(streams, expected):
+            np.testing.assert_array_equal(got.times_ps, want.times_ps)
+            np.testing.assert_array_equal(got.channels, want.channels)
+            assert got.times_ps.dtype == np.int64 and got.channels.dtype == np.int16
+            for array in (got.times_ps, got.channels):
+                assert owns_its_buffer(array)
+                assert not array.flags.writeable
+            assert got.channel(1).size == len(events)
+        if case == "int64 top":
+            assert streams[0].times_ps[-1] == 2**63 - 1024
+            assert len(streams[0]) > len(events)
+        if case == "ties":
+            for got in streams:
+                assert np.intersect1d(got.channel(1), got.channel(2)).size > 0
+
+    def test_builder_puts_event_before_background_on_tie(self):
+        # 60 background tags on the 13 integer ps of a 12 ps span.
+        events = [10, 5, 10]
+        rng = np.random.default_rng(0)
+        ground, _ = generate_streams(
+            events, ClockModel(), 0.0, 5e12, 0.0, 12e-12, rng, event_channel=1, background_channel=2
+        )
+        times, channels = ground.times_ps, ground.channels
+        np.testing.assert_array_equal(times, np.sort(times))
+        np.testing.assert_array_equal(np.sort(ground.channel(1)), [5, 10, 10])
+        for t in (5, 10):
+            at_t = channels[times == t]
+            assert at_t.size > np.sum(np.equal(events, t))  # a tie with the background
+            np.testing.assert_array_equal(at_t, np.sort(at_t))  # channel 1 first
 
 
 class TestFitClock:
