@@ -224,11 +224,10 @@ def fit_clock(ground_sync_ps, satellite_sync_ps) -> ClockFit:
     # s is the per-element cast of the pulses, so it is centred in place
     # and the pulses stand in for the uncentred satellite times below.
     s -= s_mean
-    sc = s
     gc = g - g_mean
-    slope = float(gc @ sc / (gc @ gc))
+    slope = float(gc @ s / (gc @ gc))
     offset = s_mean - slope * g_mean
-    # s - (offset + slope * g), squared, in the buffer of the centred times.
+    # pulses - (offset + slope * g), squared, in the buffer of gc.
     residuals = np.multiply(slope, g, out=gc)
     residuals += offset
     np.subtract(pulses, residuals, out=residuals)
