@@ -18,11 +18,11 @@ from typing import get_type_hints
 from .experiment import (
     CalibrationTargets,
     CampaignConfig,
-    OrbitPlan,
     STATE_LABELS,
     default_config,
     default_orbit_plans,
     default_schedule,
+    orbit_plans,
 )
 
 SCHEMA_VERSION = 1
@@ -141,10 +141,7 @@ def load_campaign_config(path: str | Path) -> CampaignConfig:
             raise ConfigError("campaign.max_elevations_deg must be a list of numbers")
         if n_orbits is not None and n_orbits != len(elevations):
             raise ConfigError("campaign.orbits disagrees with max_elevations_deg length")
-        orbits = tuple(
-            OrbitPlan(label=f"orbit-{i + 1:02d}", max_elevation_deg=float(e))
-            for i, e in enumerate(elevations)
-        )
+        orbits = orbit_plans(elevations)
     elif n_orbits is not None:
         if n_orbits < 6:
             raise ConfigError("campaign.orbits must be at least 6 to cover every state")

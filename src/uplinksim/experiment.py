@@ -205,14 +205,16 @@ def with_params(config: CampaignConfig, params: Mapping[str, float]) -> Campaign
 DEFAULT_SEED = 20160839
 
 
+def orbit_plans(max_elevations_deg: Sequence[float]) -> tuple[OrbitPlan, ...]:
+    """One pass per culmination elevation (degrees), labelled orbit-01,
+    orbit-02, ... in order."""
+    return tuple(OrbitPlan(f"orbit-{i:02d}", float(e)) for i, e in enumerate(max_elevations_deg, 1))
+
+
 def default_orbit_plans(n_orbits: int = 32) -> tuple[OrbitPlan, ...]:
     """Campaign passes with culminations evenly covering 76 down to 20
     degrees (per-pass elevations were not published; the span was)."""
-    els = np.linspace(76.0, 20.0, n_orbits)
-    return tuple(
-        OrbitPlan(label=f"orbit-{i + 1:02d}", max_elevation_deg=float(e))
-        for i, e in enumerate(els)
-    )
+    return orbit_plans(np.linspace(76.0, 20.0, n_orbits))
 
 
 def default_schedule(n_orbits: int = 32) -> tuple[str, ...]:
@@ -272,39 +274,6 @@ def orbit_exposure(config: CampaignConfig, orbit: OrbitPlan) -> OrbitExposure:
     return campaign_exposure(config)[config.orbits.index(orbit)]
 
 
-def _signal_rate(config: CampaignConfig) -> float:
-    """Signal fourfold rate at unit channel transmittance."""
-    return config.source.fourfold_ground_rate * config.detection.receiver_efficiency
-
-
-def _accidental_rate(config: CampaignConfig) -> float:
-    return accidental_rate(
-        config.threefold_herald_rate,
-        config.detection.background_rate_hz,
-        config.detection.coincidence_window_s,
-    )
-
-
-def expected_signal_count(config: CampaignConfig, orbit: OrbitPlan) -> float:
-    return _signal_rate(config) * orbit_exposure(config, orbit).transmit_integral_s
-
-
-def expected_accidental_count(config: CampaignConfig, orbit: OrbitPlan) -> float:
-    return _accidental_rate(config) * orbit_exposure(config, orbit).live_time_s
-
-
-def _state_sums(config: CampaignConfig) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Transmit integral and live time summed over each input state's
-    passes, in `STATE_LABELS` order, from one read of the campaign's
-    exposure: all the analytic tier needs of the passes."""
-    transmit = dict.fromkeys(STATE_LABELS, 0.0)
-    live = dict.fromkeys(STATE_LABELS, 0.0)
-    for exposure, label in zip(campaign_exposure(config), config.input_schedule):
-        transmit[label] += exposure.transmit_integral_s
-        live[label] += exposure.live_time_s
-    return tuple(transmit.values()), tuple(live.values())
-
-
 # The fields the analytic tier reads besides the exposure, the source rate
 # and the resource fidelity, each with the CampaignConfig attribute that
 # holds it: the settings that calibration fits and the error budget quiets.
@@ -323,19 +292,46 @@ def _settings(config: CampaignConfig) -> dict[str, float]:
     return {name: getattr(getattr(config, attr), name) for name, attr in _SETTING_FIELDS.items()}
 
 
-def _state_counts(
-    config: CampaignConfig, sums: tuple, settings: Mapping[str, float]
-) -> tuple[list[float], list[float]]:
-    """Expected signal and accidental fourfolds of each input state, from
-    the per-state sums of `_state_sums` and the rates of `config` (as
-    `_signal_rate` and `_accidental_rate` give them) at the receiver
+def _rates(config: CampaignConfig, settings: Mapping[str, float]) -> tuple[float, float]:
+    """The count model: the signal fourfold rate at unit channel
+    transmittance and the accidental rate of `config`, at the receiver
     efficiency and background rate in `settings`."""
-    signal_rate = config.source.fourfold_ground_rate * settings["receiver_efficiency"]
+    signal = config.source.fourfold_ground_rate * settings["receiver_efficiency"]
     accidental = accidental_rate(
         config.threefold_herald_rate,
         settings["background_rate_hz"],
         config.detection.coincidence_window_s,
     )
+    return signal, accidental
+
+
+def expected_signal_count(config: CampaignConfig, orbit: OrbitPlan) -> float:
+    return _rates(config, _settings(config))[0] * orbit_exposure(config, orbit).transmit_integral_s
+
+
+def expected_accidental_count(config: CampaignConfig, orbit: OrbitPlan) -> float:
+    return _rates(config, _settings(config))[1] * orbit_exposure(config, orbit).live_time_s
+
+
+def _state_sums(config: CampaignConfig) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Transmit integral and live time summed over each input state's
+    passes, in `STATE_LABELS` order, from one read of the campaign's
+    exposure: all the analytic tier needs of the passes."""
+    transmit = dict.fromkeys(STATE_LABELS, 0.0)
+    live = dict.fromkeys(STATE_LABELS, 0.0)
+    for exposure, label in zip(campaign_exposure(config), config.input_schedule):
+        transmit[label] += exposure.transmit_integral_s
+        live[label] += exposure.live_time_s
+    return tuple(transmit.values()), tuple(live.values())
+
+
+def _state_counts(
+    config: CampaignConfig, sums: tuple, settings: Mapping[str, float]
+) -> tuple[list[float], list[float]]:
+    """Expected signal and accidental fourfolds of each input state, from
+    the per-state sums of `_state_sums` and the `_rates` of `config` at
+    `settings`."""
+    signal_rate, accidental = _rates(config, settings)
     transmit, live = sums
     return [signal_rate * x for x in transmit], [accidental * x for x in live]
 
@@ -527,7 +523,7 @@ def _run_orbits(
     its angle afresh.  The events of all passes are classified together.
     """
     exposures = campaign_exposure(config)
-    signal_rate, accidental_rate = _signal_rate(config), _accidental_rate(config)
+    signal_rate, accidental_rate = _rates(config, _settings(config))
     for i in orbit_indices:  # the expected counts of the analytic tier, before any draw
         e = exposures[i]
         expected = max(signal_rate * e.transmit_integral_s, accidental_rate * e.live_time_s)
@@ -820,7 +816,7 @@ def calibrate(
 
     # Channel: linear in (dB per airmass, system dB) at the two anchors.
     ref_geom = config.geometry(OrbitPlan("reference", 76.0))
-    probe = with_params(config, {"zenith_transmittance": 1.0, "system_efficiency_db": 0.0}).link
+    probe = replace(config.link, zenith_transmittance=1.0, system_efficiency_db=0.0)
     anchors = [
         (config.min_elevation_deg, ref_geom.half_duration_s(), targets.loss_max_db),
         (76.0, 0.0, targets.loss_min_db),

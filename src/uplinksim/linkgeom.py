@@ -193,38 +193,32 @@ def slant_range(elevation_deg, geometry: PassGeometry):
     return float(out) if out.ndim == 0 else out
 
 
-def elevation_profile(geometry: PassGeometry, t_s, min_central_angle=None):
+def elevation_profile(geometry: PassGeometry | PassTable, t_s):
     """Elevation in degrees at time t (s, relative to culmination).
 
     The central angle follows cos(beta(t)) = cos(beta_min) cos(w t); the
     profile is symmetric about t = 0 and peaks at max_elevation.
 
-    `min_central_angle` (rad, one value per sample) stands in for the
-    geometry's beta_min, so that one call covers all passes of a
-    `PassTable`, which then stands in for the geometry; by default it is
-    the geometry's own.
+    A `PassTable` with one row per sample stands in for the geometry, so
+    that one call covers samples of many passes.
     """
     t_s = np.asarray(t_s, dtype=float)
-    if min_central_angle is None:
-        min_central_angle = geometry.min_central_angle
-    cos_beta = np.cos(min_central_angle) * np.cos(geometry.orbital_rate * t_s)
+    cos_beta = np.cos(geometry.min_central_angle) * np.cos(geometry.orbital_rate * t_s)
     beta = np.arccos(np.clip(cos_beta, -1.0, 1.0))
     elev = np.degrees(np.arctan2(cos_beta - geometry.radius_ratio, np.sin(beta)))
     return float(elev) if elev.ndim == 0 else elev
 
 
-def azimuth_rate(geometry: PassGeometry, t_s, min_central_angle=None):
+def azimuth_rate(geometry: PassGeometry | PassTable, t_s):
     """Ground-mount azimuth rate (rad/s) along the pass.
 
     Peaks at culmination as w/sin(beta_min): near-overhead passes demand
-    slews an alt-az mount can barely follow.  `min_central_angle` is as in
+    slews an alt-az mount can barely follow.  `geometry` is as in
     `elevation_profile`.
     """
     t_s = np.asarray(t_s, dtype=float)
     w = geometry.orbital_rate
-    if min_central_angle is None:
-        min_central_angle = geometry.min_central_angle
-    sin_b = np.maximum(np.sin(min_central_angle), 1e-6)
+    sin_b = np.maximum(np.sin(geometry.min_central_angle), 1e-6)
     phase = w * t_s
     # a product, not sin_b**2: a numpy scalar squares through pow and an
     # array by a multiply, which can differ in the last bit
@@ -244,23 +238,21 @@ def effective_divergence(model: LinkModel) -> float:
     return math.sqrt(ex * ey)
 
 
-def pointing_jitter_urad(model: LinkModel, geometry: PassGeometry, t_s, min_central_angle=None):
+def pointing_jitter_urad(model: LinkModel, geometry: PassGeometry | PassTable, t_s):
     """Tracking error inflated by the instantaneous slew demand."""
-    rate = azimuth_rate(geometry, t_s, min_central_angle)
+    rate = azimuth_rate(geometry, t_s)
     return model.tracking_error_urad * (
         1.0 + model.slew_degradation_k * rate / model.slew_rate_ref
     )
 
 
-def link_loss_db(
-    elevation_deg, t_s, geometry: PassGeometry, model: LinkModel, min_central_angle=None
-):
+def link_loss_db(elevation_deg, t_s, geometry: PassGeometry | PassTable, model: LinkModel):
     """Total uplink attenuation in dB at one instant of a pass.
 
     Combines the capped far-field geometric factor, the pointing factor
     1/(1 + (2 sigma_p / theta)^2), the plane-parallel atmosphere
-    T_zenith^(1/sin e), and the lumped system efficiency.
-    `min_central_angle` is as in `elevation_profile`.
+    T_zenith^(1/sin e), and the lumped system efficiency.  `geometry` is
+    as in `elevation_profile`.
 
     Extreme but valid parameters saturate at the physical limit: a factor
     that overflows or underflows to zero transmittance gives +inf dB, and a
@@ -273,7 +265,7 @@ def link_loss_db(
     with np.errstate(over="ignore", divide="ignore"):  # the saturation above
         spot_m = theta * 1e-6 * slant_range(elevation_deg, geometry) * 1e3
         eta_geo = np.minimum(1.0, (model.receiver_diameter_m / spot_m) ** 2)
-        sigma = pointing_jitter_urad(model, geometry, t_s, min_central_angle)
+        sigma = pointing_jitter_urad(model, geometry, t_s)
         eta_point = 1.0 / (1.0 + (2.0 * sigma / theta) ** 2)
         airmass = 1.0 / np.sin(np.deg2rad(elevation_deg))
         eta_atm = model.zenith_transmittance**airmass
@@ -354,9 +346,12 @@ def loss_profiles(
     counts, sizes = halves + 1, 2 * halves + 1
     starts = np.cumsum(counts) - counts
     half_t = (np.arange(counts.sum()) - np.repeat(starts, counts)).astype(float)
-    beta_min = np.repeat(table.min_central_angle, counts)
-    elev = elevation_profile(table, half_t, beta_min)
-    loss = link_loss_db(elev, half_t, table, model, beta_min)
+    samples = table._replace(  # one row per t >= 0 sample
+        min_central_angle=np.repeat(table.min_central_angle, counts),
+        half_duration_s=np.repeat(table.half_duration_s, counts),
+    )
+    elev = elevation_profile(samples, half_t)
+    loss = link_loss_db(elev, half_t, samples, model)
     times = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - counts, sizes)
     return sizes, times.astype(float), np.repeat(starts, sizes) + np.abs(times), elev, loss
 

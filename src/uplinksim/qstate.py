@@ -16,8 +16,6 @@ import numpy as np
 
 MAX_QUBITS = 4
 
-NORM_TOL = 1e-12
-HERMITIAN_TOL = 1e-12
 PSD_TOL = -1e-10
 UNITARY_TOL = 1e-10
 
@@ -117,7 +115,6 @@ KET_MINUS = PureState([1, -1])
 KET_R = PureState([1, 1j])
 KET_L = PureState([1, -1j])
 
-PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)

@@ -191,7 +191,8 @@ def run_orbit_per_event_oracle(
     state_label = config.input_schedule[orbit_index]
     exposure = orbit_exposure(config, orbit)
     # The expected counts of the analytic tier, the signal drawn per second.
-    n_signal = int(rng.poisson(experiment._signal_rate(config) * exposure.transmittance).sum())
+    signal_rate = config.source.fourfold_ground_rate * config.detection.receiver_efficiency
+    n_signal = int(rng.poisson(signal_rate * exposure.transmittance).sum())
     n_accidental = int(rng.poisson(expected_accidental_count(config, orbit)))
 
     model = build_event_model(config, state_label)
@@ -953,6 +954,7 @@ class TestErrorBudget:
         result = calibrate()
         # the default config, the channel probe and the fitted channel
         assert len(built) <= 15, built
+        assert built.count("CampaignConfig") == 1, built
         config = result.apply(default_config())
         built.clear()
         error_budget(config)
