@@ -199,8 +199,9 @@ def elevation_profile(geometry: PassGeometry | PassTable, t_s):
     The central angle follows cos(beta(t)) = cos(beta_min) cos(w t); the
     profile is symmetric about t = 0 and peaks at max_elevation.
 
-    A `PassTable` with one row per sample stands in for the geometry, so
-    that one call covers samples of many passes.
+    A `PassTable` whose `min_central_angle` holds one value per sample
+    stands in for the geometry, so that one call covers samples of many
+    passes.
     """
     t_s = np.asarray(t_s, dtype=float)
     cos_beta = np.cos(geometry.min_central_angle) * np.cos(geometry.orbital_rate * t_s)
@@ -346,10 +347,8 @@ def loss_profiles(
     counts, sizes = halves + 1, 2 * halves + 1
     starts = np.cumsum(counts) - counts
     half_t = (np.arange(counts.sum()) - np.repeat(starts, counts)).astype(float)
-    samples = table._replace(  # one row per t >= 0 sample
-        min_central_angle=np.repeat(table.min_central_angle, counts),
-        half_duration_s=np.repeat(table.half_duration_s, counts),
-    )
+    # beta_min per t >= 0 sample; the kernel reads no half duration
+    samples = table._replace(min_central_angle=np.repeat(table.min_central_angle, counts))
     elev = elevation_profile(samples, half_t)
     loss = link_loss_db(elev, half_t, samples, model)
     times = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - counts, sizes)

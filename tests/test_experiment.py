@@ -952,7 +952,7 @@ class TestErrorBudget:
 
         monkeypatch.setattr(experiment, "replace", counted)
         result = calibrate()
-        # the default config, the channel probe and the fitted channel
+        # the channel probe (a link), then the fitted channel: its link and the one config built
         assert len(built) <= 15, built
         assert built.count("CampaignConfig") == 1, built
         config = result.apply(default_config())
