@@ -14,7 +14,7 @@ import functools
 import json
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -128,6 +128,11 @@ class CampaignConfig:
             raise ValueError("resource fidelity must lie in [1/4, 1]")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        d = self.detection
+        accidental = self.threefold_herald_rate * d.background_rate_hz * d.coincidence_window_s
+        if not math.isfinite(accidental):  # an overflow gives inf, an infinite herald rate NaN
+            raise ValueError("the accidental rate, fourfold_ground_rate / photon3_ground_efficiency"
+                             " * background_rate_hz * coincidence_window_s, must be finite")
         # The campaign's passes as plain values: altitude, tracking limit and
         # the culmination elevation of each orbit.  Built once per instance
         # and read by `campaign_exposure`; `replace` builds a new instance,
@@ -147,6 +152,18 @@ class CampaignConfig:
 
     def geometry(self, orbit: OrbitPlan) -> PassGeometry:
         return PassGeometry(self.orbit_altitude_km, orbit.max_elevation_deg, self.min_elevation_deg)
+
+
+# The model dataclasses of a CampaignConfig by attribute, in field order: the
+# fields built by a default factory.
+_MODEL_TYPES = {
+    f.name: f.default_factory for f in fields(CampaignConfig) if f.default_factory is not MISSING
+}
+MODELS = tuple(_MODEL_TYPES)
+
+# Model field -> the MODELS attribute that holds it.  No two models share a
+# field name, so a field name alone says where a value goes.
+FIELD_MODEL = {f.name: attr for attr, model in _MODEL_TYPES.items() for f in fields(model)}
 
 
 # Every config build and exposure asks for the campaign's passes, so a
@@ -171,35 +188,26 @@ CALIBRATED = {
     "receiver_efficiency": 0.37621805150703735,
 }
 
-# Fitted parameter -> the CampaignConfig attribute and the field of it that
-# the parameter sets.
-PARAMETER_FIELDS = {
-    "zenith_transmittance": ("link", "zenith_transmittance"),
-    "system_efficiency_db": ("link", "system_efficiency_db"),
-    "slew_degradation_k": ("link", "slew_degradation_k"),
-    "double_pair_fraction": ("source", "double_pair_fraction"),
-    "mode_overlap": ("bsm", "mode_overlap"),
-    "polarization_delta_rad": ("polarization", "delta_rad"),
-    "background_rate_hz": ("detection", "background_rate_hz"),
-    "receiver_efficiency": ("detection", "receiver_efficiency"),
-}
+# Fitted parameter -> the model field it sets: the field of its own name,
+# but for the polarization angle.
+PARAMETER_FIELDS = {name: name for name in CALIBRATED} | {"polarization_delta_rad": "delta_rad"}
 
 
-def _field_changes(params: Mapping[str, float]) -> dict[str, dict[str, float]]:
-    """Fitted parameters as field changes, by the CampaignConfig attribute they set."""
-    changes: dict[str, dict[str, float]] = {}
-    for name, value in params.items():
-        attr, key = PARAMETER_FIELDS[name]
-        changes.setdefault(attr, {})[key] = value
-    return changes
+def with_fields(
+    config: CampaignConfig, changes: Mapping[str, float], **overrides
+) -> CampaignConfig:
+    """`config` with the model fields in `changes` set by field name, and
+    `overrides` replacing whole fields, in one `replace`."""
+    by_model: dict[str, dict[str, float]] = {}
+    for name, value in changes.items():
+        by_model.setdefault(FIELD_MODEL[name], {})[name] = value
+    models = {attr: replace(getattr(config, attr), **c) for attr, c in by_model.items()}
+    return replace(config, **models, **overrides)
 
 
 def with_params(config: CampaignConfig, params: Mapping[str, float]) -> CampaignConfig:
     """`config` with any subset of the fitted parameters set, in one `replace`."""
-    return replace(
-        config,
-        **{attr: replace(getattr(config, attr), **c) for attr, c in _field_changes(params).items()},
-    )
+    return with_fields(config, {PARAMETER_FIELDS[name]: value for name, value in params.items()})
 
 
 DEFAULT_SEED = 20160839
@@ -227,12 +235,13 @@ def default_config(seed: int = DEFAULT_SEED, **overrides) -> CampaignConfig:
     """The calibrated 32-orbit campaign configuration: the default models
     with `CALIBRATED` set, and `overrides` replacing whole fields, built as
     one config."""
+    calibrated = {PARAMETER_FIELDS[name]: value for name, value in CALIBRATED.items()}
     models = {
-        attr: CampaignConfig.__dataclass_fields__[attr].default_factory(**changes)
-        for attr, changes in _field_changes(CALIBRATED).items()
+        attr: model(**{k: v for k, v in calibrated.items() if FIELD_MODEL[k] == attr})
+        for attr, model in _MODEL_TYPES.items()
     }
-    fields = dict(orbits=default_orbit_plans(), input_schedule=default_schedule(), seed=seed)
-    return CampaignConfig(**{**fields, **models, **overrides})
+    campaign = dict(orbits=default_orbit_plans(), input_schedule=default_schedule(), seed=seed)
+    return CampaignConfig(**{**campaign, **models, **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +283,18 @@ def orbit_exposure(config: CampaignConfig, orbit: OrbitPlan) -> OrbitExposure:
     return campaign_exposure(config)[config.orbits.index(orbit)]
 
 
-# The fields the analytic tier reads besides the exposure, the source rate
-# and the resource fidelity, each with the CampaignConfig attribute that
-# holds it: the settings that calibration fits and the error budget quiets.
-_SETTING_FIELDS = {
-    "receiver_efficiency": "detection",
-    "background_rate_hz": "detection",
-    "double_pair_fraction": "source",
-    "mode_overlap": "bsm",
-    "delta_rad": "polarization",
-    "jitter_sigma_rad": "polarization",
-}
+# The model fields the analytic tier reads besides the exposure, the source
+# rate and the resource fidelity: the settings that calibration fits and the
+# error budget quiets.
+_SETTINGS = (
+    "receiver_efficiency", "background_rate_hz", "double_pair_fraction",
+    "mode_overlap", "delta_rad", "jitter_sigma_rad",
+)
 
 
 def _settings(config: CampaignConfig) -> dict[str, float]:
-    """The `_SETTING_FIELDS` of `config`, by field name."""
-    return {name: getattr(getattr(config, attr), name) for name, attr in _SETTING_FIELDS.items()}
+    """The `_SETTINGS` fields of `config`, by name."""
+    return {name: getattr(getattr(config, FIELD_MODEL[name]), name) for name in _SETTINGS}
 
 
 def _rates(config: CampaignConfig, settings: Mapping[str, float]) -> tuple[float, float]:
@@ -340,20 +345,17 @@ def _state_counts(
 # Quantum pipeline shared by the analytic tier and the Monte Carlo tier.
 
 
-@dataclass(frozen=True)
-class EventModel:
-    """Per-event branch data for one input state: one entry per accepted
-    analyzer outcome, in `ACCEPTED_OUTCOMES` order.  Each accepted outcome
-    has probability exactly 1/2 (see `_event_model`), so that split is no
-    data.  Both tiers read the same model, so the arrays are read-only."""
-
-    signal_port_probability: np.ndarray  # of the physical |chi> port
-    correct_is_signal: np.ndarray  # bool: the correct port is the |chi> port
+# Input state -> whether each accepted outcome's correct port, in
+# `ACCEPTED_OUTCOMES` order, is the signal (|chi>) port.  Feed-forward alone
+# decides it: a phi- event is relabeled by a pi phase shift, which leaves the
+# poles in the |chi> port and sends the superpositions to the orthogonal one.
+CORRECT_IS_SIGNAL = {label: (True, abs(r[2]) > 0.5) for label, r in STATE_BLOCH.items()}
 
 
-def build_event_model(config: CampaignConfig, state_label: str) -> EventModel:
-    """Resolve the analyzer branches, uplink distortion, and port identities
-    for one input state under the configured noise.
+def build_event_model(config: CampaignConfig, state_label: str) -> tuple[float, float]:
+    """The signal (|chi>) port probability of each accepted analyzer
+    outcome, in `ACCEPTED_OUTCOMES` order, for one input state under the
+    configured noise.  Each outcome has probability exactly 1/2.
 
     The model is built once per key and shared: the resource fidelity, the
     mode overlap, the polarization angle delta and jitter sigma, and the
@@ -375,7 +377,7 @@ def _event_model(
     delta: float,
     jitter_sigma: float,
     state_label: str,
-) -> EventModel:
+) -> tuple[float, float]:
     # Closed form on Bloch vectors.  The analyzer effects are
     # ((1 +- m)/2)|phi+><phi+| + ((1 -+ m)/2)|phi-><phi-|, so on a Werner
     # resource with p = (4F - 1)/3 each accepted outcome has probability 1/2
@@ -389,13 +391,7 @@ def _event_model(
         v = (sign * p * mode_overlap * r[0], sign * p * mode_overlap * r[1], p * r[2])
         v = polarization_channel_bloch(v, delta, jitter_sigma)
         port_p.append(0.5 * (1.0 + (r[0] * v[0] + r[1] * v[1] + r[2] * v[2])))
-    # A phi- event is relabeled by a pi phase shift, which leaves the poles
-    # in the |chi> port and sends the superpositions to the orthogonal one.
-    correct = (True, abs(r[2]) > 0.5)
-    arrays = [np.array(column) for column in (port_p, correct)]
-    for a in arrays:
-        a.flags.writeable = False
-    return EventModel(*arrays)
+    return tuple(port_p)
 
 
 def _state_fidelities(
@@ -403,7 +399,7 @@ def _state_fidelities(
 ) -> tuple[float, ...]:
     """The analytic tier's kernel: the expected campaign fidelity of each
     input state, in `STATE_LABELS` order, of `config` with its
-    `_SETTING_FIELDS` read from `settings`.
+    `_SETTINGS` read from `settings`.
 
     A signal event lands in its correct port with the event model's
     probability, or at even odds when it is a double pair (fully mixed);
@@ -414,7 +410,7 @@ def _state_fidelities(
     d = settings["double_pair_fraction"]
     fidelities = []
     for label, signal, accidental in zip(STATE_LABELS, *_state_counts(config, sums, settings)):
-        model = _event_model(
+        port_p = _event_model(
             config.resource_fidelity,
             settings["mode_overlap"],
             settings["delta_rad"],
@@ -422,9 +418,7 @@ def _state_fidelities(
             label,
         )
         f = 0.0
-        for p_signal_port, is_signal in zip(
-            model.signal_port_probability.tolist(), model.correct_is_signal.tolist()
-        ):
+        for p_signal_port, is_signal in zip(port_p, CORRECT_IS_SIGNAL[label]):
             f += 0.5 * (p_signal_port if is_signal else 1.0 - p_signal_port)
         f_quantum = (1.0 - d) * f + d * 0.5
         total = signal + accidental
@@ -538,7 +532,7 @@ def _run_orbits(
         n_accidental.append(int(rng.poisson(accidental_rate * exposures[i].live_time_s)))
 
     # [state, outcome] -> probability of the signal (|chi>) port
-    p_port = np.array([build_event_model(config, s).signal_port_probability for s in STATE_LABELS])
+    p_port = np.array([build_event_model(config, s) for s in STATE_LABELS])
     state = np.array([STATE_LABELS.index(config.input_schedule[i]) for i in orbit_indices])
     d = config.source.double_pair_fraction
     tally = np.zeros(4 * len(orbit_indices), dtype=np.int64)  # [pass, outcome, port]
@@ -641,11 +635,12 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     states = np.array([rec.state_label for rec in records])
     per_state: dict[str, StateSummary] = {}
     for label in STATE_LABELS:
-        correct = build_event_model(config, label).correct_is_signal
-        is_correct = np.column_stack((correct, ~correct))  # [outcome, port]
-        tally = counts[states == label].sum(axis=0)
-        n_correct = int(tally[is_correct].sum())
-        n_wrong = int(tally[~is_correct].sum())
+        tally = counts[states == label].sum(axis=0)  # [outcome, port]
+        n_correct = sum(
+            int(row[0 if is_signal else 1])
+            for row, is_signal in zip(tally, CORRECT_IS_SIGNAL[label])
+        )
+        n_wrong = int(tally.sum()) - n_correct
         if n_correct + n_wrong == 0:
             raise SimulationError(
                 f"campaign accumulated no fourfold events for input {label!r}; "
@@ -668,23 +663,21 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 # ---------------------------------------------------------------------------
 # Error budget, calibration, baselines.
 
-# Error source -> the CampaignConfig field holding its parameters, and their
-# noise-free values.
+# Error source -> the noise-free values of its model fields.
 NOISE_FREE = {
-    "double_pair": ("source", {"double_pair_fraction": 0.0}),
-    "distinguishability": ("bsm", {"mode_overlap": 1.0}),
-    "polarization": ("polarization", {"delta_rad": 0.0, "jitter_sigma_rad": 0.0}),
-    "background": ("detection", {"background_rate_hz": 0.0}),
+    "double_pair": {"double_pair_fraction": 0.0},
+    "distinguishability": {"mode_overlap": 1.0},
+    "polarization": {"delta_rad": 0.0, "jitter_sigma_rad": 0.0},
+    "background": {"background_rate_hz": 0.0},
 }
 
 BUDGET_SOURCES = tuple(NOISE_FREE)
 
-# Error source -> the noise-free values of every other source's fields, by
-# field name: the `_SETTING_FIELDS` view of `isolate_source`.
+# Error source -> the noise-free values of every other source's fields.
 _QUIET = {
     name: {
         key: value
-        for source, (_, values) in NOISE_FREE.items()
+        for source, values in NOISE_FREE.items()
         if source != name
         for key, value in values.items()
     }
@@ -697,12 +690,7 @@ def isolate_source(config: CampaignConfig, name: str, **changes) -> CampaignConf
     and with the field `changes` applied, in one `replace`."""
     if name not in NOISE_FREE:
         raise ValueError(f"unknown error source {name!r}")
-    quiet = {
-        attr: replace(getattr(config, attr), **values)
-        for source, (attr, values) in NOISE_FREE.items()
-        if source != name
-    }
-    return replace(config, **quiet, **changes)
+    return with_fields(config, _QUIET[name], **changes)
 
 
 def error_budget(config: CampaignConfig) -> dict[str, float]:
@@ -844,7 +832,7 @@ def calibrate(
 
     # Noise sources, each deficit inverted in closed form.
     def deficit_residual(source: str, name: str, value: float) -> float:
-        changes = {PARAMETER_FIELDS[name][1]: value, **_QUIET[source]}
+        changes = {PARAMETER_FIELDS[name]: value, **_QUIET[source]}
         deficit = _mean_deficit(config, sums, {**settings, **changes})
         return deficit - getattr(targets, f"deficit_{source}")
 

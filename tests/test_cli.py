@@ -5,15 +5,21 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uplinksim import cli
+from uplinksim import cli, config
 from uplinksim.cli import main
 from uplinksim.config import (
+    MAX_PASSES,
     SCHEMA,
     ConfigError,
     default_config_dict,
@@ -244,6 +250,26 @@ class TestConfigParsing:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
+        "fourfold_hz, detection",
+        [(1e300, {"photon3_ground_efficiency": 1e-300}), (1e300, {"background_rate_hz": 1e300})],
+        ids=["infinite herald rate", "overflowing accidental rate"],
+    )
+    def test_unbounded_accidental_rate_exits_2(self, tmp_path, capsys, fourfold_hz, detection):
+        # An infinite herald rate used to end in a traceback, and an
+        # overflowing accidental rate in a NaN error budget.
+        payload = default_config_dict()
+        payload["source"]["fourfold_ground_rate_hz"] = fourfold_hz
+        payload["detection"].update(detection)
+        path = tmp_path / "rates.json"
+        path.write_text(json.dumps(payload))
+        for command in ("simulate", "error-budget", "loss-profile"):
+            code = main([command, "--config", str(path), "--out", str(tmp_path / command)])
+            err = capsys.readouterr().err
+            assert code == 2, command
+            assert err.startswith("configuration error: the accidental rate") and err.count("\n") == 1
+            assert not (tmp_path / command).exists()
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("divergence_x_urad", 1e300),
@@ -393,6 +419,48 @@ class TestSimulate:
         assert err.startswith("simulation error: orbit-01 expects") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"orbits": 10**12},
+            {"orbits": MAX_PASSES + 1},
+            {"max_elevations_deg": [60.0] * (MAX_PASSES + 1)},
+            {"schedule": ["H"] * (MAX_PASSES + 1)},
+        ],
+        ids=["orbits 1e12", "orbits over the limit", "elevations", "schedule"],
+    )
+    def test_too_many_passes_exit_2_before_any_is_built(self, tmp_path, capsys, monkeypatch, values):
+        def build(*args):
+            raise AssertionError("passes built before the count was checked")
+
+        for name in ("orbit_plans", "default_orbit_plans"):
+            monkeypatch.setattr(config, name, build)
+        payload = default_config_dict()
+        payload["campaign"].update(values)
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps(payload))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        key = next(iter(values))
+        assert err == f"configuration error: campaign.{key} gives more than {MAX_PASSES} passes\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_pass_limit_admits_its_own_count(self, tmp_path, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def build(n_orbits):
+            raise Built(n_orbits)
+
+        monkeypatch.setattr(config, "default_orbit_plans", build)
+        payload = default_config_dict()
+        payload["campaign"]["orbits"] = MAX_PASSES
+        path = tmp_path / "limit.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(Built, match=str(MAX_PASSES)):
+            load_campaign_config(path)
+
 
 class TestLossProfile:
     def test_design_pass_rows(self, tmp_path):
@@ -519,6 +587,24 @@ class TestOtherCommands:
         value = float(text.split(":")[1].split("(")[0])
         assert abs(value - 2 / 3) < 0.01
 
+    @pytest.mark.parametrize("samples, code", [(0, 2), (1, 0), (cli.MAX_SAMPLES, 0),
+                                               (cli.MAX_SAMPLES + 1, 2), (10**12, 2)])
+    def test_classical_baseline_sample_limit(self, capsys, monkeypatch, samples, code):
+        drawn = []
+
+        def baseline(n_samples, rng):
+            drawn.append(n_samples)
+            return 2 / 3
+
+        monkeypatch.setattr(cli, "classical_baseline", baseline)
+        assert main(["classical-baseline", "--samples", str(samples)]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err == f"configuration error: --samples must lie in [1, {cli.MAX_SAMPLES}]\n"
+            assert drawn == []
+        else:
+            assert err == "" and drawn == [samples]
+
     def test_fibre_compare(self, capsys):
         code = main(["fibre-compare"])
         assert code == 0
@@ -618,3 +704,66 @@ def test_calibration_output_matches_pinned_digests(tmp_path):
         assert main(["calibrate", "--targets", str(path), "--out", str(out)]) == code, targets
         got = hashlib.sha256((out / "calibration.json").read_bytes()).hexdigest()
         assert got == digest, targets
+
+
+# Each numeric key of a campaign file and of a targets file, as (section,
+# key), with its typical value: the calibrated defaults and the published
+# targets.
+_DEFAULTS = default_config_dict()
+TYPICAL = {
+    **{(section, key): _DEFAULTS[section][key] for section, keys in SCHEMA.items() for key in keys},
+    **{
+        ("campaign", key): _DEFAULTS["campaign"][key]
+        for key, (types, _) in config._CAMPAIGN_FIELDS.items()
+        if int in types
+    },
+    **{("targets", f.name): f.default for f in fields(CalibrationTargets)},
+}
+EDGE_VALUES = [0, -1, 1e-300, 1e300, math.nan, math.inf, -math.inf]
+
+
+def _edge(section: str, key: str, value):
+    """`value` as a file gives it for this key: an integral key takes 1e300
+    as the integer, so that its type is right and its size is what counts."""
+    integral = section == "campaign" and config._CAMPAIGN_FIELDS[key][0] == (int,)
+    return int(value) if integral and value == 1e300 else value
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(sorted(TYPICAL)),
+        st.sampled_from(["typical", *EDGE_VALUES]),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_commands_fail_closed_at_edge_values(drawn):
+    # Every command that draws no events, on a campaign file and a targets
+    # file with the drawn keys set, exits with a documented code and one
+    # message, raises no RuntimeWarning and leaves no output on a rejection.
+    payload = default_config_dict()
+    targets = {}
+    for (section, key), value in drawn.items():
+        value = TYPICAL[section, key] if value == "typical" else _edge(section, key, value)
+        (targets if section == "targets" else payload[section])[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "campaign.json").write_text(json.dumps(payload))
+        (tmp / "targets.json").write_text(json.dumps({"schema_version": 1, "targets": targets}))
+        for command, source in (
+            ("error-budget", ("--config", "campaign.json")),
+            ("loss-profile", ("--config", "campaign.json")),
+            ("calibrate", ("--targets", "targets.json")),
+        ):
+            out, err = StringIO(), StringIO()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main([command, source[0], str(tmp / source[1]), "--out", str(tmp / command)])
+            assert code in (0, 2, 4, 5), (command, code)
+            assert "Traceback" not in err.getvalue()
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], command
+            if code in (2, 5):
+                assert err.getvalue().count("\n") == 1, err.getvalue()
+                assert not (tmp / command).exists(), command

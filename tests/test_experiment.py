@@ -14,13 +14,17 @@ from uplinksim.experiment import (
     BUDGET_SOURCES,
     CALIBRATED,
     CALIBRATION_BOUNDS,
+    CORRECT_IS_SIGNAL,
     DEFAULT_SEED,
     CalibrationError,
     CalibrationResult,
     CalibrationTargets,
     CampaignConfig,
     DetectionModel,
+    FIELD_MODEL,
+    MODELS,
     NOISE_FREE,
+    PARAMETER_FIELDS,
     OrbitPlan,
     PolarizationNoise,
     SimulationError,
@@ -42,13 +46,14 @@ from uplinksim.experiment import (
     orbit_exposure,
     run_campaign,
     run_orbit,
+    with_fields,
     with_params,
     STATE_BLOCH,
     STATE_LABELS,
-    EventModel,
     OrbitRecord,
 )
 from uplinksim.cli import main
+from uplinksim.config import SECTIONS
 from uplinksim.linkgeom import (
     LinkModel,
     PassGeometry,
@@ -62,15 +67,14 @@ from uplinksim.linkgeom import (
 from uplinksim.photonsrc import SourceModel, werner_pair
 from uplinksim.qstate import mub_states, tensor
 
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 
 def quiet_config(**overrides) -> CampaignConfig:
     """Calibrated geometry and rates with every error source at its
     noise-free value."""
-    base = default_config()
-    quiet = {attr: replace(getattr(base, attr), **values) for attr, values in NOISE_FREE.values()}
-    return default_config(**{**quiet, **overrides})
+    noise_free = {key: value for values in NOISE_FREE.values() for key, value in values.items()}
+    return replace(with_fields(default_config(), noise_free), **overrides)
 
 
 def accepted_branches(resource_fidelity: float, mode_overlap: float, state_label: str) -> list:
@@ -95,11 +99,12 @@ def density_matrix_event_model(
     delta: float,
     jitter_sigma: float,
     state_label: str,
-) -> tuple[np.ndarray, EventModel]:
+) -> tuple[np.ndarray, np.ndarray, tuple[bool, ...]]:
     """Oracle for `experiment._event_model`: the analyzer branches of the
     3-qubit density matrix, each distorted by the density-matrix channel.
     Returns the accepted outcomes' renormalized probabilities, which the
-    closed form fixes at 1/2 each, and the event model."""
+    closed form fixes at 1/2 each, their signal-port probabilities and
+    whether their correct port is the signal port."""
     accepted = accepted_branches(resource_fidelity, mode_overlap, state_label)
     total_accepted = sum(b.probability for b in accepted)
     if total_accepted <= 0:
@@ -118,7 +123,7 @@ def density_matrix_event_model(
         out_p.append(b.probability / total_accepted)
         port_p.append(float(np.real(psi.conj() @ distorted @ psi)))
         correct.append(b.outcome is BsmOutcome.PHI_PLUS or z_fid > 0.5)
-    return np.array(out_p), EventModel(np.array(port_p), np.array(correct))
+    return np.array(out_p), np.array(port_p), tuple(correct)
 
 
 def quadrature_port_probabilities(config: CampaignConfig, state_label: str) -> dict:
@@ -205,7 +210,7 @@ def run_orbit_per_event_oracle(
         if rng.random() < d:
             p_signal_port = 0.5
         else:
-            p_signal_port = model.signal_port_probability[index]
+            p_signal_port = model[index]
         counts[index, 0 if rng.random() < p_signal_port else 1] += 1
 
     for _ in range(n_accidental):
@@ -296,9 +301,7 @@ def per_orbit_analytic_fidelities(config: CampaignConfig) -> dict[str, float]:
     for label in STATE_LABELS:
         model = build_event_model(config, label)
         f = 0.0
-        for p_signal_port, is_signal in zip(
-            model.signal_port_probability.tolist(), model.correct_is_signal.tolist()
-        ):
+        for p_signal_port, is_signal in zip(model, CORRECT_IS_SIGNAL[label]):
             f += 0.5 * (p_signal_port if is_signal else 1.0 - p_signal_port)
         f_quantum = (1.0 - d) * f + d * 0.5
         total = signal[label] + accidental[label]
@@ -459,6 +462,26 @@ DEFAULT_OVERRIDES = {
 
 
 class TestConfig:
+    def test_field_map_reads_distinct_model_fields(self):
+        cfg = default_config()
+        models = [f.name for f in fields(CampaignConfig) if is_dataclass(getattr(cfg, f.name))]
+        assert MODELS == tuple(models)
+        assert SECTIONS is MODELS
+        names = [f.name for attr in models for f in fields(getattr(cfg, attr))]
+        assert len(names) == len(set(names)), sorted(n for n in names if names.count(n) > 1)
+        assert FIELD_MODEL == {f.name: attr for attr in models for f in fields(getattr(cfg, attr))}
+
+    def test_field_tables_name_model_fields(self):
+        cfg = default_config()
+        model_fields = {f.name for attr in MODELS for f in fields(getattr(cfg, attr))}
+        tables = {
+            "PARAMETER_FIELDS": set(PARAMETER_FIELDS.values()),
+            "NOISE_FREE": {name for values in NOISE_FREE.values() for name in values},
+            "_SETTINGS": set(experiment._SETTINGS),
+        }
+        for table, names in tables.items():
+            assert names <= model_fields, (table, names - model_fields)
+
     def test_default_config_builds_one_config(self, monkeypatch):
         built = []
         post_init = CampaignConfig.__post_init__
@@ -624,8 +647,9 @@ class TestRunOrbit:
             rec = run_orbit(cfg, index, rng)
             total += rec.total_fourfolds
             assert not rec.counts.flags.writeable
-            model = build_event_model(cfg, rec.state_label)
-            for (n_signal_port, n_orthogonal), is_signal in zip(rec.counts, model.correct_is_signal):
+            for (n_signal_port, n_orthogonal), is_signal in zip(
+                rec.counts, CORRECT_IS_SIGNAL[rec.state_label]
+            ):
                 assert (n_orthogonal if is_signal else n_signal_port) == 0  # the wrong port
         assert total > 10**5
 
@@ -804,10 +828,10 @@ class TestAnalyticPipeline:
             polarization=replace(default_config().polarization, jitter_sigma_rad=sigma)
         )
         for label in STATE_LABELS:
-            closed = build_event_model(cfg, label).signal_port_probability
+            closed = build_event_model(cfg, label)
             oracle = quadrature_port_probabilities(cfg, label)
             assert list(oracle) == list(ACCEPTED_OUTCOMES)
-            assert closed.shape == (len(oracle),)
+            assert len(closed) == len(oracle)
             for p_closed, p in zip(closed, oracle.values()):
                 assert abs(p_closed - p) <= 1e-12
 
@@ -824,14 +848,14 @@ class TestAnalyticPipeline:
         assert len(grid) == 1152
         for key in grid:
             closed = experiment._event_model(*key)
-            outcome_probabilities, oracle = density_matrix_event_model(*key)
+            outcome_probabilities, oracle_port_p, oracle_correct = density_matrix_event_model(*key)
             # The constant 1/2 split that run_orbit and the analytic tier use.
             assert outcome_probabilities.shape == (len(ACCEPTED_OUTCOMES),)
             assert np.abs(outcome_probabilities - 0.5).max() <= 1e-12, key
-            got, expected = closed.signal_port_probability, oracle.signal_port_probability
+            got, expected = np.array(closed), oracle_port_p
             assert got.shape == expected.shape == (len(ACCEPTED_OUTCOMES),)
             assert np.abs(got - expected).max() <= 1e-12, key
-            assert closed.correct_is_signal.tolist() == oracle.correct_is_signal.tolist(), key
+            assert CORRECT_IS_SIGNAL[key[-1]] == oracle_correct, key
         paulis = (qstate.PAULI_X, qstate.PAULI_Y, qstate.PAULI_Z)
         for label, chi in mub_states().items():
             rho = chi.density().matrix
@@ -864,9 +888,9 @@ class TestAnalyticPipeline:
         assert experiment._event_model.cache_info().misses == 24
         model = build_event_model(cfg, "+")
         assert model is build_event_model(cfg, "+")
-        for array in (model.signal_port_probability, model.correct_is_signal):
-            with pytest.raises(ValueError):
-                array[0] = array[1]
+        for shared in (model, CORRECT_IS_SIGNAL["+"]):
+            with pytest.raises(TypeError):
+                shared[0] = shared[1]
 
     def test_analyzer_ports_realizable_with_waveplates(self):
         # The two analyzer projectors used by the pipeline are exactly what
@@ -892,7 +916,7 @@ class TestAnalyticPipeline:
         fidelities = analytic_fidelities(cfg)
         for label in STATE_LABELS:
             assert fidelities[label] == pytest.approx(1.0, abs=1e-12)
-            correct_is_signal = build_event_model(cfg, label).correct_is_signal
+            correct_is_signal = CORRECT_IS_SIGNAL[label]
             assert correct_is_signal[ACCEPTED_OUTCOMES.index(BsmOutcome.PHI_PLUS)]
             phi_minus = ACCEPTED_OUTCOMES.index(BsmOutcome.PHI_MINUS)
             assert correct_is_signal[phi_minus] == (label in ("H", "V"))
