@@ -72,8 +72,7 @@ def _write_loss_csv(config: CampaignConfig, path: Path) -> int:
     rows = loss_profile(geometry, config.link, config.orbit_duration_s)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("t_s,elevation_deg,range_km,loss_db\n")
-        for t, elev, rng_km, loss in rows.tolist():  # Python floats format faster
-            fh.write(f"{t:.1f},{elev:.6f},{rng_km:.6f},{loss:.6f}\n")
+        fh.write(("%.1f,%.6f,%.6f,%.6f\n" * len(rows)) % tuple(rows.ravel().tolist()))
     return len(rows)
 
 

@@ -805,16 +805,11 @@ def calibrate(
     # Channel: linear in (dB per airmass, system dB) at the two anchors.
     ref_geom = config.geometry(OrbitPlan("reference", 76.0))
     probe = replace(config.link, zenith_transmittance=1.0, system_efficiency_db=0.0)
-    anchors = [
-        (config.min_elevation_deg, ref_geom.half_duration_s(), targets.loss_max_db),
-        (76.0, 0.0, targets.loss_min_db),
-    ]
-    rows, rhs = [], []
-    for elev, t, target in anchors:
-        base_loss = link_loss_db(elev, t, ref_geom, probe)
-        rows.append([1.0 / np.sin(np.deg2rad(elev)), 1.0])
-        rhs.append(target - base_loss)
-    x_db, sys_db = np.linalg.solve(np.array(rows), np.array(rhs))
+    elev = np.array([config.min_elevation_deg, 76.0])
+    t = np.array([ref_geom.half_duration_s(), 0.0])
+    target = np.array([targets.loss_max_db, targets.loss_min_db])
+    rows = np.column_stack((1.0 / np.sin(np.deg2rad(elev)), np.ones(2)))
+    x_db, sys_db = np.linalg.solve(rows, target - link_loss_db(elev, t, ref_geom, probe))
     x_db = max(x_db, 0.0)
     sys_db = max(sys_db, 0.0)
     # past about 3230 dB per airmass 10 ** (-x / 10) underflows to 0, outside
@@ -822,12 +817,8 @@ def calibrate(
     params["zenith_transmittance"] = max(float(10.0 ** (-x_db / 10.0)), math.ulp(0.0))
     params["system_efficiency_db"] = float(sys_db)
     config = with_params(config, params)
-    residuals["loss_max_db"] = (
-        link_loss_db(anchors[0][0], anchors[0][1], ref_geom, config.link) - targets.loss_max_db
-    )
-    residuals["loss_min_db"] = (
-        link_loss_db(76.0, 0.0, ref_geom, config.link) - targets.loss_min_db
-    )
+    fitted = link_loss_db(elev, t, ref_geom, config.link) - target
+    residuals["loss_max_db"], residuals["loss_min_db"] = fitted.tolist()
     sums, settings = _state_sums(config), _settings(config)
 
     # Noise sources, each deficit inverted in closed form.

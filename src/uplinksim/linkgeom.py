@@ -178,52 +178,63 @@ class LinkModel:
             raise ValueError("slew degradation gain must be non-negative")
 
 
+def _sin_elevation(elevation_deg):
+    """sin of the elevation(s) in degrees, which must lie in (0, 90]."""
+    elevation_deg = np.asarray(elevation_deg, dtype=float)
+    if np.any(elevation_deg <= 0) or np.any(elevation_deg > 90):
+        raise ValueError("elevation must lie in (0, 90] degrees")
+    return np.sin(np.deg2rad(elevation_deg))
+
+
+def _slant_range(geometry: PassGeometry | PassTable, sin_e):
+    """`slant_range` from the sine of the elevation."""
+    r, h = geometry.earth_radius_km, geometry.orbit_altitude_km
+    return np.sqrt(r**2 * sin_e**2 + 2 * r * h + h**2) - r * sin_e
+
+
 def slant_range(elevation_deg, geometry: PassGeometry):
     """Line-of-sight distance in km at the given elevation (degrees).
 
     Closed form: L = sqrt(R^2 sin^2(e) + 2 R h + h^2) - R sin(e).
     """
-    elevation_deg = np.asarray(elevation_deg, dtype=float)
-    if np.any(elevation_deg <= 0) or np.any(elevation_deg > 90):
-        raise ValueError("elevation must lie in (0, 90] degrees")
-    r = geometry.earth_radius_km
-    h = geometry.orbit_altitude_km
-    s = np.sin(np.deg2rad(elevation_deg))
-    out = np.sqrt(r**2 * s**2 + 2 * r * h + h**2) - r * s
+    out = _slant_range(geometry, _sin_elevation(elevation_deg))
     return float(out) if out.ndim == 0 else out
 
 
-def elevation_profile(geometry: PassGeometry | PassTable, t_s):
+def _elevation(geometry: PassGeometry | PassTable, cos_beta_min, cos_wt):
+    """`elevation_profile` from cos(beta_min) and cos(w t)."""
+    cos_beta = cos_beta_min * cos_wt
+    beta = np.arccos(np.clip(cos_beta, -1.0, 1.0))
+    return np.degrees(np.arctan2(cos_beta - geometry.radius_ratio, np.sin(beta)))
+
+
+def elevation_profile(geometry: PassGeometry, t_s):
     """Elevation in degrees at time t (s, relative to culmination).
 
     The central angle follows cos(beta(t)) = cos(beta_min) cos(w t); the
     profile is symmetric about t = 0 and peaks at max_elevation.
-
-    A `PassTable` whose `min_central_angle` holds one value per sample
-    stands in for the geometry, so that one call covers samples of many
-    passes.
     """
-    t_s = np.asarray(t_s, dtype=float)
-    cos_beta = np.cos(geometry.min_central_angle) * np.cos(geometry.orbital_rate * t_s)
-    beta = np.arccos(np.clip(cos_beta, -1.0, 1.0))
-    elev = np.degrees(np.arctan2(cos_beta - geometry.radius_ratio, np.sin(beta)))
+    phase = geometry.orbital_rate * np.asarray(t_s, dtype=float)
+    elev = _elevation(geometry, np.cos(geometry.min_central_angle), np.cos(phase))
     return float(elev) if elev.ndim == 0 else elev
 
 
-def azimuth_rate(geometry: PassGeometry | PassTable, t_s):
+def _azimuth_rate(geometry: PassGeometry | PassTable, sin_b, cos2_wt, sin2_wt):
+    """`azimuth_rate` from max(sin(beta_min), 1e-6), cos^2(w t) and sin^2(w t)."""
+    # a product, not sin_b**2: a numpy scalar squares through pow and an
+    # array by a multiply, which can differ in the last bit
+    return geometry.orbital_rate * sin_b / (sin_b * sin_b * cos2_wt + sin2_wt)
+
+
+def azimuth_rate(geometry: PassGeometry, t_s):
     """Ground-mount azimuth rate (rad/s) along the pass.
 
     Peaks at culmination as w/sin(beta_min): near-overhead passes demand
-    slews an alt-az mount can barely follow.  `geometry` is as in
-    `elevation_profile`.
+    slews an alt-az mount can barely follow.
     """
-    t_s = np.asarray(t_s, dtype=float)
-    w = geometry.orbital_rate
+    phase = geometry.orbital_rate * np.asarray(t_s, dtype=float)
     sin_b = np.maximum(np.sin(geometry.min_central_angle), 1e-6)
-    phase = w * t_s
-    # a product, not sin_b**2: a numpy scalar squares through pow and an
-    # array by a multiply, which can differ in the last bit
-    rate = w * sin_b / (sin_b * sin_b * np.cos(phase) ** 2 + np.sin(phase) ** 2)
+    rate = _azimuth_rate(geometry, sin_b, np.cos(phase) ** 2, np.sin(phase) ** 2)
     return float(rate) if rate.ndim == 0 else rate
 
 
@@ -239,38 +250,39 @@ def effective_divergence(model: LinkModel) -> float:
     return math.sqrt(ex * ey)
 
 
-def pointing_jitter_urad(model: LinkModel, geometry: PassGeometry | PassTable, t_s):
+def _pointing_jitter(model: LinkModel, rate):
+    """`pointing_jitter_urad` at the given azimuth rate(s)."""
+    return model.tracking_error_urad * (1.0 + model.slew_degradation_k * rate / model.slew_rate_ref)
+
+
+def pointing_jitter_urad(model: LinkModel, geometry: PassGeometry, t_s):
     """Tracking error inflated by the instantaneous slew demand."""
-    rate = azimuth_rate(geometry, t_s)
-    return model.tracking_error_urad * (
-        1.0 + model.slew_degradation_k * rate / model.slew_rate_ref
-    )
+    return _pointing_jitter(model, azimuth_rate(geometry, t_s))
 
 
-def link_loss_db(elevation_deg, t_s, geometry: PassGeometry | PassTable, model: LinkModel):
+def _loss_db(geometry: PassGeometry | PassTable, model: LinkModel, sin_e, rate):
+    """`link_loss_db` from the sine of the elevation and the azimuth rate."""
+    theta = effective_divergence(model)
+    with np.errstate(over="ignore", divide="ignore"):  # the saturation of `link_loss_db`
+        spot_m = theta * 1e-6 * _slant_range(geometry, sin_e) * 1e3
+        eta_geo = np.minimum(1.0, (model.receiver_diameter_m / spot_m) ** 2)
+        eta_point = 1.0 / (1.0 + (2.0 * _pointing_jitter(model, rate) / theta) ** 2)
+        eta_atm = model.zenith_transmittance ** (1.0 / sin_e)  # the airmass is 1/sin e
+        return -10.0 * np.log10(eta_geo * eta_point * eta_atm) + model.system_efficiency_db
+
+
+def link_loss_db(elevation_deg, t_s, geometry: PassGeometry, model: LinkModel):
     """Total uplink attenuation in dB at one instant of a pass.
 
     Combines the capped far-field geometric factor, the pointing factor
     1/(1 + (2 sigma_p / theta)^2), the plane-parallel atmosphere
-    T_zenith^(1/sin e), and the lumped system efficiency.  `geometry` is
-    as in `elevation_profile`.
+    T_zenith^(1/sin e), and the lumped system efficiency.
 
     Extreme but valid parameters saturate at the physical limit: a factor
     that overflows or underflows to zero transmittance gives +inf dB, and a
     receiver-to-spot ratio past the float range caps at full capture.
     """
-    elevation_deg = np.asarray(elevation_deg, dtype=float)
-    if np.any(elevation_deg <= 0):
-        raise ValueError("elevation must be positive")
-    theta = effective_divergence(model)
-    with np.errstate(over="ignore", divide="ignore"):  # the saturation above
-        spot_m = theta * 1e-6 * slant_range(elevation_deg, geometry) * 1e3
-        eta_geo = np.minimum(1.0, (model.receiver_diameter_m / spot_m) ** 2)
-        sigma = pointing_jitter_urad(model, geometry, t_s)
-        eta_point = 1.0 / (1.0 + (2.0 * sigma / theta) ** 2)
-        airmass = 1.0 / np.sin(np.deg2rad(elevation_deg))
-        eta_atm = model.zenith_transmittance**airmass
-        loss = -10.0 * np.log10(eta_geo * eta_point * eta_atm) + model.system_efficiency_db
+    loss = _loss_db(geometry, model, _sin_elevation(elevation_deg), azimuth_rate(geometry, t_s))
     return float(loss) if loss.ndim == 0 else loss
 
 
@@ -334,9 +346,10 @@ def loss_profiles(
     Each pass is sampled over a window of `duration_s` centred on its
     culmination at 1 s steps, clipped to its tracking window, inclusive of
     both endpoints.  A pass is even in t about culmination (cos wt, cos^2
-    and sin^2 are), so only t >= 0 is evaluated.  Returns (sizes, t_s,
-    index, elevation_deg, loss_db): the sample count of each pass, the t_s
-    column of all passes in order, and the row of each of those samples in
+    and sin^2 are), so only t >= 0 is evaluated, and the trig of beta_min
+    once per pass and of w t once per step.  Returns (sizes, t_s, index,
+    elevation_deg, loss_db): the sample count of each pass, the t_s column
+    of all passes in order, and the row of each of those samples in
     elevation_deg and loss_db, the t >= 0 columns.
     """
     if not duration_s > 0:  # inf is the full pass; NaN fails
@@ -346,11 +359,14 @@ def loss_profiles(
     halves = np.floor(np.minimum(duration_s / 2.0, table.half_duration_s)).astype(np.intp)
     counts, sizes = halves + 1, 2 * halves + 1
     starts = np.cumsum(counts) - counts
-    half_t = (np.arange(counts.sum()) - np.repeat(starts, counts)).astype(float)
-    # beta_min per t >= 0 sample; the kernel reads no half duration
-    samples = table._replace(min_central_angle=np.repeat(table.min_central_angle, counts))
-    elev = elevation_profile(samples, half_t)
-    loss = link_loss_db(elev, half_t, samples, model)
+    orbit = np.repeat(np.arange(len(counts)), counts)  # pass and step of each t >= 0 sample
+    step = np.arange(counts.sum()) - starts[orbit]
+    phase = table.orbital_rate * np.arange(halves.max() + 1.0)
+    cos_wt, sin_wt = np.cos(phase), np.sin(phase)
+    elev = _elevation(table, np.cos(table.min_central_angle)[orbit], cos_wt[step])
+    sin_b = np.maximum(np.sin(table.min_central_angle), 1e-6)[orbit]
+    rate = _azimuth_rate(table, sin_b, (cos_wt**2)[step], (sin_wt**2)[step])
+    loss = _loss_db(table, model, _sin_elevation(elev), rate)
     times = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - counts, sizes)
     return sizes, times.astype(float), np.repeat(starts, sizes) + np.abs(times), elev, loss
 

@@ -348,6 +348,10 @@ EXPOSURE_GRID = {
     "unequal sample counts": campaign_of(
         89.0, 70.0, 40.0, 22.0, 16.0, 15.0, orbit_duration_s=900.0
     ),
+    # the kernel's time axis must span the longest pass, here neither first nor last
+    "longest pass in the middle": campaign_of(
+        16.0, 40.0, 89.0, 22.0, 30.0, 60.0, orbit_duration_s=900.0
+    ),
     "slew gain 0": default_config(link=replace(default_config().link, slew_degradation_k=0.0)),
     "slew gain 3": default_config(link=replace(default_config().link, slew_degradation_k=3.0)),
     "zenith transmittance 0.5": default_config(
