@@ -802,7 +802,8 @@ def calibrate(
     params: dict[str, float] = {"slew_degradation_k": config.link.slew_degradation_k}
     residuals: dict[str, float] = {}
 
-    # Channel: linear in (dB per airmass, system dB) at the two anchors.
+    # Channel: linear in (dB per airmass, system dB) at the two anchors, the
+    # tracking limit (loss_max_db) and culmination (loss_min_db).
     ref_geom = config.geometry(OrbitPlan("reference", 76.0))
     probe = replace(config.link, zenith_transmittance=1.0, system_efficiency_db=0.0)
     elev = np.array([config.min_elevation_deg, 76.0])

@@ -346,11 +346,12 @@ def loss_profiles(
     Each pass is sampled over a window of `duration_s` centred on its
     culmination at 1 s steps, clipped to its tracking window, inclusive of
     both endpoints.  A pass is even in t about culmination (cos wt, cos^2
-    and sin^2 are), so only t >= 0 is evaluated, and the trig of beta_min
-    once per pass and of w t once per step.  Returns (sizes, t_s, index,
-    elevation_deg, loss_db): the sample count of each pass, the t_s column
-    of all passes in order, and the row of each of those samples in
-    elevation_deg and loss_db, the t >= 0 columns.
+    and sin^2 are), so only t >= 0 is evaluated.  The trig of beta_min is
+    evaluated once per pass and that of w t once per time step, then
+    gathered to the samples.  Returns (sizes, t_s, index, elevation_deg,
+    loss_db): the sample count of each pass, the t_s column of all passes
+    in order, and the row of each of those samples in elevation_deg and
+    loss_db, the t >= 0 columns.
     """
     if not duration_s > 0:  # inf is the full pass; NaN fails
         raise ValueError("duration must be positive")
