@@ -30,7 +30,6 @@ from .linkgeom import (
     elevation_profile,
     link_loss_db,
     loss_profile,
-    polarization_channel,
     polarization_distortion,
     slant_range,
 )
@@ -59,4 +58,4 @@ from .experiment import (
     run_orbit,
 )
 
-__version__ = "0.1.3"
+__version__ = "0.1.4"

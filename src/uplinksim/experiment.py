@@ -685,14 +685,6 @@ _QUIET = {
 }
 
 
-def isolate_source(config: CampaignConfig, name: str, **changes) -> CampaignConfig:
-    """`config` with every error source but `name` at its noise-free value,
-    and with the field `changes` applied, in one `replace`."""
-    if name not in NOISE_FREE:
-        raise ValueError(f"unknown error source {name!r}")
-    return with_fields(config, _QUIET[name], **changes)
-
-
 def error_budget(config: CampaignConfig) -> dict[str, float]:
     """Mean-fidelity deficit of each error source alone, the other three at
     their noise-free values, plus the deficit of `config` as given
@@ -783,18 +775,20 @@ def calibrate(
     one transformed parameter (the double-pair fraction, the mode overlap,
     and cos 2 delta, the jitter factor exp(-2 sigma^2) being fixed by the
     base config), so the analytic pipeline at the two plausibility bounds
-    fixes the line that is inverted; then the receiver efficiency and
-    background rate jointly from the campaign total and the background
-    deficit by a fixed-point loop.  The fitted channel is the one config
-    built; every later trial value is a setting of the analytic kernel
-    (`_state_fidelities`) on that config's per-state sums, with the other
-    error sources quiet as in `isolate_source`, and `PARAMETER_FIELDS` says
-    which field a parameter sets.  Parameters pinned at a plausibility
-    bound leave a reported residual.  A loss target no channel meets leaves
-    a large or infinite loss residual: the zenith transmittance saturates
-    at the smallest positive float and, with no signal, the receiver
-    efficiency at its upper bound.  Raises CalibrationError when any
-    residual exceeds its tolerance, carrying the best-so-far result.
+    fixes the line that is inverted; then the background rate over the
+    receiver efficiency from the background deficit, which depends on that
+    ratio alone and rises, concave, in it, by Newton's method from zero, and
+    the receiver efficiency from the campaign total in closed form.  The
+    fitted channel is the one config built; every later trial value is a
+    setting of the analytic kernel (`_state_fidelities`) on that config's
+    per-state sums, with the other error sources quiet at their `NOISE_FREE`
+    values, and `PARAMETER_FIELDS` says which field a parameter sets.
+    Parameters pinned at a plausibility bound leave a reported residual.  A
+    loss target no channel meets leaves a large or infinite loss residual:
+    the zenith transmittance saturates at the smallest positive float and,
+    with no signal, the receiver efficiency at its upper bound.  Raises
+    CalibrationError when any residual exceeds its tolerance, carrying the
+    best-so-far result.
     """
     targets = targets or CalibrationTargets()
     config = base or default_config()
@@ -845,42 +839,53 @@ def calibrate(
             from_u=from_u,
         )
 
-    # Counts and background fraction: joint solve on (receiver efficiency,
-    # background rate).  The signal count is linear in the one and the
-    # accidental count in the other, so the count model at unit values gives
-    # the campaign totals per unit of each.
+    # Counts and background.  The signal count is linear in the receiver
+    # efficiency eta and the accidental count in the background rate, so the
+    # count model at unit values gives each state's counts per unit, I_s and
+    # L_s.  With the other sources quiet a state's fidelity is
+    # (1 - b_s) q_s + b_s / 2, q_s its fidelity at no background and
+    # b_s = x L_s / (I_s + x L_s), so the deficit depends on x = rate / eta
+    # alone and rises, concave, in it (q_s >= 1/2).  Newton's method from
+    # x = 0 climbs to the root without passing it, or stops at the nearer
+    # end of x's box.  The total then fixes eta; a pinned eta keeps x.
     unit_signal, unit_accidental = _state_counts(
         config, sums, {"receiver_efficiency": 1.0, "background_rate_hz": 1.0}
     )
-    signal_per_eta, accidental_per_hz = sum(unit_signal), sum(unit_accidental)
     quiet = {**settings, **_QUIET["background"]}
-
-    def bg_deficit(eta: float, rate: float) -> float:
-        return _mean_deficit(
-            config, sums, {**quiet, "receiver_efficiency": eta, "background_rate_hz": rate}
-        )
-
-    accidental_total = 2.0 * targets.deficit_background * targets.total_fourfolds
-    eta = 0.5
-    rate = 100.0
-    for _ in range(24):
-        signal_total = max(targets.total_fourfolds - accidental_total, 1e-9)
-        # no signal reaches the receiver once the channel underflows
-        eta = signal_total / signal_per_eta if signal_per_eta > 0 else math.inf
-        eta = float(np.clip(eta, *CALIBRATION_BOUNDS["receiver_efficiency"]))
-        rate = accidental_total / accidental_per_hz
-        rate = float(np.clip(rate, *CALIBRATION_BOUNDS["background_rate_hz"]))
-        deficit = bg_deficit(eta, rate)
-        gap = targets.deficit_background - deficit
-        if abs(gap) < 1e-12:
+    noise_free = _state_fidelities(config, sums, {**quiet, "background_rate_hz": 0.0})
+    weights = [(q - 0.5) / len(noise_free) for q in noise_free]
+    eta_lo, eta_hi = CALIBRATION_BOUNDS["receiver_efficiency"]
+    rate_hi = CALIBRATION_BOUNDS["background_rate_hz"][1]
+    # the target less the deficit at no background
+    headroom = targets.deficit_background - 1.0 + sum(noise_free) / len(noise_free)
+    x = 0.0
+    while True:
+        gap, slope = headroom, 0.0
+        for w, signal, accidental in zip(weights, unit_signal, unit_accidental):
+            total = signal + x * accidental
+            if total > 0.0:  # a state with no counts has no accidental share
+                gap -= w * x * accidental / total
+                slope += w * (signal / total) * (accidental / total)
+        # a flat deficit, or one with no signal, gives no slope to step on
+        step = min(x + gap / slope, rate_hi / eta_lo) if gap > 0.0 and slope > 0.0 else x
+        if step <= x:
             break
-        accidental_total *= 1.0 + np.clip(gap / max(targets.deficit_background, 1e-9), -0.5, 0.5)
+        x = step
+    signal_per_eta, accidental_per_hz = sum(unit_signal), sum(unit_accidental)
+    total_per_eta = signal_per_eta + x * accidental_per_hz
+    # no signal reaches the receiver once the channel underflows
+    free_eta = targets.total_fourfolds / total_per_eta if total_per_eta > 0 else math.inf
+    eta = min(max(free_eta, eta_lo), eta_hi)
+    rate = min(x * eta, rate_hi)
     params["receiver_efficiency"] = eta
     params["background_rate_hz"] = rate
-    residuals["deficit_background"] = bg_deficit(eta, rate) - targets.deficit_background
-    residuals["total_fourfolds"] = (
-        eta * signal_per_eta + rate * accidental_per_hz - targets.total_fourfolds
+    fitted = {**quiet, "receiver_efficiency": eta, "background_rate_hz": rate}
+    residuals["deficit_background"] = (
+        _mean_deficit(config, sums, fitted) - targets.deficit_background
     )
+    # a free eta meets the total exactly: only the pins leave a residual
+    missed = 0.0 if eta == free_eta else eta * total_per_eta - targets.total_fourfolds
+    residuals["total_fourfolds"] = missed + (rate - x * eta) * accidental_per_hz
 
     tolerances = {
         "loss_max_db": 1.0,

@@ -297,31 +297,17 @@ def polarization_distortion(delta: float) -> np.ndarray:
     return np.cos(delta) * np.eye(2, dtype=complex) - 1j * np.sin(delta) * ROTATION_AXIS
 
 
-def polarization_channel(rho: np.ndarray, delta: float, jitter_sigma: float) -> np.ndarray:
-    """Average of the distortion over Gaussian angle jitter, in closed form.
-
-    A rotation by 2a with a ~ N(delta, sigma^2) leaves the Bloch component
-    along the axis n alone and turns the rest by 2 delta while damping it by
-    E[cos 2a]/cos 2delta = exp(-2 sigma^2), so the channel is
-    lam U rho U^dag + (1 - lam) (rho + n rho n)/2 with lam = exp(-2 sigma^2).
-    """
-    u = polarization_distortion(delta)
-    # a product, not sigma**2: a float power raises OverflowError for huge
-    # sigma, while the product goes to inf and lam to the dephased limit 0
-    lam = np.exp(-2.0 * jitter_sigma * jitter_sigma)
-    dephased = (rho + ROTATION_AXIS @ rho @ ROTATION_AXIS) / 2.0
-    return lam * (u @ rho @ u.conj().T) + (1.0 - lam) * dephased
-
-
 def polarization_channel_bloch(
     v: tuple[float, float, float], delta: float, jitter_sigma: float
 ) -> tuple[float, float, float]:
-    """`polarization_channel` acting on the Bloch vector v of rho, in
-    scalar floats.
+    """The uplink polarization channel on the Bloch vector v of a qubit
+    state, in scalar floats: `polarization_distortion` averaged over
+    Gaussian angle jitter, in closed form.
 
-    With n = (1, 1, 0)/sqrt(2) the channel keeps (v.n)n, rotates the rest by
-    +2 delta about n (right-handed, as exp(-i delta n.sigma) does) and damps
-    it by lam = exp(-2 sigma^2):
+    A rotation by 2a with a ~ N(delta, sigma^2) about n = (1, 1, 0)/sqrt(2)
+    keeps (v.n)n and turns the rest by +2 delta (right-handed, as
+    exp(-i delta n.sigma) does) while damping it by
+    lam = E[cos 2a]/cos 2delta = exp(-2 sigma^2):
     v' = (v.n)n + lam [cos 2delta (v - (v.n)n) + sin 2delta (n x v)].
     """
     vx, vy, vz = v

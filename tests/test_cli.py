@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uplinksim
 from uplinksim import cli, config
 from uplinksim.cli import main
 from uplinksim.config import (
@@ -91,10 +92,10 @@ PINNED_SEED_DIGESTS = {
 # calibration.json of `calibrate --targets` on each targets section: the
 # published targets (converged) and an infeasible polarization deficit.
 PINNED_CALIBRATION_DIGESTS = {
-    "{}": (0, "61d14171462715a464b03a4d8e409ac76ebcb29946c521605a0ddf6b8b3c47c1"),
+    "{}": (0, "dc18899192434df5cad0d4ce499f29704f9fbe566c2b2cb0326162eea91d997d"),
     '{"deficit_polarization": 0.5}': (
         4,
-        "45c18a2755e3502673331a49f7492e316195d502b9c6d69c1badd12c7a60aa93",
+        "f9e9c60032d0d0de163952f3e3b76b5bec86c4540ec0f6c14023f587460f8e62",
     ),
 }
 
@@ -704,6 +705,14 @@ def test_calibration_output_matches_pinned_digests(tmp_path):
         assert main(["calibrate", "--targets", str(path), "--out", str(out)]) == code, targets
         got = hashlib.sha256((out / "calibration.json").read_bytes()).hexdigest()
         assert got == digest, targets
+
+
+def test_package_version_matches_pyproject():
+    # A version bump touches both; a regex, as Python 3.10 has no tomllib.
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    version = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+    assert version is not None
+    assert uplinksim.__version__ == version.group(1)
 
 
 # Each numeric key of a campaign file and of a targets file, as (section,

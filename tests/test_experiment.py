@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 import tracemalloc
 import warnings
@@ -42,7 +43,6 @@ from uplinksim.experiment import (
     expected_accidental_count,
     expected_signal_count,
     fibre_comparison,
-    isolate_source,
     orbit_exposure,
     run_campaign,
     run_orbit,
@@ -60,12 +60,12 @@ from uplinksim.linkgeom import (
     elevation_profile,
     link_loss_db,
     loss_profile,
-    polarization_channel,
     polarization_distortion,
     slant_range,
 )
 from uplinksim.photonsrc import SourceModel, werner_pair
 from uplinksim.qstate import mub_states, tensor
+from test_linkgeom import polarization_channel
 
 from dataclasses import fields, is_dataclass, replace
 
@@ -75,6 +75,21 @@ def quiet_config(**overrides) -> CampaignConfig:
     noise-free value."""
     noise_free = {key: value for values in NOISE_FREE.values() for key, value in values.items()}
     return replace(with_fields(default_config(), noise_free), **overrides)
+
+
+def isolate_source(config: CampaignConfig, name: str) -> CampaignConfig:
+    """Oracle for the quieting of the error budget and calibration: `config`
+    with every error source but `name` at its noise-free value, built as a
+    config."""
+    if name not in NOISE_FREE:
+        raise ValueError(f"unknown error source {name!r}")
+    quiet = {
+        key: value
+        for source, values in NOISE_FREE.items()
+        if source != name
+        for key, value in values.items()
+    }
+    return with_fields(config, quiet)
 
 
 def accepted_branches(resource_fidelity: float, mode_overlap: float, state_label: str) -> list:
@@ -1000,6 +1015,51 @@ class TestErrorBudget:
             assert abs(budget[source]) < 1e-12
 
 
+def damped_loop_background_stage(config: CampaignConfig, targets: CalibrationTargets) -> tuple:
+    """Oracle for calibrate()'s background stage: the damped fixed-point loop
+    on (receiver efficiency, background rate) that the monotone root
+    replaced, run on the fitted channel `config`.  Returns the efficiency,
+    the rate and the background deficit residual."""
+    sums, settings = experiment._state_sums(config), experiment._settings(config)
+    unit_signal, unit_accidental = experiment._state_counts(
+        config, sums, {"receiver_efficiency": 1.0, "background_rate_hz": 1.0}
+    )
+    signal_per_eta, accidental_per_hz = sum(unit_signal), sum(unit_accidental)
+    quiet = {**settings, **experiment._QUIET["background"]}
+
+    def bg_deficit(eta: float, rate: float) -> float:
+        return experiment._mean_deficit(
+            config, sums, {**quiet, "receiver_efficiency": eta, "background_rate_hz": rate}
+        )
+
+    accidental_total = 2.0 * targets.deficit_background * targets.total_fourfolds
+    eta = 0.5
+    rate = 100.0
+    for _ in range(24):
+        signal_total = max(targets.total_fourfolds - accidental_total, 1e-9)
+        # no signal reaches the receiver once the channel underflows
+        eta = signal_total / signal_per_eta if signal_per_eta > 0 else math.inf
+        eta = float(np.clip(eta, *CALIBRATION_BOUNDS["receiver_efficiency"]))
+        rate = accidental_total / accidental_per_hz
+        rate = float(np.clip(rate, *CALIBRATION_BOUNDS["background_rate_hz"]))
+        deficit = bg_deficit(eta, rate)
+        gap = targets.deficit_background - deficit
+        if abs(gap) < 1e-12:
+            break
+        accidental_total *= 1.0 + np.clip(gap / max(targets.deficit_background, 1e-9), -0.5, 0.5)
+    return eta, rate, bg_deficit(eta, rate) - targets.deficit_background
+
+
+def calibrate_anyway(
+    targets: CalibrationTargets, base: CampaignConfig | None = None
+) -> CalibrationResult:
+    """calibrate(targets, base), or the best-so-far result it raises with."""
+    try:
+        return calibrate(targets, base)
+    except CalibrationError as err:
+        return err.result
+
+
 class TestCalibrate:
     def test_reproduces_frozen_defaults(self):
         result = calibrate()
@@ -1145,8 +1205,54 @@ class TestCalibrate:
         assert abs(result.residuals["deficit_polarization"]) <= 1e-14
         assert result.params["mode_overlap"] == CALIBRATION_BOUNDS["mode_overlap"][0]
         assert result.residuals["deficit_distinguishability"] == pytest.approx(-0.01, abs=1e-12)
-        # Two bound evaluations per noise source, plus one at each root.
-        assert len(noise_evaluations) == 3 + 2 + 3
+        # Two bound evaluations per noise source, plus one at each root, plus
+        # the background stage's read of the fidelities at no background.
+        assert len(noise_evaluations) == 3 + 2 + 3 + 1
+
+    @pytest.mark.parametrize(
+        "resource_fidelity, deficit, total",
+        [
+            *itertools.product([1.0], [0.005, 0.02, 0.04, 0.1, 0.2, 0.3], [50.0, 911.0]),
+            # at no background a resource of fidelity 0.9 leaves a deficit of
+            # 1/15; nearer to it the loop stops short within its 24 steps
+            *itertools.product([0.9], [0.2, 0.3], [50.0, 911.0]),
+            (1.0, 0.04, 5000.0),  # the receiver efficiency pinned at its upper bound
+        ],
+    )
+    def test_background_stage_matches_the_damped_loop(self, resource_fidelity, deficit, total):
+        targets = CalibrationTargets(deficit_background=deficit, total_fourfolds=total)
+        base = default_config(resource_fidelity=resource_fidelity)
+        result = calibrate_anyway(targets, base)
+        eta, rate, deficit_residual = damped_loop_background_stage(result.apply(base), targets)
+        assert result.params["receiver_efficiency"] == pytest.approx(eta, rel=1e-9, abs=0.0)
+        assert result.params["background_rate_hz"] == pytest.approx(rate, rel=1e-9, abs=0.0)
+        assert abs(deficit_residual) <= 1e-12
+        assert abs(result.residuals["deficit_background"]) <= 1e-12
+        if total == 5000.0:  # the pinned efficiency falls short of the total
+            assert eta == CALIBRATION_BOUNDS["receiver_efficiency"][1]
+            assert result.residuals["total_fourfolds"] < -25.0
+        else:
+            assert result.residuals["total_fourfolds"] == 0.0
+
+    def test_background_stage_pins_efficiency_then_rate(self):
+        # The deficit asks for more than the box's rate at the largest
+        # efficiency the total allows: both end at their upper bounds.
+        result = calibrate_anyway(
+            CalibrationTargets(deficit_background=0.3, total_fourfolds=20000.0)
+        )
+        assert result.params["receiver_efficiency"] == CALIBRATION_BOUNDS["receiver_efficiency"][1]
+        assert result.params["background_rate_hz"] == CALIBRATION_BOUNDS["background_rate_hz"][1]
+        assert result.residuals["deficit_background"] < 0.0
+
+    def test_background_stage_adds_no_background_below_its_reach(self):
+        # A resource of fidelity 0.9 leaves a deficit of 1/15 at no
+        # background: a smaller target is met nearest with no background.
+        result = calibrate_anyway(
+            CalibrationTargets(deficit_background=0.04), default_config(resource_fidelity=0.9)
+        )
+        assert result.params["background_rate_hz"] == 0.0
+        assert result.residuals["deficit_background"] == pytest.approx(1 / 15 - 0.04, abs=1e-12)
+        assert result.residuals["total_fourfolds"] == 0.0
 
     @pytest.mark.parametrize("value", [3000.0, 5000.0, 1e12, 1e300])
     @pytest.mark.parametrize("target", ["loss_max_db", "loss_min_db"])

@@ -16,7 +16,6 @@ from uplinksim.linkgeom import (
     loss_profiles,
     pass_table,
     pointing_jitter_urad,
-    polarization_channel,
     polarization_channel_bloch,
     polarization_distortion,
     slant_range,
@@ -30,6 +29,23 @@ from uplinksim.qstate import (
     apply_unitary,
     fidelity,
 )
+
+
+def polarization_channel(rho: np.ndarray, delta: float, jitter_sigma: float) -> np.ndarray:
+    """Oracle for `polarization_channel_bloch`: the distortion averaged over
+    Gaussian angle jitter, on the density matrix, in closed form.
+
+    A rotation by 2a with a ~ N(delta, sigma^2) leaves the Bloch component
+    along the axis n alone and turns the rest by 2 delta while damping it by
+    E[cos 2a]/cos 2delta = exp(-2 sigma^2), so the channel is
+    lam U rho U^dag + (1 - lam) (rho + n rho n)/2 with lam = exp(-2 sigma^2).
+    """
+    u = polarization_distortion(delta)
+    # a product, not sigma**2: a float power raises OverflowError for huge
+    # sigma, while the product goes to inf and lam to the dephased limit 0
+    lam = np.exp(-2.0 * jitter_sigma * jitter_sigma)
+    dephased = (rho + ROTATION_AXIS @ rho @ ROTATION_AXIS) / 2.0
+    return lam * (u @ rho @ u.conj().T) + (1.0 - lam) * dephased
 
 
 def calibrated_link(slew_k: float = 1.0) -> LinkModel:
