@@ -191,43 +191,53 @@ def cmd_write_config(args) -> int:
     return EXIT_OK
 
 
+# command -> (handler, help, flags), each flag a (name, add_argument keywords) pair.
+_CONFIG = ("--config", dict(type=Path, default=None, help="campaign JSON file"))
+_OUT = ("--out", dict(type=Path, default=Path("out"), help="output directory"))
+_SEED = ("--seed", dict(type=int, default=None, help="seed override (u64)"))
+COMMANDS = {
+    "simulate": (cmd_simulate, "run the Monte Carlo campaign",
+                 (_CONFIG, _OUT, _SEED, ("--verbose", dict(action="store_true")))),
+    "loss-profile": (cmd_loss_profile, "emit the pass attenuation table", (_CONFIG, _OUT)),
+    "calibrate": (cmd_calibrate, "fit model parameters to published targets",
+                  (("--targets", dict(type=Path, required=True, help="targets JSON file")), _OUT)),
+    "error-budget": (cmd_error_budget, "per-source fidelity deficits", (_CONFIG, _OUT)),
+    "classical-baseline": (cmd_classical_baseline, "entanglement-free fidelity limit",
+                           (("--samples", dict(type=int, default=10**6)), _SEED)),
+    "fibre-compare": (cmd_fibre_compare, "waiting time through long fibre",
+                      (("--rate-hz", dict(type=float, default=8210.0)),
+                       ("--distance-km", dict(type=float, default=1200.0)),
+                       ("--db-per-km", dict(type=float, default=0.2)))),
+    "write-config": (cmd_write_config, "write the calibrated default config", (_OUT, _SEED)),
+}
+
+
+def command_parser(name: str, parser=None) -> argparse.ArgumentParser:
+    """`parser`, by default a new `uplinksim <name>`, with command `name`'s flags and handler."""
+    parser = parser or argparse.ArgumentParser(prog=f"uplinksim {name}")
+    func, _, flags = COMMANDS[name]
+    for flag, kwargs in flags:
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(func=func, command=name)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="uplinksim",
-        description="Ground-to-satellite teleportation campaign simulator",
+        prog="uplinksim", description="Ground-to-satellite teleportation campaign simulator"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    config = ("--config", dict(type=Path, default=None, help="campaign JSON file"))
-    out = ("--out", dict(type=Path, default=Path("out"), help="output directory"))
-    seed = ("--seed", dict(type=int, default=None, help="seed override (u64)"))
-
-    def command(name, func, help, *flags):
-        p = sub.add_parser(name, help=help)
-        for flag, kwargs in flags:
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(func=func)
-
-    command("simulate", cmd_simulate, "run the Monte Carlo campaign",
-            config, out, seed, ("--verbose", dict(action="store_true")))
-    command("loss-profile", cmd_loss_profile, "emit the pass attenuation table", config, out)
-    command("calibrate", cmd_calibrate, "fit model parameters to published targets",
-            ("--targets", dict(type=Path, required=True, help="targets JSON file")), out)
-    command("error-budget", cmd_error_budget, "per-source fidelity deficits", config, out)
-    command("classical-baseline", cmd_classical_baseline, "entanglement-free fidelity limit",
-            ("--samples", dict(type=int, default=10**6)), seed)
-    command("fibre-compare", cmd_fibre_compare, "waiting time through long fibre",
-            ("--rate-hz", dict(type=float, default=8210.0)),
-            ("--distance-km", dict(type=float, default=1200.0)),
-            ("--db-per-km", dict(type=float, default=0.2)))
-    command("write-config", cmd_write_config, "write the calibrated default config", out, seed)
-
+    for name, (_, help, _) in COMMANDS.items():
+        command_parser(name, sub.add_parser(name, help=help))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in COMMANDS:
+        args = command_parser(argv[0]).parse_args(argv[1:])
+    else:  # -h, no command or an unknown one: every command's help, or exit 2
+        args = build_parser().parse_args(argv)
     try:
         seed = getattr(args, "seed", None)
         if seed is not None and not 0 <= seed < 2**64:

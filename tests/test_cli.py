@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -670,6 +671,109 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as err:
             main(["teleport-me"])
         assert err.value.code == 2
+
+
+# A representative argv of each command, every flag given.
+COMMAND_ARGV = {
+    "simulate": ["--config", "c.json", "--out", "o", "--seed", "7", "--verbose"],
+    "loss-profile": ["--config", "c.json", "--out", "o"],
+    "calibrate": ["--targets", "t.json", "--out", "o"],
+    "error-budget": ["--config", "c.json", "--out", "o"],
+    "classical-baseline": ["--samples", "10", "--seed", "3"],
+    "fibre-compare": ["--rate-hz", "1e3", "--distance-km", "50", "--db-per-km", "0.3"],
+    "write-config": ["--out", "o", "--seed", "11"],
+}
+
+
+def documented_flags(rows) -> dict[str, list[str]]:
+    """command -> flags of a command table given as (commands, flags) text
+    pairs, one a row."""
+    return {
+        name: re.findall(r"--[a-z-]+", flags)
+        for names, flags in rows
+        for name in re.findall(r"[a-z]+(?:-[a-z]+)*", names)
+    }
+
+
+class TestParsers:
+    def test_every_command_has_an_argv(self):
+        assert list(COMMAND_ARGV) == list(cli.COMMANDS)
+
+    @pytest.mark.parametrize("command", COMMAND_ARGV)
+    def test_command_parser_matches_its_subparser(self, command):
+        argv = COMMAND_ARGV[command]
+        alone = cli.command_parser(command).parse_args(argv)
+        tree = cli.build_parser().parse_args([command, *argv])
+        assert vars(alone) == vars(tree)
+        assert alone.command == command and alone.func is cli.COMMANDS[command][0]
+
+    @pytest.mark.parametrize("command", COMMAND_ARGV)
+    def test_command_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, "-h"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: uplinksim {command} [-h]")
+
+    @pytest.mark.parametrize("command", COMMAND_ARGV)
+    def test_unknown_flag_usage_names_the_command(self, command, capsys):
+        argv = [command, "--bogus"] + (["--targets", "t.json"] if command == "calibrate" else [])
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith(f"usage: uplinksim {command} [-h]")
+        assert lines[-1] == f"uplinksim {command}: error: unrecognized arguments: --bogus"
+
+    def test_root_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["-h"])
+        assert err.value.code == 0
+        out = capsys.readouterr().out
+        for command, (_, help, _) in cli.COMMANDS.items():
+            assert re.search(rf"^    {command} +{help}$", out, re.MULTILINE), command
+
+    def test_no_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([])
+        assert err.value.code == 2
+        assert "the following arguments are required: command" in capsys.readouterr().err
+
+    def test_unknown_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["teleport-me"])
+        assert err.value.code == 2
+        assert "invalid choice: 'teleport-me'" in capsys.readouterr().err
+
+    def test_a_run_builds_only_its_command_parser(self, tmp_path, monkeypatch):
+        # Counted per call, so that neither the subparser tree nor a parser
+        # kept from an earlier call goes unnoticed.
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for run in ("a", "b"):
+            assert main(["simulate", "--out", str(tmp_path / run)]) == 0
+        assert built == ["uplinksim simulate"] * 2
+        built.clear()
+        cli.build_parser()
+        assert len(built) == 1 + len(cli.COMMANDS)
+
+    def test_docs_list_the_flags_of_commands(self):
+        expected = {
+            name: [flag for flag, _ in flags] for name, (_, _, flags) in cli.COMMANDS.items()
+        }
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| subcommand | flags |\n| --- | --- |\n")[1].split("\n\n")[0]
+        doc_rows = re.findall(r"^  (\S+) +(--.*)$", cli.__doc__, re.MULTILINE)
+        readme_rows = re.findall(r"^\| (.+) \| (.+) \|$", table, re.MULTILINE)
+        assert len(doc_rows) == len(expected)
+        assert documented_flags(doc_rows) == expected
+        assert documented_flags(readme_rows) == expected
+        assert len(readme_rows) == len(table.splitlines())
 
 
 def test_import_loads_no_scipy():

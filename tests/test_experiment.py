@@ -141,6 +141,21 @@ def density_matrix_event_model(
     return np.array(out_p), np.array(port_p), tuple(correct)
 
 
+def assert_closed_form_matches_density_matrix(keys) -> None:
+    """`experiment._event_model` against `density_matrix_event_model` at
+    each (resource fidelity, mode overlap, delta, jitter sigma, label) key."""
+    for key in keys:
+        closed = experiment._event_model(*key)
+        outcome_probabilities, oracle_port_p, oracle_correct = density_matrix_event_model(*key)
+        # The constant 1/2 split that run_orbit and the analytic tier use.
+        assert outcome_probabilities.shape == (len(ACCEPTED_OUTCOMES),)
+        assert np.abs(outcome_probabilities - 0.5).max() <= 1e-12, key
+        got, expected = np.array(closed), oracle_port_p
+        assert got.shape == expected.shape == (len(ACCEPTED_OUTCOMES),)
+        assert np.abs(got - expected).max() <= 1e-12, key
+        assert CORRECT_IS_SIGNAL[key[-1]] == oracle_correct, key
+
+
 def quadrature_port_probabilities(config: CampaignConfig, state_label: str) -> dict:
     """Oracle for the jitter-averaged channel: 21-node Gauss-Hermite
     quadrature of the rotation over the Gaussian angle."""
@@ -393,6 +408,36 @@ def _random_pass_configs(n: int, seed: int) -> dict[str, CampaignConfig]:
 
 EXPOSURE_GRID.update(_random_pass_configs(20, seed=14))
 NOISE_DRAWS = noise_draws(20, seed=16)
+
+
+def pull_configs(n: int, seed: int) -> list[CampaignConfig]:
+    """Seeded draws of every noise source and of the receiver efficiency at
+    30 times the calibrated fourfold rate (6e3 to 1.1e5 fourfolds per
+    campaign), each campaign on its own seed: mode overlap in [0.5, 1],
+    double-pair fraction in [0, 0.5], delta in [0, 0.6] rad, jitter in
+    [0, 0.5] rad, background in [0, 3000] Hz and receiver efficiency in
+    [0.05, 1], drawn in that order."""
+    rng = np.random.default_rng(seed)
+    ranges = {
+        "mode_overlap": (0.5, 1.0),
+        "double_pair_fraction": (0.0, 0.5),
+        "delta_rad": (0.0, 0.6),
+        "jitter_sigma_rad": (0.0, 0.5),
+        "background_rate_hz": (0.0, 3000.0),
+        "receiver_efficiency": (0.05, 1.0),
+    }
+    base = scaled_rate(30.0)
+    return [
+        with_fields(
+            base,
+            {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in ranges.items()},
+            seed=int(rng.integers(2**63)),
+        )
+        for _ in range(n)
+    ]
+
+
+PULL_CONFIGS = pull_configs(200, seed=23)
 
 
 class TestExposure:
@@ -728,6 +773,22 @@ class TestRunCampaign:
         for label, summary in res.per_state.items():
             assert abs(summary.fidelity - expected[label]) < 3 * summary.sigma
 
+    def test_monte_carlo_pulls_over_drawn_configs(self):
+        # Each state's pull, (Monte Carlo - analytic) / the run's sigma, over
+        # 200 drawn campaigns: 1200 pulls, which a sampler that draws what
+        # the analytic tier predicts spreads as a unit normal.  The standard
+        # error of their SD is about 0.02, of their mean about 0.03.
+        pulls = []
+        for config in PULL_CONFIGS:
+            expected = analytic_fidelities(config)
+            for label, summary in run_campaign(config).per_state.items():
+                pulls.append((summary.fidelity - expected[label]) / summary.sigma)
+        pulls = np.array(pulls)
+        assert pulls.shape == (len(PULL_CONFIGS) * len(STATE_LABELS),)
+        assert np.abs(pulls).max() < 4.5
+        assert 0.9 <= pulls.std() <= 1.1
+        assert abs(pulls.mean()) <= 0.15
+
     def test_jittered_polarization_sampling_matches_quadrature(self, monkeypatch):
         # Per-event angle draws (the oracle sampler, run through the
         # campaign's seeding and aggregation) against the jitter-averaged
@@ -865,20 +926,20 @@ class TestAnalyticPipeline:
             )
         )
         assert len(grid) == 1152
-        for key in grid:
-            closed = experiment._event_model(*key)
-            outcome_probabilities, oracle_port_p, oracle_correct = density_matrix_event_model(*key)
-            # The constant 1/2 split that run_orbit and the analytic tier use.
-            assert outcome_probabilities.shape == (len(ACCEPTED_OUTCOMES),)
-            assert np.abs(outcome_probabilities - 0.5).max() <= 1e-12, key
-            got, expected = np.array(closed), oracle_port_p
-            assert got.shape == expected.shape == (len(ACCEPTED_OUTCOMES),)
-            assert np.abs(got - expected).max() <= 1e-12, key
-            assert CORRECT_IS_SIGNAL[key[-1]] == oracle_correct, key
+        assert_closed_form_matches_density_matrix(grid)
         paulis = (qstate.PAULI_X, qstate.PAULI_Y, qstate.PAULI_Z)
         for label, chi in mub_states().items():
             rho = chi.density().matrix
             assert STATE_BLOCH[label] == tuple(np.real(np.trace(rho @ p)) for p in paulis)
+
+    def test_closed_form_matches_density_matrix_oracle_at_pull_configs(self):
+        keys = [
+            (c.resource_fidelity, c.bsm.mode_overlap, c.polarization.delta_rad,
+             c.polarization.jitter_sigma_rad, label)
+            for c in PULL_CONFIGS
+            for label in STATE_LABELS
+        ]
+        assert_closed_form_matches_density_matrix(keys)
 
     def test_hot_path_skips_density_matrices(self, monkeypatch):
         # Every reference any package module holds to the density-matrix
