@@ -27,7 +27,6 @@ from .linkgeom import (
     LinkModel,
     PassGeometry,
     effective_divergence,
-    elevation_profile,
     link_loss_db,
     loss_profile,
     polarization_distortion,
@@ -58,4 +57,4 @@ from .experiment import (
     run_orbit,
 )
 
-__version__ = "0.1.4"
+__version__ = "0.1.5"

@@ -129,7 +129,11 @@ class TeleportExpectation:
 def teleport_expected(
     input_state: PureState, f_ent: float, model: BsmModel
 ) -> TeleportExpectation:
-    """Analytic teleportation of one qubit through a noisy resource pair."""
+    """Analytic teleportation of one qubit through a noisy resource pair.
+
+    Qubit 1 of a Werner pair is maximally mixed, so each accepted analyzer
+    outcome has probability 1/4 for any input, resource and mode overlap.
+    """
     if input_state.num_qubits != 1:
         raise ValueError("teleportation input must be a single qubit")
     joint = tensor(input_state, werner_pair(f_ent))
@@ -139,14 +143,12 @@ def teleport_expected(
     accepted = 0.0
     for branch in bsm_apply(joint, model):
         probabilities[branch.outcome] = branch.probability
-        if branch.outcome is BsmOutcome.FAIL or branch.conditional is None:
+        if branch.outcome is BsmOutcome.FAIL:
             continue
         fixed = feed_forward(branch.outcome, branch.conditional)
         corrected[branch.outcome] = fixed
         weighted += branch.probability * fidelity(input_state, fixed)
         accepted += branch.probability
-    if accepted <= 0.0:
-        raise RuntimeError("both analyzer outcomes are impossible for this input")
     return TeleportExpectation(
         input_state=input_state,
         probabilities=probabilities,

@@ -168,8 +168,9 @@ FIELD_MODEL = {f.name: attr for attr, model in _MODEL_TYPES.items() for f in fie
 
 # Every config build and exposure asks for the campaign's passes, so a
 # `replace` that leaves them alone costs one lookup: (orbit_altitude_km,
-# min_elevation_deg, max_elevations_deg) -> the campaign's `PassTable`.
-_pass_table = functools.lru_cache(maxsize=128)(pass_table)
+# min_elevation_deg, max_elevations_deg) -> the campaign's `PassTable`.  A
+# command reads one campaign, so the cache keeps the last one only.
+_pass_table = functools.lru_cache(maxsize=1)(pass_table)
 
 
 # Calibrated operating point.  The channel terms reproduce the published
@@ -183,14 +184,10 @@ CALIBRATED = {
     "slew_degradation_k": 1.0,
     "double_pair_fraction": 0.12,
     "mode_overlap": 0.73,
-    "polarization_delta_rad": 0.21375613247241568,
+    "delta_rad": 0.21375613247241568,
     "background_rate_hz": 140.67052383843003,
     "receiver_efficiency": 0.37621805150703735,
 }
-
-# Fitted parameter -> the model field it sets: the field of its own name,
-# but for the polarization angle.
-PARAMETER_FIELDS = {name: name for name in CALIBRATED} | {"polarization_delta_rad": "delta_rad"}
 
 
 def with_fields(
@@ -203,11 +200,6 @@ def with_fields(
         by_model.setdefault(FIELD_MODEL[name], {})[name] = value
     models = {attr: replace(getattr(config, attr), **c) for attr, c in by_model.items()}
     return replace(config, **models, **overrides)
-
-
-def with_params(config: CampaignConfig, params: Mapping[str, float]) -> CampaignConfig:
-    """`config` with any subset of the fitted parameters set, in one `replace`."""
-    return with_fields(config, {PARAMETER_FIELDS[name]: value for name, value in params.items()})
 
 
 DEFAULT_SEED = 20160839
@@ -235,9 +227,8 @@ def default_config(seed: int = DEFAULT_SEED, **overrides) -> CampaignConfig:
     """The calibrated 32-orbit campaign configuration: the default models
     with `CALIBRATED` set, and `overrides` replacing whole fields, built as
     one config."""
-    calibrated = {PARAMETER_FIELDS[name]: value for name, value in CALIBRATED.items()}
     models = {
-        attr: model(**{k: v for k, v in calibrated.items() if FIELD_MODEL[k] == attr})
+        attr: model(**{k: v for k, v in CALIBRATED.items() if FIELD_MODEL[k] == attr})
         for attr, model in _MODEL_TYPES.items()
     }
     campaign = dict(orbits=default_orbit_plans(), input_schedule=default_schedule(), seed=seed)
@@ -255,9 +246,10 @@ class OrbitExposure:
     transmittance: np.ndarray  # per-second channel transmittance (read-only)
 
 
-# One entry per campaign: the link and the pass parameters as plain values,
-# so that a lookup hashes no geometry.
-@functools.lru_cache(maxsize=128)
+# Keyed by the link and the pass parameters as plain values, so that a
+# lookup hashes no geometry.  One entry, the last campaign's: a command reads
+# one campaign, and the exposure of 1e4 passes holds about 29 MB.
+@functools.lru_cache(maxsize=1)
 def _exposure(
     link: LinkModel,
     orbit_altitude_km: float,
@@ -620,8 +612,8 @@ class CampaignResult:
             ],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
@@ -717,7 +709,7 @@ class CalibrationTargets:
 CALIBRATION_BOUNDS = {
     "double_pair_fraction": (0.0, 0.5),
     "mode_overlap": (0.73, 0.98),
-    "polarization_delta_rad": (0.0, 0.6),
+    "delta_rad": (0.0, 0.6),
     "background_rate_hz": (0.0, 5000.0),
     "receiver_efficiency": (1e-4, 1.0),
 }
@@ -730,7 +722,7 @@ class CalibrationResult:
     converged: bool
 
     def apply(self, config: CampaignConfig) -> CampaignConfig:
-        return with_params(config, self.params)
+        return with_fields(config, self.params)
 
 
 class CalibrationError(RuntimeError):
@@ -782,7 +774,7 @@ def calibrate(
     fitted channel is the one config built; every later trial value is a
     setting of the analytic kernel (`_state_fidelities`) on that config's
     per-state sums, with the other error sources quiet at their `NOISE_FREE`
-    values, and `PARAMETER_FIELDS` says which field a parameter sets.
+    values.  Each parameter is named after the model field it sets.
     Parameters pinned at a plausibility bound leave a reported residual.  A
     loss target no channel meets leaves a large or infinite loss residual:
     the zenith transmittance saturates at the smallest positive float and,
@@ -811,14 +803,14 @@ def calibrate(
     # the model's (0, 1]: saturate at the smallest positive float instead
     params["zenith_transmittance"] = max(float(10.0 ** (-x_db / 10.0)), math.ulp(0.0))
     params["system_efficiency_db"] = float(sys_db)
-    config = with_params(config, params)
+    config = with_fields(config, params)
     fitted = link_loss_db(elev, t, ref_geom, config.link) - target
     residuals["loss_max_db"], residuals["loss_min_db"] = fitted.tolist()
     sums, settings = _state_sums(config), _settings(config)
 
     # Noise sources, each deficit inverted in closed form.
     def deficit_residual(source: str, name: str, value: float) -> float:
-        changes = {PARAMETER_FIELDS[name]: value, **_QUIET[source]}
+        changes = {name: value, **_QUIET[source]}
         deficit = _mean_deficit(config, sums, {**settings, **changes})
         return deficit - getattr(targets, f"deficit_{source}")
 
@@ -827,7 +819,7 @@ def calibrate(
         ("distinguishability", "mode_overlap", float, float),
         (
             "polarization",
-            "polarization_delta_rad",
+            "delta_rad",
             lambda v: np.cos(2.0 * v),
             lambda u: 0.5 * np.arccos(u),
         ),

@@ -201,24 +201,6 @@ def slant_range(elevation_deg, geometry: PassGeometry):
     return float(out) if out.ndim == 0 else out
 
 
-def _elevation(geometry: PassGeometry | PassTable, cos_beta_min, cos_wt):
-    """`elevation_profile` from cos(beta_min) and cos(w t)."""
-    cos_beta = cos_beta_min * cos_wt
-    beta = np.arccos(np.clip(cos_beta, -1.0, 1.0))
-    return np.degrees(np.arctan2(cos_beta - geometry.radius_ratio, np.sin(beta)))
-
-
-def elevation_profile(geometry: PassGeometry, t_s):
-    """Elevation in degrees at time t (s, relative to culmination).
-
-    The central angle follows cos(beta(t)) = cos(beta_min) cos(w t); the
-    profile is symmetric about t = 0 and peaks at max_elevation.
-    """
-    phase = geometry.orbital_rate * np.asarray(t_s, dtype=float)
-    elev = _elevation(geometry, np.cos(geometry.min_central_angle), np.cos(phase))
-    return float(elev) if elev.ndim == 0 else elev
-
-
 def _azimuth_rate(geometry: PassGeometry | PassTable, sin_b, cos2_wt, sin2_wt):
     """`azimuth_rate` from max(sin(beta_min), 1e-6), cos^2(w t) and sin^2(w t)."""
     # a product, not sin_b**2: a numpy scalar squares through pow and an
@@ -250,23 +232,17 @@ def effective_divergence(model: LinkModel) -> float:
     return math.sqrt(ex * ey)
 
 
-def _pointing_jitter(model: LinkModel, rate):
-    """`pointing_jitter_urad` at the given azimuth rate(s)."""
-    return model.tracking_error_urad * (1.0 + model.slew_degradation_k * rate / model.slew_rate_ref)
-
-
-def pointing_jitter_urad(model: LinkModel, geometry: PassGeometry, t_s):
-    """Tracking error inflated by the instantaneous slew demand."""
-    return _pointing_jitter(model, azimuth_rate(geometry, t_s))
-
-
 def _loss_db(geometry: PassGeometry | PassTable, model: LinkModel, sin_e, rate):
     """`link_loss_db` from the sine of the elevation and the azimuth rate."""
     theta = effective_divergence(model)
     with np.errstate(over="ignore", divide="ignore"):  # the saturation of `link_loss_db`
         spot_m = theta * 1e-6 * _slant_range(geometry, sin_e) * 1e3
         eta_geo = np.minimum(1.0, (model.receiver_diameter_m / spot_m) ** 2)
-        eta_point = 1.0 / (1.0 + (2.0 * _pointing_jitter(model, rate) / theta) ** 2)
+        # the tracking error, inflated by the slew demand
+        jitter = model.tracking_error_urad * (
+            1.0 + model.slew_degradation_k * rate / model.slew_rate_ref
+        )
+        eta_point = 1.0 / (1.0 + (2.0 * jitter / theta) ** 2)
         eta_atm = model.zenith_transmittance ** (1.0 / sin_e)  # the airmass is 1/sin e
         return -10.0 * np.log10(eta_geo * eta_point * eta_atm) + model.system_efficiency_db
 
@@ -350,7 +326,10 @@ def loss_profiles(
     step = np.arange(counts.sum()) - starts[orbit]
     phase = table.orbital_rate * np.arange(halves.max() + 1.0)
     cos_wt, sin_wt = np.cos(phase), np.sin(phase)
-    elev = _elevation(table, np.cos(table.min_central_angle)[orbit], cos_wt[step])
+    # the central angle follows cos(beta) = cos(beta_min) cos(w t)
+    cos_beta = np.cos(table.min_central_angle)[orbit] * cos_wt[step]
+    beta = np.arccos(np.clip(cos_beta, -1.0, 1.0))
+    elev = np.degrees(np.arctan2(cos_beta - table.radius_ratio, np.sin(beta)))
     sin_b = np.maximum(np.sin(table.min_central_angle), 1e-6)[orbit]
     rate = _azimuth_rate(table, sin_b, (cos_wt**2)[step], (sin_wt**2)[step])
     loss = _loss_db(table, model, _sin_elevation(elev), rate)

@@ -47,18 +47,15 @@ class ClockModel:
 
 @dataclass(frozen=True)
 class SyncConfig:
-    """Synchronization laser and detector timing.  The coincidence window is
-    the campaign's `DetectionModel.coincidence_window_s`."""
+    """Synchronization laser timing.  The coincidence window is the
+    campaign's `DetectionModel.coincidence_window_s`, and the timing jitter
+    is `generate_streams`' `jitter_sigma_ps`."""
 
     sync_rate_hz: float = 10e3
-    detector_jitter_sigma_ps: float = 150.0
 
     def __post_init__(self):
         if not (math.isfinite(self.sync_rate_hz) and self.sync_rate_hz > 0):
             raise ValueError("sync rate must be finite and positive")
-        jitter = self.detector_jitter_sigma_ps
-        if not (math.isfinite(jitter) and jitter >= 0):
-            raise ValueError("jitter sigma must be finite and non-negative")
 
 
 class TimeTagStream:
@@ -83,9 +80,6 @@ class TimeTagStream:
 
     def __len__(self) -> int:
         return self.times_ps.size
-
-    def channel(self, channel_id: int) -> np.ndarray:
-        return self.times_ps[self.channels == channel_id]
 
 
 def sync_pulse_times_ps(config: SyncConfig, duration_s: float) -> np.ndarray:

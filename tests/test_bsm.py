@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uplinksim.bsm import (
     ACCEPTED_OUTCOMES,
@@ -177,6 +179,24 @@ class TestTeleportExpected:
             for k, s in mub_states().items()
         }
         assert abs(f1["H"] - f1["+"]) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        amplitudes=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+            lambda a: sum(x * x for x in a) > 1e-6
+        ),
+        f_ent=st.floats(0.25, 1.0),
+        m=st.floats(0.0, 1.0),
+    )
+    def test_accepted_outcomes_have_probability_one_quarter(self, amplitudes, f_ent, m):
+        # Qubit 1 of a Werner pair is maximally mixed, so no input, resource
+        # or overlap can make an accepted outcome impossible.
+        re_h, im_h, re_v, im_v = amplitudes
+        state = PureState([complex(re_h, im_h), complex(re_v, im_v)])
+        exp = teleport_expected(state, f_ent, BsmModel(m))
+        for outcome in ACCEPTED_OUTCOMES:
+            assert exp.probabilities[outcome] == pytest.approx(0.25, abs=1e-12)
+            assert outcome in exp.corrected
 
 
 # ---------------------------------------------------------------------------

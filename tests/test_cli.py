@@ -93,10 +93,10 @@ PINNED_SEED_DIGESTS = {
 # calibration.json of `calibrate --targets` on each targets section: the
 # published targets (converged) and an infeasible polarization deficit.
 PINNED_CALIBRATION_DIGESTS = {
-    "{}": (0, "dc18899192434df5cad0d4ce499f29704f9fbe566c2b2cb0326162eea91d997d"),
+    "{}": (0, "d387db4c3b6b87c67ae90d5dfea75a4b980b27bd5532881bfa5bbe46b8de3c5f"),
     '{"deficit_polarization": 0.5}': (
         4,
-        "f9e9c60032d0d0de163952f3e3b76b5bec86c4540ec0f6c14023f587460f8e62",
+        "955f1955269440889ac250df310660537dc446a3002c17c866107a3ba9ea4543",
     ),
 }
 

@@ -25,7 +25,6 @@ from uplinksim.experiment import (
     FIELD_MODEL,
     MODELS,
     NOISE_FREE,
-    PARAMETER_FIELDS,
     OrbitPlan,
     PolarizationNoise,
     SimulationError,
@@ -47,17 +46,15 @@ from uplinksim.experiment import (
     run_campaign,
     run_orbit,
     with_fields,
-    with_params,
     STATE_BLOCH,
     STATE_LABELS,
     OrbitRecord,
 )
 from uplinksim.cli import main
-from uplinksim.config import SECTIONS
+from uplinksim.config import SCHEMA, SECTIONS
 from uplinksim.linkgeom import (
     LinkModel,
     PassGeometry,
-    elevation_profile,
     link_loss_db,
     loss_profile,
     polarization_distortion,
@@ -65,7 +62,7 @@ from uplinksim.linkgeom import (
 )
 from uplinksim.photonsrc import SourceModel, werner_pair
 from uplinksim.qstate import mub_states, tensor
-from test_linkgeom import polarization_channel
+from test_linkgeom import elevation_profile, polarization_channel
 
 from dataclasses import fields, is_dataclass, replace
 
@@ -461,6 +458,24 @@ class TestExposure:
         if name == "unequal sample counts":
             assert len(sizes) == len(config.orbits)
 
+    def test_cache_holds_one_campaign(self):
+        # A process that reads campaign after campaign keeps the exposure of
+        # the last one only: a 1e4-pass exposure holds about 29 MB.
+        n = 2000
+        base = default_config(orbits=default_orbit_plans(n), input_schedule=default_schedule(n))
+        configs = [replace(base, orbit_duration_s=d) for d in (350.0, 340.0, 330.0)]
+        experiment._exposure.cache_clear()
+        tracemalloc.start()
+        try:
+            campaign_exposure(configs[0])
+            one = tracemalloc.get_traced_memory()[0]
+            for config in configs[1:]:
+                campaign_exposure(config)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 2 * one, (retained, one)
+
     def test_transmittance_is_read_only(self):
         config = default_config()
         exposure = campaign_exposure(config)[0]
@@ -499,11 +514,11 @@ class TestExposure:
 
 def calibrated_oracle(seed: int = DEFAULT_SEED, **overrides) -> CampaignConfig:
     """Oracle for `default_config`: the bare campaign, `CALIBRATED` set by
-    `with_params`, then `overrides` by `replace`, three configs built."""
+    `with_fields`, then `overrides` by `replace`, three configs built."""
     bare = CampaignConfig(
         orbits=default_orbit_plans(), input_schedule=default_schedule(), seed=seed
     )
-    return replace(with_params(bare, CALIBRATED), **overrides)
+    return replace(with_fields(bare, CALIBRATED), **overrides)
 
 
 DEFAULT_OVERRIDES = {
@@ -539,12 +554,24 @@ class TestConfig:
         cfg = default_config()
         model_fields = {f.name for attr in MODELS for f in fields(getattr(cfg, attr))}
         tables = {
-            "PARAMETER_FIELDS": set(PARAMETER_FIELDS.values()),
+            "CALIBRATED": set(CALIBRATED),
             "NOISE_FREE": {name for values in NOISE_FREE.values() for name in values},
             "_SETTINGS": set(experiment._SETTINGS),
         }
         for table, names in tables.items():
             assert names <= model_fields, (table, names - model_fields)
+
+    def test_fitted_parameters_are_config_keys(self):
+        # One name per fitted parameter: the model field it sets, which is
+        # also its key in that model's config-file section.
+        tables = {
+            "CALIBRATED": CALIBRATED,
+            "CALIBRATION_BOUNDS": CALIBRATION_BOUNDS,
+            "calibrate().params": calibrate().params,
+        }
+        for table, names in tables.items():
+            for name in names:
+                assert name in FIELD_MODEL and name in SCHEMA[FIELD_MODEL[name]], (table, name)
 
     def test_default_config_builds_one_config(self, monkeypatch):
         built = []
@@ -1132,7 +1159,7 @@ class TestCalibrate:
         known = dict(
             double_pair_fraction=0.10,
             mode_overlap=0.80,
-            polarization_delta_rad=0.15,
+            delta_rad=0.15,
             background_rate_hz=220.0,
             receiver_efficiency=0.30,
         )
@@ -1140,7 +1167,7 @@ class TestCalibrate:
             source=SourceModel(double_pair_fraction=known["double_pair_fraction"]),
             bsm=BsmModel(mode_overlap=known["mode_overlap"]),
             polarization=replace(
-                default_config().polarization, delta_rad=known["polarization_delta_rad"]
+                default_config().polarization, delta_rad=known["delta_rad"]
             ),
             detection=replace(
                 default_config().detection,
@@ -1193,7 +1220,7 @@ class TestCalibrate:
         assert cfg.link.slew_degradation_k == params["slew_degradation_k"]
         assert cfg.source.double_pair_fraction == params["double_pair_fraction"]
         assert cfg.bsm.mode_overlap == params["mode_overlap"]
-        assert cfg.polarization.delta_rad == params["polarization_delta_rad"]
+        assert cfg.polarization.delta_rad == params["delta_rad"]
         assert cfg.detection.background_rate_hz == params["background_rate_hz"]
         assert cfg.detection.receiver_efficiency == params["receiver_efficiency"]
         # Fields that are not fitted parameters are left alone.
@@ -1221,7 +1248,7 @@ class TestCalibrate:
             ),
             (
                 "polarization",
-                "polarization_delta_rad",
+                "delta_rad",
                 lambda cfg, v: replace(cfg, polarization=replace(cfg.polarization, delta_rad=v)),
                 lambda v: np.cos(2.0 * v),
             ),
@@ -1342,7 +1369,7 @@ class TestCalibrate:
         params = err.value.result.params
         assert params["double_pair_fraction"] == 0.0
         assert params["mode_overlap"] == 0.73
-        assert params["polarization_delta_rad"] == 0.0
+        assert params["delta_rad"] == 0.0
 
 
 class TestClassicalBaseline:

@@ -10,12 +10,10 @@ from uplinksim.linkgeom import (
     azimuth_rate,
     central_angle,
     effective_divergence,
-    elevation_profile,
     link_loss_db,
     loss_profile,
     loss_profiles,
     pass_table,
-    pointing_jitter_urad,
     polarization_channel_bloch,
     polarization_distortion,
     slant_range,
@@ -46,6 +44,26 @@ def polarization_channel(rho: np.ndarray, delta: float, jitter_sigma: float) -> 
     lam = np.exp(-2.0 * jitter_sigma * jitter_sigma)
     dephased = (rho + ROTATION_AXIS @ rho @ ROTATION_AXIS) / 2.0
     return lam * (u @ rho @ u.conj().T) + (1.0 - lam) * dephased
+
+
+def elevation_profile(geometry: PassGeometry, t_s):
+    """Oracle for the elevation column of `loss_profiles`: the elevation in
+    degrees at time t (s, relative to culmination) of one pass on its own.
+
+    The central angle follows cos(beta(t)) = cos(beta_min) cos(w t); the
+    profile is symmetric about t = 0 and peaks at max_elevation.
+    """
+    phase = geometry.orbital_rate * np.asarray(t_s, dtype=float)
+    cos_beta = np.cos(geometry.min_central_angle) * np.cos(phase)
+    beta = np.arccos(np.clip(cos_beta, -1.0, 1.0))
+    elev = np.degrees(np.arctan2(cos_beta - geometry.radius_ratio, np.sin(beta)))
+    return float(elev) if elev.ndim == 0 else elev
+
+
+def pointing_jitter_urad(model: LinkModel, geometry: PassGeometry, t_s):
+    """Tracking error inflated by the instantaneous slew demand."""
+    rate = azimuth_rate(geometry, t_s)
+    return model.tracking_error_urad * (1.0 + model.slew_degradation_k * rate / model.slew_rate_ref)
 
 
 def calibrated_link(slew_k: float = 1.0) -> LinkModel:
