@@ -554,7 +554,6 @@ class TestConfig:
         cfg = default_config()
         model_fields = {f.name for attr in MODELS for f in fields(getattr(cfg, attr))}
         tables = {
-            "CALIBRATED": set(CALIBRATED),
             "NOISE_FREE": {name for values in NOISE_FREE.values() for name in values},
             "_SETTINGS": set(experiment._SETTINGS),
         }
