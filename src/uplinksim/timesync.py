@@ -20,6 +20,10 @@ MAX_DRIFT_PPM = 100.0
 # largest float below 2**63 is 2**63 - 1024.
 _INT64_FLOOR = -(2.0**63)
 _INT64_TOP = 2.0**63 - 1024.0
+# Tags per block of the order checks and of the clock fit, whose scratch
+# is a few blocks whatever the pass length.  2**14 was the fastest of
+# 2**12 ... 2**16 in a loop of the `tags` benchmark op's three stages.
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,16 @@ class SyncConfig:
             raise ValueError("sync rate must be finite and positive")
 
 
+def _ascending(x: np.ndarray) -> bool:
+    """True when no element of x is below the one before it; a NaN fails
+    the comparison.  The mask covers one block at a time."""
+    for start in range(0, x.size - 1, _BLOCK):
+        stop = min(start + _BLOCK, x.size - 1)
+        if not (x[start + 1 : stop + 1] >= x[start:stop]).all():
+            return False
+    return True
+
+
 class TimeTagStream:
     """Sorted detection record: times in integer ps plus channel ids."""
 
@@ -68,7 +82,7 @@ class TimeTagStream:
         chans = np.asarray(channels, dtype=np.int16).reshape(-1)
         if times.size != chans.size:
             raise ValueError("times and channels must have equal length")
-        if np.any(times[1:] < times[:-1]):
+        if not _ascending(times):
             raise ValueError("time tags must be sorted ascending")
         times.flags.writeable = False
         chans.flags.writeable = False
@@ -186,49 +200,90 @@ class ClockFit:
     n_pulses: int
 
 
+def _sync_times(times) -> np.ndarray:
+    """The sync times as one flat numeric array, left as given: each block
+    is cast to float64 where it is read.  Input that numpy cannot cast
+    (Python ints past int64, say) is cast to float once here."""
+    times = np.asarray(times).reshape(-1)
+    return times if times.dtype.kind in "iuf" else times.astype(float)
+
+
+def _float_block(times: np.ndarray, start: int, stop: int, buf: np.ndarray) -> np.ndarray:
+    """times[start:stop] as float64: a view of float64 input, else a cast
+    into the front of buf."""
+    if times.dtype == np.float64:
+        return times[start:stop]
+    block = buf[: stop - start]
+    np.copyto(block, times[start:stop])
+    return block
+
+
 def fit_clock(ground_sync_ps, satellite_sync_ps) -> ClockFit:
     """Least-squares line through matched sync-pulse arrival pairs.
 
     Needs at least two pulses at distinct ground times (unrecoverable
     otherwise); inputs must be finite and sorted ascending.  For full
     precision supply >= 100 matched pulses.
+
+    Two sweeps over blocks of `_BLOCK` pulses, each read as float64 (int64
+    tags are cast a block at a time, so either dtype gives the same bits).
+    Sweep 1 checks the order and sums each half of the pulses.  Sweep 2
+    centres both sides on their means and takes the residuals about a
+    provisional slope from the two half-means; the slope's correction and
+    the residual sum then follow from three dot products.  The scratch is
+    three blocks, and the dots are `einsum`, not BLAS, whose threads would
+    split the sums differently on each host.
     """
-    g = np.asarray(ground_sync_ps, dtype=float).reshape(-1)
-    # The satellite tags as given, int64 from a tag stream; input that numpy
-    # cannot subtract into a float buffer (Python ints past int64, say) is
-    # cast once here.
-    pulses = np.asarray(satellite_sync_ps).reshape(-1)
-    if pulses.dtype.kind not in "iuf":
-        pulses = pulses.astype(float)
-    s = pulses.astype(float)  # a copy, centred in place below
+    g = _sync_times(ground_sync_ps)
+    s = _sync_times(satellite_sync_ps)
     if g.size != s.size:
         raise ValueError("sync streams must be matched one-to-one")
-    if g.size < 2:
+    n = g.size
+    if n < 2:
         raise ValueError("clock fit is unrecoverable with fewer than 2 sync pulses")
     # In sorted times +-inf can only sit at the ends, and a NaN anywhere
     # fails the order test, so neither check adds a pass over the pulses.
     if any(math.isinf(t) for t in (g[0], g[-1], s[0], s[-1])):
         raise ValueError("sync times must be finite")
-    if not (np.all(g[1:] >= g[:-1]) and np.all(s[1:] >= s[:-1])):
-        raise ValueError("sync tags must be sorted ascending, with no NaN")
-    if g[0] == g[-1]:
+    bufs = [np.empty(min(n, _BLOCK) + 1) for _ in range(3)]
+    half = n // 2
+    # Block sums of the ground and the satellite times, per half.
+    g_sums, s_sums = ([], []), ([], [])
+    for h, (lo, hi) in enumerate(((0, half), (half, n))):
+        for start in range(lo, hi, _BLOCK):
+            stop = min(start + _BLOCK, hi)
+            for times, buf, sums in ((g, bufs[0], g_sums), (s, bufs[1], s_sums)):
+                # One pulse past the block, to check the order across its end.
+                block = _float_block(times, start, min(stop + 1, n), buf)
+                if not _ascending(block):
+                    raise ValueError("sync tags must be sorted ascending, with no NaN")
+                sums[h].append(np.add.reduce(block[: stop - start]))
+    if float(g[0]) == float(g[-1]):
         raise ValueError("clock fit is unrecoverable when all ground sync times are equal")
-    g_mean = g.mean()
-    s_mean = s.mean()
-    # s is the per-element cast of the pulses, so it is centred in place
-    # and the pulses stand in for the uncentred satellite times below.
-    s -= s_mean
-    gc = g - g_mean
-    slope = float(gc @ s / (gc @ gc))
+    g_mean, s_mean = (math.fsum(first + second) / n for first, second in (g_sums, s_sums))
+    # Rounding can make the two ground half-means equal when the ground
+    # times barely differ; any provisional slope is exact after correction.
+    rise, climb = (
+        math.fsum(second) / (n - half) - math.fsum(first) / half for first, second in (g_sums, s_sums)
+    )
+    slope0 = climb / rise if rise else 1.0
+
+    x, r, tmp = bufs
+    sxx = sxr = srr = 0.0
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        xb = np.subtract(_float_block(g, start, stop, x), g_mean, out=x[: stop - start])
+        rb = np.subtract(_float_block(s, start, stop, r), s_mean, out=r[: stop - start])
+        rb -= np.multiply(xb, slope0, out=tmp[: stop - start])
+        sxx += np.einsum("i,i", xb, xb)
+        sxr += np.einsum("i,i", xb, rb)
+        srr += np.einsum("i,i", rb, rb)
+    slope = slope0 + sxr / sxx
     offset = s_mean - slope * g_mean
-    # pulses - (offset + slope * g), squared, in the buffer of gc.
-    residuals = np.multiply(slope, g, out=gc)
-    residuals += offset
-    np.subtract(pulses, residuals, out=residuals)
-    residuals *= residuals
-    rms = float(np.sqrt(np.mean(residuals)))
-    clock = ClockModel(offset_ps=float(offset), drift_ppm=(slope - 1.0) * 1e6)
-    return ClockFit(clock=clock, residual_rms_ps=rms, n_pulses=int(g.size))
+    # The residual sum about the fitted line; it cannot be negative.
+    rms = math.sqrt(max(srr - sxr * sxr / sxx, 0.0) / n)
+    clock = ClockModel(offset_ps=float(offset), drift_ppm=float((slope - 1.0) * 1e6))
+    return ClockFit(clock=clock, residual_rms_ps=rms, n_pulses=n)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 
 from uplinksim import experiment, timesync
 from uplinksim.timesync import (
+    ClockFit,
     ClockModel,
     MatchResult,
     SyncConfig,
@@ -113,6 +118,93 @@ def tag_stream_oracle(events, event_channel, rate_hz, duration_s, rng, backgroun
     return TimeTagStream(*merge_sorted_oracle(events, event_channel, background, background_channel))
 
 
+def fit_clock_oracle(ground_sync_ps, satellite_sync_ps) -> ClockFit:
+    """Reference clock fit, the whole-array implementation of version
+    0.1.5: float copies of the pulses and BLAS dot products, whose sums
+    depend on the BLAS thread count."""
+    g = np.asarray(ground_sync_ps, dtype=float).reshape(-1)
+    # The satellite tags as given, int64 from a tag stream; input that numpy
+    # cannot subtract into a float buffer (Python ints past int64, say) is
+    # cast once here.
+    pulses = np.asarray(satellite_sync_ps).reshape(-1)
+    if pulses.dtype.kind not in "iuf":
+        pulses = pulses.astype(float)
+    s = pulses.astype(float)  # a copy, centred in place below
+    if g.size != s.size:
+        raise ValueError("sync streams must be matched one-to-one")
+    if g.size < 2:
+        raise ValueError("clock fit is unrecoverable with fewer than 2 sync pulses")
+    # In sorted times +-inf can only sit at the ends, and a NaN anywhere
+    # fails the order test, so neither check adds a pass over the pulses.
+    if any(math.isinf(t) for t in (g[0], g[-1], s[0], s[-1])):
+        raise ValueError("sync times must be finite")
+    if not (np.all(g[1:] >= g[:-1]) and np.all(s[1:] >= s[:-1])):
+        raise ValueError("sync tags must be sorted ascending, with no NaN")
+    if g[0] == g[-1]:
+        raise ValueError("clock fit is unrecoverable when all ground sync times are equal")
+    g_mean = g.mean()
+    s_mean = s.mean()
+    # s is the per-element cast of the pulses, so it is centred in place
+    # and the pulses stand in for the uncentred satellite times below.
+    s -= s_mean
+    gc = g - g_mean
+    slope = float(gc @ s / (gc @ gc))
+    offset = s_mean - slope * g_mean
+    # pulses - (offset + slope * g), squared, in the buffer of gc.
+    residuals = np.multiply(slope, g, out=gc)
+    residuals += offset
+    np.subtract(pulses, residuals, out=residuals)
+    residuals *= residuals
+    rms = float(np.sqrt(np.mean(residuals)))
+    clock = ClockModel(offset_ps=float(offset), drift_ppm=(slope - 1.0) * 1e6)
+    return ClockFit(clock=clock, residual_rms_ps=rms, n_pulses=int(g.size))
+
+
+def clock_fit_reference(ground, satellite, chunk=1 << 18):
+    """The least-squares line in np.longdouble: (offset ps, drift ppm, rms
+    ps).  Three passes over chunks of the pulses: the means, the slope from
+    the times centred on them, and the residuals about that line."""
+    ld = np.longdouble
+    n = len(ground)
+    spans = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
+
+    def part(times, i, j):
+        return np.asarray(times[i:j]).astype(ld)
+
+    g_mean = sum(part(ground, i, j).sum() for i, j in spans) / n
+    s_mean = sum(part(satellite, i, j).sum() for i, j in spans) / n
+    sxx = sxy = ld(0)
+    for i, j in spans:
+        x = part(ground, i, j) - g_mean
+        sxx += np.dot(x, x)
+        sxy += np.dot(x, part(satellite, i, j) - s_mean)
+    slope = sxy / sxx
+    rss = ld(0)
+    for i, j in spans:
+        r = part(satellite, i, j) - s_mean - slope * (part(ground, i, j) - g_mean)
+        rss += np.dot(r, r)
+    return s_mean - slope * g_mean, (slope - 1) * ld(1e6), np.sqrt(rss / n)
+
+
+def drifting_sync(n, seed):
+    """n pulses of the 10 kHz sync grid and their int64 satellite tags
+    under the tag chain's clock, with 150 ps jitter."""
+    rng = np.random.default_rng([seed, n])
+    clock = ClockModel(offset_ps=1_234_567.0, drift_ppm=3.2)
+    ground = np.arange(n) * 1e8
+    satellite = np.round(clock.satellite_time(ground) + rng.normal(0.0, 150.0, size=n))
+    return ground, satellite.astype(np.int64)
+
+
+def full_pass_sync():
+    """The 350 s pass of `test_drift_recovery_full_pass`: 3.5e6 pulses,
+    10 ppm drift and 100 ps jitter, float on both sides."""
+    rng = np.random.default_rng(11)
+    g = np.arange(3_500_000, dtype=float) * 1e8
+    clock = ClockModel(offset_ps=2.5e9, drift_ppm=10.0)
+    return g, clock.satellite_time(g) + rng.normal(0, 100.0, size=g.size)
+
+
 def owns_its_buffer(array: np.ndarray) -> bool:
     """True when the array's memory is a buffer of exactly its own bytes:
     its own, or that of the one array it is a reshaped view of."""
@@ -156,11 +248,11 @@ def digest(array: np.ndarray) -> str:
     return hashlib.sha256(array.tobytes()).hexdigest()
 
 
-# The tag chain's output on `tags_chain`, as first computed with the
-# straightforward copying implementation: sha256 of each stream's times
-# and channels, the clock fit's repr and the matches.  Any change here is a
-# change to the seeded streams or to the fit or matcher, and must be
-# deliberate.
+# The tag chain's output on `tags_chain`: sha256 of each stream's times
+# and channels, as first computed with the straightforward copying
+# implementation, the clock fit's repr, as fitted blockwise since version
+# 0.1.6, and the matches.  Any change here is a change to the seeded streams
+# or to the fit or matcher, and must be deliberate.
 PINNED_CHAIN = {
     5: {
         "ground": (
@@ -172,8 +264,8 @@ PINNED_CHAIN = {
             "0216f8a7e9757c31d2005401e01ffb10c53feade11d8db484b460f8e9f190a5a",
         ),
         "fit": (
-            "ClockFit(clock=ClockModel(offset_ps=1234567.20703125, drift_ppm=3.199999961900346), "
-            "residual_rms_ps=149.95902062516296, n_pulses=300000)"
+            "ClockFit(clock=ClockModel(offset_ps=1234567.1953125, drift_ppm=3.19999996256648), "
+            "residual_rms_ps=149.9590228354201, n_pulses=300000)"
         ),
         "pairs": (
             (15771, 152), (86941, 783), (174842, 1509), (217450, 1857),
@@ -191,8 +283,8 @@ PINNED_CHAIN = {
             "27c9882767ced195dda4fb8379fe3b1c82ef2356f84f06eab83ee1fff34de174",
         ),
         "fit": (
-            "ClockFit(clock=ClockModel(offset_ps=1234567.7109375, drift_ppm=3.199999957459454), "
-            "residual_rms_ps=149.77747988628994, n_pulses=300000)"
+            "ClockFit(clock=ClockModel(offset_ps=1234567.70703125, drift_ppm=3.1999999576814986), "
+            "residual_rms_ps=149.77747760203198, n_pulses=300000)"
         ),
         "pairs": (
             (2100, 18), (72069, 623), (96655, 793), (100592, 827), (118563, 992),
@@ -229,10 +321,12 @@ class TestTagChain:
         assert peak <= 1.2 * returned, peak / returned
 
     def test_stream_order_check_allocates_one_byte_per_tag(self):
+        # One byte per tag of one block, as the order is checked blockwise,
+        # plus a few array headers.
         times = np.arange(500_000, dtype=np.int64) * 60_000_000
         stream, peak = traced_peak(TimeTagStream, times, np.ones(times.size, dtype=np.int16))
         assert np.shares_memory(stream.times_ps, times)
-        assert peak <= 1.1 * times.size
+        assert peak <= timesync._BLOCK + 4096
 
     def test_match_coincidences_does_not_copy_ground_stream(self):
         (ground, satellite), _, fit, _ = tags_chain(5)
@@ -242,21 +336,50 @@ class TestTagChain:
         assert peak < 1_000_000
 
     def test_fit_clock_peak_allocation(self):
-        # Float ground grid and int64 satellite tags, as the sync link
-        # delivers them: the satellite cast, centred in place, and the
-        # centred ground times, which become the residuals.
+        # Three float blocks of scratch, whatever the number of pulses and
+        # the dtype: int64 tags are cast a block at a time.
         _, (sync_ground, sync_satellite), fit, _ = tags_chain(5)
-        again, peak = traced_peak(fit_clock, sync_ground, sync_satellite)
-        assert again == fit
-        assert peak <= 2.2 * 8 * sync_ground.size, peak / (8 * sync_ground.size)
+        full_ground, full_satellite = full_pass_sync()
+        for ground, satellite in ((sync_ground, sync_satellite), (full_ground, full_satellite)):
+            fits = []
+            for g in (ground, ground.astype(np.int64)):
+                again, peak = traced_peak(fit_clock, g, satellite)
+                assert peak <= 4 * 8 * timesync._BLOCK, (g.size, g.dtype, peak)
+                fits.append(again)
+            assert fits[0] == fits[1]
+        assert fits[0].n_pulses == full_ground.size
+        assert traced_peak(fit_clock, sync_ground, sync_satellite)[0] == fit
 
-    def test_fit_clock_leaves_its_inputs_unchanged(self):
-        # Float satellite tags are copied before they are centred in place.
+    @pytest.mark.parametrize(
+        "ground_dtype, satellite_dtype",
+        [("float64", "float64"), ("float64", "int64"), ("int64", "float64"), ("int64", "int64")],
+    )
+    def test_fit_clock_leaves_its_inputs_unchanged(self, ground_dtype, satellite_dtype):
+        # Either side may be int64 or float64 with the same bits out: each
+        # block is read as float64, and no input is written.
         _, (sync_ground, sync_satellite), fit, _ = tags_chain(5)
-        ground, satellite = sync_ground.copy(), sync_satellite.astype(float)
+        ground, satellite = sync_ground.astype(ground_dtype), sync_satellite.astype(satellite_dtype)
         assert fit_clock(ground, satellite) == fit
         assert np.array_equal(ground, sync_ground)
         assert np.array_equal(satellite, sync_satellite)
+
+    def test_fit_clock_does_not_depend_on_blas_threads(self):
+        # Fresh interpreters, as OpenBLAS reads its thread count at import.
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(here.parent / "src"), str(here)])
+        probe = "from test_timesync import tags_chain; print(repr(tags_chain(5)[2]))"
+        fits = [
+            subprocess.run(
+                [sys.executable, "-c", probe],
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert fits[0].startswith("ClockFit(")
+        assert fits[0] == fits[1]
 
 
 class TestTypes:
@@ -495,6 +618,42 @@ class TestFitClock:
         assert fit.clock.drift_ppm == pytest.approx(-4.0, abs=0.01)
         assert fit.clock.offset_ps == pytest.approx(8.6e8, abs=5.0)
         assert fit.residual_rms_ps <= 3 * LINK_JITTER_PS
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).nmant < 63, reason="needs an extended-precision longdouble"
+    )
+    @pytest.mark.parametrize(
+        "case", ["chain-5", "chain-6", "full-pass", "n-2", "block-1", "block", "block+1"]
+    )
+    def test_fit_is_within_bands_of_extended_reference(self, case):
+        # Bands fixed before the first run: offset within 2 ulp of the
+        # largest satellite time, drift within 1e-9 ppm, rms within 1e-7
+        # relative (of at least one such ulp, as an exact two-pulse line
+        # has none).  On the full pass the whole-array oracle misses all
+        # three, and the blockwise fit is closer on each.
+        block = timesync._BLOCK
+        sizes = {"n-2": 2, "block-1": block - 1, "block": block, "block+1": block + 1}
+        if case.startswith("chain-"):
+            ground, satellite = tags_chain(int(case[-1]))[1]
+        elif case == "full-pass":
+            ground, satellite = full_pass_sync()
+        else:
+            ground, satellite = drifting_sync(sizes[case], seed=25)
+        offset, drift, rms = clock_fit_reference(ground, satellite)
+        ulp = np.spacing(float(max(abs(satellite[0]), abs(satellite[-1]))))
+
+        def errors(fit):
+            return (
+                abs(fit.clock.offset_ps - offset) / ulp,
+                abs(fit.clock.drift_ppm - drift),
+                abs(fit.residual_rms_ps - rms) / max(rms, ulp),
+            )
+
+        got = errors(fit_clock(ground, satellite))
+        assert all(e <= band for e, band in zip(got, (2.0, 1e-9, 1e-7))), got
+        if case == "full-pass":
+            old = errors(fit_clock_oracle(ground, satellite))
+            assert all(e < o for e, o in zip(got, old)), (got, old)
 
     def test_too_few_pulses(self):
         with pytest.raises(ValueError):
