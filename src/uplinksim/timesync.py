@@ -245,14 +245,15 @@ def fit_clock(ground_sync_ps, satellite_sync_ps) -> ClockFit:
     # fails the order test, so neither check adds a pass over the pulses.
     if any(math.isinf(t) for t in (g[0], g[-1], s[0], s[-1])):
         raise ValueError("sync times must be finite")
-    bufs = [np.empty(min(n, _BLOCK) + 1) for _ in range(3)]
+    # Scratch: sweep 1 casts into x and r, sweep 2 fills all three.
+    x, r, tmp = (np.empty(min(n, _BLOCK) + 1) for _ in range(3))
     half = n // 2
     # Block sums of the ground and the satellite times, per half.
     g_sums, s_sums = ([], []), ([], [])
     for h, (lo, hi) in enumerate(((0, half), (half, n))):
         for start in range(lo, hi, _BLOCK):
             stop = min(start + _BLOCK, hi)
-            for times, buf, sums in ((g, bufs[0], g_sums), (s, bufs[1], s_sums)):
+            for times, buf, sums in ((g, x, g_sums), (s, r, s_sums)):
                 # One pulse past the block, to check the order across its end.
                 block = _float_block(times, start, min(stop + 1, n), buf)
                 if not _ascending(block):
@@ -268,7 +269,6 @@ def fit_clock(ground_sync_ps, satellite_sync_ps) -> ClockFit:
     )
     slope0 = climb / rise if rise else 1.0
 
-    x, r, tmp = bufs
     sxx = sxr = srr = 0.0
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)

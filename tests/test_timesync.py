@@ -655,6 +655,14 @@ class TestFitClock:
             old = errors(fit_clock_oracle(ground, satellite))
             assert all(e < o for e, o in zip(got, old)), (got, old)
 
+    def test_equal_half_means_still_fit(self):
+        # Distinct ground times whose two half-means round equal: the
+        # provisional slope cannot come from them, and the fit still holds.
+        t = 1e8
+        ground = [t, t, t, t + np.spacing(t)]
+        fit = fit_clock(ground, [g + 5.0 for g in ground])
+        assert (fit.clock.offset_ps, fit.clock.drift_ppm, fit.residual_rms_ps) == (5.0, 0.0, 0.0)
+
     def test_too_few_pulses(self):
         with pytest.raises(ValueError):
             fit_clock([1e8], [1e8])
