@@ -259,6 +259,8 @@ def fit_clock(ground_sync_ps, satellite_sync_ps) -> ClockFit:
                 if not _ascending(block):
                     raise ValueError("sync tags must be sorted ascending, with no NaN")
                 sums[h].append(np.add.reduce(block[: stop - start]))
+    # Compared as the floats the fit reads: int64 times past 2**53 can
+    # differ and still cast equal.
     if float(g[0]) == float(g[-1]):
         raise ValueError("clock fit is unrecoverable when all ground sync times are equal")
     g_mean, s_mean = (math.fsum(first + second) / n for first, second in (g_sums, s_sums))
