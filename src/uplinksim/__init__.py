@@ -57,4 +57,4 @@ from .experiment import (
     run_orbit,
 )
 
-__version__ = "0.1.6"
+__version__ = "0.1.7"

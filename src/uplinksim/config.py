@@ -19,7 +19,6 @@ from .experiment import (
     MODELS,
     CalibrationTargets,
     CampaignConfig,
-    STATE_LABELS,
     default_config,
     default_orbit_plans,
     default_schedule,
@@ -163,12 +162,7 @@ def load_campaign_config(path: str | Path) -> CampaignConfig:
         if schedule_spec != "round_robin":
             raise ConfigError("campaign.schedule must be 'round_robin' or a list of states")
         schedule = default_schedule(len(orbits))
-    else:
-        if len(schedule_spec) != len(orbits):
-            raise ConfigError("campaign.schedule length must match the number of orbits")
-        bad = [s for s in schedule_spec if s not in STATE_LABELS]
-        if bad:
-            raise ConfigError(f"campaign.schedule contains unknown states: {bad}")
+    else:  # checked by CampaignConfig
         schedule = tuple(schedule_spec)
 
     scalars = {

@@ -119,9 +119,9 @@ class CampaignConfig:
             raise ValueError("orbit duration must be positive")
         if len(self.orbits) != len(self.input_schedule):
             raise ValueError("schedule must assign one input state per orbit")
-        unknown = set(self.input_schedule) - set(STATE_LABELS)
+        unknown = [s for s in self.input_schedule if s not in STATE_LABELS]  # hashable or not
         if unknown:
-            raise ValueError(f"unknown input states in schedule: {sorted(unknown)}")
+            raise ValueError(f"unknown input states in schedule: {unknown}")
         if set(self.input_schedule) != set(STATE_LABELS):
             raise ValueError("schedule must cover all six input states")
         if not 0.25 <= self.resource_fidelity <= 1.0:
@@ -271,10 +271,6 @@ def campaign_exposure(config: CampaignConfig) -> tuple[OrbitExposure, ...]:
     return _exposure(config.link, *config._pass_key, config.orbit_duration_s)
 
 
-def orbit_exposure(config: CampaignConfig, orbit: OrbitPlan) -> OrbitExposure:
-    return campaign_exposure(config)[config.orbits.index(orbit)]
-
-
 # The model fields the analytic tier reads besides the exposure, the source
 # rate and the resource fidelity: the settings that calibration fits and the
 # error budget quiets.
@@ -303,11 +299,13 @@ def _rates(config: CampaignConfig, settings: Mapping[str, float]) -> tuple[float
 
 
 def expected_signal_count(config: CampaignConfig, orbit: OrbitPlan) -> float:
-    return _rates(config, _settings(config))[0] * orbit_exposure(config, orbit).transmit_integral_s
+    exposure = campaign_exposure(config)[config.orbits.index(orbit)]
+    return _rates(config, _settings(config))[0] * exposure.transmit_integral_s
 
 
 def expected_accidental_count(config: CampaignConfig, orbit: OrbitPlan) -> float:
-    return _rates(config, _settings(config))[1] * orbit_exposure(config, orbit).live_time_s
+    exposure = campaign_exposure(config)[config.orbits.index(orbit)]
+    return _rates(config, _settings(config))[1] * exposure.live_time_s
 
 
 def _state_sums(config: CampaignConfig) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -553,8 +551,8 @@ def run_orbit(config: CampaignConfig, orbit_index: int, rng: np.random.Generator
 def estimate_fidelity(n_correct: int, n_wrong: int) -> tuple[float, float]:
     """Raw fidelity ratio with the independent-Poisson propagated sigma:
     F = c/(c+w), sigma = sqrt(c*w/(c+w)^3)."""
-    if n_correct < 0 or n_wrong < 0:
-        raise ValueError("counts must be non-negative")
+    if not all(n >= 0 and n % 1 == 0 for n in (n_correct, n_wrong)):  # NaN and inf fail
+        raise ValueError("counts must be non-negative integers")
     total = n_correct + n_wrong
     if total < 1:
         raise ValueError("need at least one event")
@@ -932,10 +930,10 @@ def fibre_comparison(
 ) -> FibreComparison:
     """Expected waiting time for one event through a long fibre of the
     given attenuation, at the given source rate."""
-    if fourfold_rate_hz <= 0:
-        raise ValueError("source rate must be positive")
-    if distance_km < 0 or loss_db_per_km < 0:
-        raise ValueError("distance and attenuation must be non-negative")
+    if not 0 < fourfold_rate_hz < math.inf:  # NaN fails
+        raise ValueError("source rate must be positive and finite")
+    if not (0 <= distance_km < math.inf and 0 <= loss_db_per_km < math.inf):
+        raise ValueError("distance and attenuation must be non-negative and finite")
     loss_db = distance_km * loss_db_per_km
     transmittance = 10.0 ** (-loss_db / 10.0)
     rate_hz = fourfold_rate_hz * transmittance

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .qstate import PAULI_X, PAULI_Y
 
 EARTH_RADIUS_KM = 6371.0
 GM_EARTH_KM3_S2 = 398600.4418
+SLEW_RATE_REF = 0.062  # azimuth rate (rad/s) that doubles the tracking error at unit slew gain
 
 # Fixed equatorial rotation axis of the uplink polarization distortion,
 # midway between the diagonal and circular axes.
@@ -29,12 +30,11 @@ ROTATION_AXIS = (PAULI_X + PAULI_Y) / np.sqrt(2.0)
 
 
 class PassTable(NamedTuple):
-    """Passes that share altitude, tracking limit and Earth radius: the
-    shared scalars, then beta_min (rad) and the half duration (s, from
-    culmination to the tracking limit) of each pass as arrays."""
+    """Passes that share altitude and tracking limit: the shared scalars,
+    then beta_min (rad) and the half duration (s, from culmination to the
+    tracking limit) of each pass as arrays."""
 
     orbit_altitude_km: float
-    earth_radius_km: float
     orbital_rate: float  # two-body angular rate in rad/s
     radius_ratio: float
     min_central_angle: np.ndarray
@@ -48,8 +48,7 @@ def central_angle(radius_ratio: float, elevation_deg):
 
 
 def pass_table(
-    orbit_altitude_km: float, min_elevation_deg: float, max_elevations_deg: Sequence[float],
-    earth_radius_km: float = EARTH_RADIUS_KM,
+    orbit_altitude_km: float, min_elevation_deg: float, max_elevations_deg: Sequence[float]
 ) -> PassTable:
     """The passes with the given culmination elevations (degrees), in one
     ufunc chain over all of them.  The first pass that gives none raises
@@ -58,11 +57,11 @@ def pass_table(
     if orbit_altitude_km <= 0:
         raise ValueError("orbit altitude must be positive")
     max_el = np.asarray(max_elevations_deg, dtype=float)
-    r = earth_radius_km + orbit_altitude_km
+    r = EARTH_RADIUS_KM + orbit_altitude_km
     # a product, not r**3: a float power raises OverflowError for huge r,
     # while the product goes to inf and the rate to 0
     rate = float(np.sqrt(GM_EARTH_KM3_S2 / (r * r * r)))
-    ratio = earth_radius_km / r
+    ratio = EARTH_RADIUS_KM / r
     with np.errstate(all="ignore"):  # only a pass rejected below can warn here
         beta_min = central_angle(ratio, max_el)
         cos_ratio = np.cos(central_angle(ratio, min_elevation_deg)) / np.cos(beta_min)
@@ -83,7 +82,7 @@ def pass_table(
             f"between {min_elevation_deg:g} and {max_el[i]:g} degrees"
         )
     beta_min.flags.writeable = half.flags.writeable = False  # shared by every cache hit
-    return PassTable(orbit_altitude_km, earth_radius_km, rate, ratio, beta_min, half)
+    return PassTable(orbit_altitude_km, rate, ratio, beta_min, half)
 
 
 @dataclass(frozen=True)
@@ -99,11 +98,11 @@ class PassGeometry:
     orbit_altitude_km: float = 500.0
     max_elevation_deg: float = 76.0
     min_elevation_deg: float = 14.5
-    earth_radius_km: float = EARTH_RADIUS_KM
+    earth_radius_km: ClassVar[float] = EARTH_RADIUS_KM
 
     def __post_init__(self):
         args = (self.orbit_altitude_km, self.min_elevation_deg, (self.max_elevation_deg,))
-        object.__setattr__(self, "table", pass_table(*args, self.earth_radius_km))
+        object.__setattr__(self, "table", pass_table(*args))
 
     @property
     def orbital_rate(self) -> float:
@@ -130,8 +129,8 @@ class LinkModel:
     Divergences and seeing are full angles in microradians; the two
     divergence axes describe the elliptical far-field spot.  The zenith
     transmittance, the lumped system efficiency and the slew degradation
-    gain are calibration parameters; `slew_rate_ref` is the azimuth rate
-    (rad/s) at which the tracking error doubles for unit gain.
+    gain are calibration parameters; the gain is counted per
+    `SLEW_RATE_REF` of azimuth rate.
     """
 
     divergence_x_urad: float = 24.0
@@ -142,7 +141,6 @@ class LinkModel:
     zenith_transmittance: float = 0.8
     system_efficiency_db: float = 5.0
     slew_degradation_k: float = 1.0
-    slew_rate_ref: float = 0.062
 
     def __post_init__(self):
         for name in (
@@ -156,8 +154,6 @@ class LinkModel:
                 raise ValueError(f"{name} must be non-negative")
         if not self.receiver_diameter_m > 0:
             raise ValueError("receiver diameter must be positive")
-        if not self.slew_rate_ref > 0:
-            raise ValueError("slew_rate_ref must be positive")
         theta = effective_divergence(self)
         if theta <= 0:
             raise ValueError(
@@ -181,14 +177,14 @@ class LinkModel:
 def _sin_elevation(elevation_deg):
     """sin of the elevation(s) in degrees, which must lie in (0, 90]."""
     elevation_deg = np.asarray(elevation_deg, dtype=float)
-    if np.any(elevation_deg <= 0) or np.any(elevation_deg > 90):
+    if not np.all((elevation_deg > 0) & (elevation_deg <= 90)):  # NaN fails
         raise ValueError("elevation must lie in (0, 90] degrees")
     return np.sin(np.deg2rad(elevation_deg))
 
 
 def _slant_range(geometry: PassGeometry | PassTable, sin_e):
     """`slant_range` from the sine of the elevation."""
-    r, h = geometry.earth_radius_km, geometry.orbit_altitude_km
+    r, h = EARTH_RADIUS_KM, geometry.orbit_altitude_km
     return np.sqrt(r**2 * sin_e**2 + 2 * r * h + h**2) - r * sin_e
 
 
@@ -239,9 +235,7 @@ def _loss_db(geometry: PassGeometry | PassTable, model: LinkModel, sin_e, rate):
         spot_m = theta * 1e-6 * _slant_range(geometry, sin_e) * 1e3
         eta_geo = np.minimum(1.0, (model.receiver_diameter_m / spot_m) ** 2)
         # the tracking error, inflated by the slew demand
-        jitter = model.tracking_error_urad * (
-            1.0 + model.slew_degradation_k * rate / model.slew_rate_ref
-        )
+        jitter = model.tracking_error_urad * (1.0 + model.slew_degradation_k * rate / SLEW_RATE_REF)
         eta_point = 1.0 / (1.0 + (2.0 * jitter / theta) ** 2)
         eta_atm = model.zenith_transmittance ** (1.0 / sin_e)  # the airmass is 1/sin e
         return -10.0 * np.log10(eta_geo * eta_point * eta_atm) + model.system_efficiency_db

@@ -72,14 +72,23 @@ def _ascending(x: np.ndarray) -> bool:
     return True
 
 
+def _exact(values, dtype, what: str) -> np.ndarray:
+    """`values` as a flat `dtype` array; another dtype must hold integers that fit it."""
+    x = np.asarray(values).reshape(-1)
+    with np.errstate(invalid="ignore"):  # NaN, inf and out-of-range floats cast to garbage
+        cast = x if x.dtype == dtype else x.astype(dtype) if x.dtype.kind in "biuf" else None
+    if cast is None or not (cast is x or np.array_equal(cast, x)):
+        raise ValueError(f"{what} must be integers within the {np.dtype(dtype).name} range")
+    return cast
+
+
 class TimeTagStream:
     """Sorted detection record: times in integer ps plus channel ids."""
 
     __slots__ = ("times_ps", "channels")
 
     def __init__(self, times_ps, channels):
-        times = np.asarray(times_ps, dtype=np.int64).reshape(-1)
-        chans = np.asarray(channels, dtype=np.int16).reshape(-1)
+        times, chans = _exact(times_ps, np.int64, "time tags"), _exact(channels, np.int16, "channels")
         if times.size != chans.size:
             raise ValueError("times and channels must have equal length")
         if not _ascending(times):

@@ -30,16 +30,32 @@ from uplinksim.config import (
 )
 from uplinksim.experiment import (
     CalibrationTargets,
+    analytic_fidelities,
     analytic_mean_fidelity,
+    campaign_exposure,
     default_config,
+    default_schedule,
     error_budget,
 )
-from uplinksim.linkgeom import PassGeometry
+from uplinksim.linkgeom import PassGeometry, loss_profile
 
 # Every file key of every model section, and every calibration target.
 SCHEMA_KEYS = [(section, key) for section, keys in SCHEMA.items() for key in keys] + [
     ("targets", f.name) for f in fields(CalibrationTargets)
 ]
+
+# Every key that `write-config` writes, and the keys among them whose value
+# may not pass 1.
+WRITTEN_KEYS = [
+    (section, key)
+    for section, keys in default_config_dict().items()
+    if section != "schema_version"
+    for key in keys
+]
+CAPPED_AT_ONE = {
+    "resource_fidelity", "double_pair_fraction", "mode_overlap", "zenith_transmittance",
+    "receiver_efficiency", "photon3_ground_efficiency",
+}
 
 # (subcommand, flag) pairs the subcommand does not read.
 UNREAD_FLAGS = [
@@ -200,6 +216,11 @@ class TestConfigParsing:
             ("campaign", {"orbit_altitude_km": 1e-300}, "orbit_altitude_km"),
             ("campaign", {"orbit_altitude_km": 1e300}, "orbit_altitude_km"),
             ("link", {"seeing_urad": 1e300}, "seeing_urad"),
+            # the schedule is checked by CampaignConfig alone, item by item
+            ("campaign", {"orbits": 6, "schedule": list("HV+-R")}, "schedule"),
+            ("campaign", {"orbits": 6, "schedule": list("HV+-RX")}, "schedule: ['X']"),
+            ("campaign", {"orbits": 6, "schedule": [*"HV+-R", 1]}, "schedule: [1]"),
+            ("campaign", {"orbits": 6, "schedule": ["H", [1], "+", "-", "R", "L"]}, "schedule: [[1]]"),
         ],
     )
     def test_unusable_values_exit_2_at_load(self, tmp_path, capsys, section, values, field):
@@ -207,12 +228,12 @@ class TestConfigParsing:
         payload[section].update(values)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigError, match=field):
+        with pytest.raises(ConfigError, match=re.escape(field)):
             load_campaign_config(path)
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("configuration error:") and field in err
+        assert err.startswith("configuration error:") and field in err and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -277,7 +298,6 @@ class TestConfigParsing:
             ("divergence_x_urad", 1e300),
             ("tracking_error_urad", 1e300),
             ("slew_degradation_k", 1e300),
-            ("slew_rate_ref", 1e-300),
             ("zenith_transmittance", 1e-300),
             ("receiver_diameter_m", 1e-300),
             ("receiver_diameter_m", 1e300),
@@ -321,6 +341,32 @@ class TestConfigParsing:
             path.write_text(json.dumps(payload))
             with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
                 load(path)
+
+    @pytest.mark.parametrize("section, key", WRITTEN_KEYS)
+    def test_every_written_key_changes_the_result(self, tmp_path, section, key):
+        # The other half of "every input changes the result or is rejected":
+        # a value nudged inside its range must move what a run reports.
+        def fingerprint(payload):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(payload))
+            cfg = load_campaign_config(path)
+            passes = [(e.transmit_integral_s, e.live_time_s) for e in campaign_exposure(cfg)]
+            profile = loss_profile(cfg.geometry(cfg.orbits[0]), cfg.link, cfg.orbit_duration_s)
+            return analytic_fidelities(cfg), error_budget(cfg), passes, profile.tobytes(), cfg.seed
+
+        payload = default_config_dict()
+        base = fingerprint(payload)
+        value = payload[section][key]
+        if key == "schedule":
+            value = list(reversed(default_schedule(payload["campaign"]["orbits"])))
+        elif key in ("seed", "orbits"):
+            value += 1
+        elif value == 0:
+            value = 0.01
+        else:
+            value *= 0.99 if key in CAPPED_AT_ONE else 1.01
+        payload[section][key] = value
+        assert fingerprint(payload) != base
 
     @pytest.mark.parametrize("noise", [{}, {"background": False}, {"double_pair": True}])
     def test_noise_section_exits_2(self, tmp_path, capsys, noise):

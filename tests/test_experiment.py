@@ -42,7 +42,6 @@ from uplinksim.experiment import (
     expected_accidental_count,
     expected_signal_count,
     fibre_comparison,
-    orbit_exposure,
     run_campaign,
     run_orbit,
     with_fields,
@@ -176,7 +175,7 @@ def run_orbit_per_event_jitter(
     undistorted analyzer conditional with it."""
     orbit = config.orbits[orbit_index]
     state_label = config.input_schedule[orbit_index]
-    exposure = orbit_exposure(config, orbit)
+    exposure = campaign_exposure(config)[orbit_index]
     n_signal = int(
         rng.poisson(
             config.source.fourfold_ground_rate
@@ -221,7 +220,7 @@ def run_orbit_per_event_oracle(
     event."""
     orbit = config.orbits[orbit_index]
     state_label = config.input_schedule[orbit_index]
-    exposure = orbit_exposure(config, orbit)
+    exposure = campaign_exposure(config)[orbit_index]
     # The expected counts of the analytic tier, the signal drawn per second.
     signal_rate = config.source.fourfold_ground_rate * config.detection.receiver_efficiency
     n_signal = int(rng.poisson(signal_rate * exposure.transmittance).sum())
@@ -453,7 +452,6 @@ class TestExposure:
             assert np.array_equal(exposure.transmittance, transmittance)
             assert exposure.live_time_s == float(len(transmittance))
             assert exposure.transmit_integral_s == float(np.sum(transmittance))
-            assert orbit_exposure(config, orbit) is exposure
             sizes.add(len(transmittance))
         if name == "unequal sample counts":
             assert len(sizes) == len(config.orbits)
@@ -663,7 +661,6 @@ class TestConfig:
                     ("link", "receiver_diameter_m"),
                     ("link", "system_efficiency_db"),
                     ("link", "slew_degradation_k"),
-                    ("link", "slew_rate_ref"),
                     ("source", "fourfold_ground_rate"),
                     (None, "orbit_duration_s"),
                 )
@@ -722,6 +719,14 @@ class TestEstimateFidelity:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             estimate_fidelity(0, 0)
+
+    @pytest.mark.parametrize("count", [np.nan, np.inf, 2.5, -1])
+    def test_non_count_rejected(self, count):
+        # NaN and inf used to give (nan, nan), and 2.5 a ratio of fractions.
+        for args in ((count, 1), (1, count)):
+            with pytest.raises(ValueError, match="non-negative integers"):
+                estimate_fidelity(*args)
+        assert estimate_fidelity(np.int64(8), 2.0) == estimate_fidelity(8, 2)
 
 
 class TestRunOrbit:
@@ -1154,6 +1159,13 @@ class TestCalibrate:
         for key, frozen in CALIBRATED.items():
             assert result.params[key] == pytest.approx(frozen, rel=1e-6), key
 
+    @pytest.mark.parametrize("name", [f.name for f in fields(CalibrationTargets)])
+    def test_every_target_changes_the_fit(self, name):
+        base = calibrate_anyway(CalibrationTargets())
+        nudged = CalibrationTargets(**{name: getattr(CalibrationTargets(), name) * 1.01})
+        result = calibrate_anyway(nudged)
+        assert (result.params, result.residuals) != (base.params, base.residuals)
+
     def test_round_trip_known_parameters(self):
         known = dict(
             double_pair_fraction=0.10,
@@ -1408,6 +1420,15 @@ class TestFibreComparison:
     def test_zero_rate_rejected(self):
         with pytest.raises(ValueError):
             fibre_comparison(0.0, 1200.0, 0.2)
+
+    @pytest.mark.parametrize("index", range(3))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_non_finite_or_negative_argument_rejected(self, index, value):
+        # NaN used to give a 240 dB loss or a NaN loss.
+        args = [8210.0, 1200.0, 0.2]
+        args[index] = value
+        with pytest.raises(ValueError, match="finite"):
+            fibre_comparison(*args)
 
     def test_underflow_is_an_infinite_wait(self):
         out = fibre_comparison(8210.0, 20000.0, 0.2)

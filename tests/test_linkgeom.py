@@ -4,6 +4,7 @@ import pytest
 from uplinksim.linkgeom import (
     EARTH_RADIUS_KM,
     GM_EARTH_KM3_S2,
+    SLEW_RATE_REF,
     ROTATION_AXIS,
     LinkModel,
     PassGeometry,
@@ -63,7 +64,7 @@ def elevation_profile(geometry: PassGeometry, t_s):
 def pointing_jitter_urad(model: LinkModel, geometry: PassGeometry, t_s):
     """Tracking error inflated by the instantaneous slew demand."""
     rate = azimuth_rate(geometry, t_s)
-    return model.tracking_error_urad * (1.0 + model.slew_degradation_k * rate / model.slew_rate_ref)
+    return model.tracking_error_urad * (1.0 + model.slew_degradation_k * rate / SLEW_RATE_REF)
 
 
 def calibrated_link(slew_k: float = 1.0) -> LinkModel:
@@ -179,6 +180,15 @@ class TestPassTable:
         with pytest.raises(ValueError) as info:
             pass_table(altitude, 14.5, culminations)
         assert str(info.value) == expected
+
+    def test_earth_radius_is_a_constant(self):
+        assert PassGeometry().earth_radius_km == PassGeometry.earth_radius_km == EARTH_RADIUS_KM
+        assert EARTH_RADIUS_KM == 6371.0
+        with pytest.raises(TypeError):
+            PassGeometry(earth_radius_km=6000.0)
+        with pytest.raises(TypeError):
+            pass_table(500.0, 14.5, (76.0,), earth_radius_km=6000.0)
+        assert "earth_radius_km" not in pass_table(500.0, 14.5, (76.0,))._fields
 
     def test_tracking_limit_edges_rejected(self):
         for limit in (0.0, -1.0, float("nan"), 80.0):
@@ -302,6 +312,14 @@ class TestLinkLoss:
     def test_nonpositive_elevation_rejected(self):
         with pytest.raises(ValueError):
             link_loss_db(-1.0, 0.0, PassGeometry(), LinkModel())
+
+    @pytest.mark.parametrize("elevation", [np.nan, [45.0, np.nan], -30.0, 120.0])
+    def test_elevation_outside_range_rejected(self, elevation):
+        # NaN used to give a NaN range and loss where -30 and 120 raised.
+        g, m = PassGeometry(), LinkModel()
+        for call in (lambda: slant_range(elevation, g), lambda: link_loss_db(elevation, 0.0, g, m)):
+            with pytest.raises(ValueError, match=r"elevation must lie in \(0, 90\] degrees"):
+                call()
 
     def test_profile_within_published_band(self):
         g = PassGeometry()

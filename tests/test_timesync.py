@@ -385,6 +385,35 @@ class TestTypes:
         with pytest.raises(ValueError):
             TimeTagStream([10, 5], [1, 1])
 
+    @pytest.mark.parametrize(
+        "times, channels",
+        [
+            ([1.7, 2.9], [1, 1]),
+            (np.array([np.nan, 1.0]), [1, 1]),
+            ([1.0, np.inf], [1, 1]),
+            ([2.0**63], [1]),
+            (np.array([2**63], dtype=np.uint64), [1]),
+            ([2**70], [1]),
+            (["1"], [1]),
+            ([1, 2], np.array([70000, 1])),
+            ([1, 2], [1, -32769]),
+            ([1, 2], [1.5, 1]),
+        ],
+    )
+    def test_stream_rejects_what_its_dtypes_cannot_hold(self, times, channels):
+        # These used to be truncated, wrapped or cast to -2**63.
+        with pytest.raises(ValueError, match="must be integers within the int(64|16) range"):
+            TimeTagStream(times, channels)
+
+    def test_stream_takes_integral_values_of_any_numeric_dtype(self):
+        stream = TimeTagStream([1.0, 2**62, 2.0**63 - 1024], np.array([-32768.0, True, 32767]))
+        assert stream.times_ps.tolist() == [1, 2**62, 2**63 - 1024]
+        assert stream.channels.tolist() == [-32768, 1, 32767]
+        times, channels = np.arange(3, dtype=np.int64), np.ones(3, dtype=np.int16)
+        stream = TimeTagStream(times, channels)
+        assert np.shares_memory(stream.times_ps, times)
+        assert np.shares_memory(stream.channels, channels)
+
     def test_stream_immutable(self):
         stream = TimeTagStream([1, 2], [1, 1])
         with pytest.raises(AttributeError):
