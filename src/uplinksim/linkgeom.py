@@ -177,7 +177,7 @@ class LinkModel:
 def _sin_elevation(elevation_deg):
     """sin of the elevation(s) in degrees, which must lie in (0, 90]."""
     elevation_deg = np.asarray(elevation_deg, dtype=float)
-    if not np.all((elevation_deg > 0) & (elevation_deg <= 90)):  # NaN fails
+    if elevation_deg.size and not (elevation_deg.min() > 0 and elevation_deg.max() <= 90):  # NaN fails
         raise ValueError("elevation must lie in (0, 90] degrees")
     return np.sin(np.deg2rad(elevation_deg))
 

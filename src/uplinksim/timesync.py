@@ -75,8 +75,9 @@ def _ascending(x: np.ndarray) -> bool:
 def _exact(values, dtype, what: str) -> np.ndarray:
     """`values` as a flat `dtype` array; another dtype must hold integers that fit it."""
     x = np.asarray(values).reshape(-1)
-    with np.errstate(invalid="ignore"):  # NaN, inf and out-of-range floats cast to garbage
-        cast = x if x.dtype == dtype else x.astype(dtype) if x.dtype.kind in "biuf" else None
+    lo = float(np.iinfo(dtype).min)  # -2**(bits - 1): [lo, -lo) is exact in float, and NaN fails it
+    fits = x.dtype.kind in "biu" or x.dtype.kind == "f" and (x.size == 0 or lo <= x.min() and x.max() < -lo)
+    cast = x.astype(dtype, copy=False) if fits else None  # no float is cast until it is known to fit
     if cast is None or not (cast is x or np.array_equal(cast, x)):
         raise ValueError(f"{what} must be integers within the {np.dtype(dtype).name} range")
     return cast

@@ -398,6 +398,8 @@ class TestTypes:
             ([1, 2], np.array([70000, 1])),
             ([1, 2], [1, -32769]),
             ([1, 2], [1.5, 1]),
+            ([1, 2], [1, 32768.0]),
+            ([-(2.0**64)], [1]),
         ],
     )
     def test_stream_rejects_what_its_dtypes_cannot_hold(self, times, channels):
