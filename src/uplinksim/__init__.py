@@ -8,10 +8,7 @@ from .qstate import (
     apply_unitary,
     condition,
     fidelity,
-    jones_hwp,
-    jones_qwp,
     mub_states,
-    partial_trace,
     tensor,
 )
 from .photonsrc import PreparedInput, SourceModel, prepare_input, werner_pair
@@ -57,4 +54,4 @@ from .experiment import (
     run_orbit,
 )
 
-__version__ = "0.1.7"
+__version__ = "0.1.8"

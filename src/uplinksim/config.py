@@ -34,8 +34,9 @@ _NUMBER = (int, float)
 # dataclass it fills
 SECTIONS = MODELS
 
-# Most passes a campaign may give.  A campaign's cost grows with its passes:
-# `simulate` takes about 1.2 s and 0.2 GB at 1e4 passes, 12 s and 1.7 GB at 1e5.
+# Most passes a campaign may give.  A fresh `simulate` of 1e4 passes took 1.2-1.6 s and
+# 263 MB peak RSS (2-core Xeon); 1e5 was never run: scaled linearly, the exposure build
+# alone needs about 2.1 GB.
 MAX_PASSES = 10**5
 
 # field -> (file key, file units per field unit), for keys named with a unit

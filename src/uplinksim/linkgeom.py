@@ -110,10 +110,6 @@ class PassGeometry:
         return self.table.orbital_rate
 
     @property
-    def radius_ratio(self) -> float:
-        return self.table.radius_ratio
-
-    @property
     def min_central_angle(self) -> float:
         return float(self.table.min_central_angle[0])
 
@@ -210,7 +206,10 @@ def azimuth_rate(geometry: PassGeometry, t_s):
     Peaks at culmination as w/sin(beta_min): near-overhead passes demand
     slews an alt-az mount can barely follow.
     """
-    phase = geometry.orbital_rate * np.asarray(t_s, dtype=float)
+    t_s = np.asarray(t_s, dtype=float)
+    if not np.isfinite(t_s).all():
+        raise ValueError("time must be finite")
+    phase = geometry.orbital_rate * t_s
     sin_b = np.maximum(np.sin(geometry.min_central_angle), 1e-6)
     rate = _azimuth_rate(geometry, sin_b, np.cos(phase) ** 2, np.sin(phase) ** 2)
     return float(rate) if rate.ndim == 0 else rate
@@ -264,6 +263,8 @@ def polarization_distortion(delta: float) -> np.ndarray:
     superposition families degrade alike while |H>/|V> see the full
     rotation; fidelity of |H> after a pure rotation by delta is cos^2(delta).
     """
+    if not math.isfinite(delta):
+        raise ValueError("polarization angle delta must be finite")
     return np.cos(delta) * np.eye(2, dtype=complex) - 1j * np.sin(delta) * ROTATION_AXIS
 
 

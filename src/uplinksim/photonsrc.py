@@ -13,16 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import (
-    KET_H,
-    BellState,
-    DensityMatrix,
-    PureState,
-    apply_unitary,
-    fidelity,
-    jones_hwp,
-    jones_qwp,
-)
+from .qstate import BellState, DensityMatrix, PureState
 
 
 @dataclass(frozen=True)
@@ -50,17 +41,13 @@ class PreparedInput:
     """A prepared single-qubit state and one waveplate setting producing it.
 
     The physical order is quarter-wave plate first, then half-wave plate,
-    both fed with horizontally polarized light.
+    both fed with horizontally polarized light.  Angles are fast axes in
+    radians from horizontal; a quarter-wave plate at 0 is diag(1, i).
     """
 
     state: PureState
     hwp_angle: float
     qwp_angle: float
-
-
-def _waveplate_state(hwp_angle: float, qwp_angle: float) -> PureState:
-    prepared = apply_unitary(KET_H, jones_qwp(qwp_angle))
-    return apply_unitary(prepared, jones_hwp(hwp_angle))
 
 
 def prepare_input(alpha: complex, beta: complex) -> PreparedInput:
@@ -72,9 +59,11 @@ def prepare_input(alpha: complex, beta: complex) -> PreparedInput:
     -chi; a half-wave plate at h mirrors it to azimuth 2h - chi and
     ellipticity chi, so h = (psi + chi)/2 (Hecht, Optics, ch. 8).
 
-    The amplitudes are normalized (with a warning if they are off by more
-    than 1e-10); both amplitudes zero is rejected.
+    The amplitudes must be finite and not both zero; they are normalized,
+    with a warning if they are off by more than 1e-10.
     """
+    if not np.isfinite((alpha, beta)).all():
+        raise ValueError("alpha and beta must be finite")
     norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
     if norm_sq < 1e-24:
         raise ValueError("alpha and beta cannot both be zero")
@@ -92,9 +81,6 @@ def prepare_input(alpha: complex, beta: complex) -> PreparedInput:
     # exactly pi, to 0, so both angles lie in [0, pi).
     hwp = float(0.5 * (psi + chi) % np.pi % np.pi)
     qwp = float(chi % np.pi % np.pi)
-    # Confirm through the full Jones pipeline.
-    if fidelity(target, _waveplate_state(hwp, qwp).density()) < 1 - 1e-10:
-        raise RuntimeError("closed-form waveplate angles do not reproduce the target")
     return PreparedInput(state=target, hwp_angle=hwp, qwp_angle=qwp)
 
 

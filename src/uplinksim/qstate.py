@@ -39,6 +39,8 @@ class PureState:
     def __init__(self, amplitudes: Sequence[complex]):
         vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
         _num_qubits(vec.size)
+        if not np.isfinite(vec).all():
+            raise ValueError("amplitudes must be finite")
         norm = np.linalg.norm(vec)
         if norm < 1e-12:
             raise ValueError("cannot normalize a zero amplitude vector")
@@ -61,9 +63,6 @@ class PureState:
         """Return the rank-one projector |psi><psi|."""
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def __repr__(self) -> str:
         return f"PureState({np.array2string(self.amplitudes, precision=4)})"
 
@@ -78,6 +77,8 @@ class DensityMatrix:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got {mat.shape}")
         _num_qubits(mat.shape[0])
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix entries must be finite")
         if np.max(np.abs(mat - mat.conj().T)) > 1e-9:
             raise ValueError("matrix is not Hermitian")
         mat = (mat + mat.conj().T) / 2.0
@@ -210,42 +211,6 @@ def apply_unitary(state: QuantumState, u: np.ndarray, targets: Sequence[int] | N
     if isinstance(state, PureState):
         return PureState(full @ state.amplitudes)
     return DensityMatrix(full @ state.matrix @ full.conj().T)
-
-
-def _rotation(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, s], [-s, c]], dtype=complex)
-
-
-def jones_hwp(theta: float) -> np.ndarray:
-    """Half-wave plate with fast axis at `theta` radians from horizontal.
-
-    jones_hwp(0) = diag(1, -1); at pi/8 it acts as a Hadamard on H/V.
-    """
-    return _rotation(-theta) @ np.diag([1.0 + 0j, -1.0 + 0j]) @ _rotation(theta)
-
-
-def jones_qwp(theta: float) -> np.ndarray:
-    """Quarter-wave plate with fast axis at `theta` radians from horizontal.
-
-    Convention: jones_qwp(0) = diag(1, i), so a plate at 45 degrees sends
-    |H> to the left-circular state (1, -i)/sqrt(2) up to a global phase.
-    """
-    return _rotation(-theta) @ np.diag([1.0 + 0j, 1j]) @ _rotation(theta)
-
-
-def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Trace out every qubit not listed in `keep` (order of `keep` preserved
-    as ascending qubit order of the result)."""
-    keep = sorted(set(keep))
-    n = rho.num_qubits
-    if any(q < 0 or q >= n for q in keep):
-        raise ValueError("keep index out of range")
-    if not keep:
-        raise ValueError("cannot trace out every qubit")
-    if len(keep) == n:
-        return rho
-    return DensityMatrix(_trace_out(rho.matrix, n, keep))
 
 
 def _trace_out(matrix: np.ndarray, n: int, keep: Sequence[int]) -> np.ndarray:

@@ -1009,7 +1009,7 @@ class TestAnalyticPipeline:
         # prepare |chi> from |H>, the transmitted-port projector is
         # U |H><H| U^dag = |chi><chi| and the reflected port its complement.
         from uplinksim.photonsrc import prepare_input
-        from uplinksim.qstate import jones_hwp, jones_qwp
+        from test_qstate import jones_hwp, jones_qwp
 
         for label, chi in mub_states().items():
             prep = prepare_input(chi.amplitudes[0], chi.amplitudes[1])

@@ -57,7 +57,7 @@ def elevation_profile(geometry: PassGeometry, t_s):
     phase = geometry.orbital_rate * np.asarray(t_s, dtype=float)
     cos_beta = np.cos(geometry.min_central_angle) * np.cos(phase)
     beta = np.arccos(np.clip(cos_beta, -1.0, 1.0))
-    elev = np.degrees(np.arctan2(cos_beta - geometry.radius_ratio, np.sin(beta)))
+    elev = np.degrees(np.arctan2(cos_beta - geometry.table.radius_ratio, np.sin(beta)))
     return float(elev) if elev.ndim == 0 else elev
 
 
@@ -168,7 +168,7 @@ class TestPassTable:
                 assert (table.orbital_rate, table.radius_ratio) == (rate, ratio)
                 assert (table.min_central_angle[k], table.half_duration_s[k]) == (beta_min, half)
                 g = PassGeometry(altitude, e, min_elevation)
-                assert (g.orbital_rate, g.radius_ratio) == (rate, ratio)
+                assert (g.orbital_rate, g.table.radius_ratio) == (rate, ratio)
                 assert (g.min_central_angle, g.half_duration_s()) == (beta_min, half)
 
     @pytest.mark.parametrize("name", NO_PASS)
@@ -216,7 +216,7 @@ class TestSlantRange:
         g = PassGeometry()
         r, rs = g.earth_radius_km, g.earth_radius_km + g.orbit_altitude_km
         for elev in np.linspace(1.0, 90.0, 90):
-            beta = central_angle(g.radius_ratio, elev)
+            beta = central_angle(g.table.radius_ratio, elev)
             oracle = np.sqrt(r**2 + rs**2 - 2 * r * rs * np.cos(beta))
             assert slant_range(elev, g) == pytest.approx(oracle, abs=1e-6)
 
@@ -321,6 +321,13 @@ class TestLinkLoss:
             with pytest.raises(ValueError, match=r"elevation must lie in \(0, 90\] degrees"):
                 call()
 
+    @pytest.mark.parametrize("t_s", [np.nan, np.inf, -np.inf, [0.0, np.nan]])
+    def test_time_not_finite_rejected(self, t_s):
+        g, m = PassGeometry(), LinkModel()
+        for call in (lambda: azimuth_rate(g, t_s), lambda: link_loss_db(45.0, t_s, g, m)):
+            with pytest.raises(ValueError, match="time must be finite"):
+                call()
+
     def test_profile_within_published_band(self):
         g = PassGeometry()
         m = calibrated_link()
@@ -381,6 +388,11 @@ class TestPolarizationDistortion:
         assert fidelity(KET_H, out.density()) == pytest.approx(
             np.cos(delta) ** 2, abs=1e-12
         )
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+    def test_angle_not_finite_rejected(self, delta):
+        with pytest.raises(ValueError, match="polarization angle delta must be finite"):
+            polarization_distortion(delta)
 
     def test_unitary_with_jitter(self):
         rng = np.random.default_rng(5)

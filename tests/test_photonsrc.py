@@ -14,9 +14,8 @@ from uplinksim.qstate import (
     BellState,
     apply_unitary,
     fidelity,
-    jones_hwp,
-    jones_qwp,
 )
+from test_qstate import jones_hwp, jones_qwp
 
 
 class TestSourceModel:
@@ -84,6 +83,12 @@ class TestPrepareInput:
         with pytest.warns(UserWarning):
             prep = prepare_input(1.0, 1.0)
         assert fidelity(KET_PLUS, prep.state.density()) > 1 - 1e-12
+
+    @pytest.mark.parametrize("alpha, beta", [(np.nan, 0.0), (np.inf, 1.0), (1.0, complex(0, np.nan))])
+    def test_non_finite_rejected(self, alpha, beta):
+        # rejected before the renormalizing warning, and before NaN plate angles
+        with pytest.raises(ValueError, match="alpha and beta must be finite"):
+            prepare_input(alpha, beta)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import string
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,7 @@ from uplinksim.qstate import (
     apply_unitary,
     condition,
     fidelity,
-    jones_hwp,
-    jones_qwp,
     mub_states,
-    partial_trace,
     tensor,
 )
 
@@ -34,6 +33,38 @@ def random_density(rng: np.random.Generator, n_qubits: int) -> DensityMatrix:
 def random_pure(rng: np.random.Generator, n_qubits: int) -> PureState:
     d = 2**n_qubits
     return PureState(rng.normal(size=d) + 1j * rng.normal(size=d))
+
+
+def jones_hwp(theta: float) -> np.ndarray:
+    """Oracle: half-wave plate with fast axis at `theta` radians from
+    horizontal, in closed form.  jones_hwp(0) = diag(1, -1); at pi/8 it acts
+    as a Hadamard on H/V."""
+    c, s = np.cos(2 * theta), np.sin(2 * theta)
+    return np.array([[c, s], [s, -c]], dtype=complex)
+
+
+def jones_qwp(theta: float) -> np.ndarray:
+    """Oracle: quarter-wave plate with fast axis at `theta` radians from
+    horizontal, in closed form.  jones_qwp(0) = diag(1, i), so a plate at 45
+    degrees sends |H> to the left-circular state (1, -i)/sqrt(2) up to a
+    global phase."""
+    c, s = np.cos(theta), np.sin(theta)
+    off = (1 - 1j) * s * c
+    return np.array([[c * c + 1j * s * s, off], [off, s * s + 1j * c * c]])
+
+
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Oracle: trace every qubit not in `keep` out of `rho` with one einsum
+    over its (2,) * 2n tensor; the kept qubits stay in ascending order."""
+    keep = sorted(set(keep))
+    n = rho.num_qubits
+    rows, kept_cols = string.ascii_letters[:n], string.ascii_letters[n : 2 * n]
+    # a traced qubit repeats its row index as its column index
+    cols = "".join(kept_cols[q] if q in keep else rows[q] for q in range(n))
+    out = "".join(rows[q] for q in keep) + "".join(kept_cols[q] for q in keep)
+    d = 2 ** len(keep)
+    t = np.einsum(f"{rows}{cols}->{out}", rho.matrix.reshape((2,) * (2 * n)))
+    return DensityMatrix(t.reshape(d, d))
 
 
 class TestConstruction:
@@ -57,6 +88,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DensityMatrix(np.array([[1.5, 0.0], [0.0, -0.5]]))
 
+    @pytest.mark.parametrize("amplitudes", [[np.nan, 0], [np.inf, 1], [1, complex(0, np.nan)]])
+    def test_non_finite_amplitude_rejected(self, amplitudes):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            PureState(amplitudes)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.full((2, 2), np.nan), [[0.5, np.nan], [np.nan, 0.5]], [[0.5, np.inf], [np.inf, 0.5]]],
+    )
+    def test_non_finite_density_rejected(self, matrix):
+        with pytest.raises(ValueError, match="density matrix entries must be finite"):
+            DensityMatrix(np.array(matrix, dtype=complex))
+
     def test_states_immutable(self):
         with pytest.raises(AttributeError):
             KET_H.amplitudes = np.array([0, 1])
@@ -76,7 +120,7 @@ class TestBellStates:
         for i, a in enumerate(states):
             for j, b in enumerate(states):
                 expected = 1.0 if i == j else 0.0
-                assert abs(abs(a.overlap(b)) - expected) < 1e-14
+                assert abs(abs(np.vdot(a.amplitudes, b.amplitudes)) - expected) < 1e-14
 
 
 class TestTensor:
@@ -114,7 +158,7 @@ class TestApplyUnitary:
         rng = np.random.default_rng(7)
         psi = random_pure(rng, 1)
         back = apply_unitary(apply_unitary(psi, PAULI_Z), PAULI_Z)
-        assert abs(abs(psi.overlap(back)) - 1.0) < 1e-12
+        assert abs(abs(np.vdot(psi.amplitudes, back.amplitudes)) - 1.0) < 1e-12
 
     def test_hwp_at_22p5_deg_maps_h_to_plus(self):
         # Oracle: evaluate R(-t) diag(1,-1) R(t) at t = pi/8 from scratch.
@@ -134,7 +178,7 @@ class TestApplyUnitary:
         psi = tensor(KET_PLUS, KET_PLUS)
         out = apply_unitary(psi, PAULI_Z, targets=[1])
         expected = tensor(KET_PLUS, KET_MINUS)
-        assert abs(abs(out.overlap(expected)) - 1.0) < 1e-12
+        assert abs(abs(np.vdot(out.amplitudes, expected.amplitudes)) - 1.0) < 1e-12
 
     def test_trace_preserved_on_density(self):
         rng = np.random.default_rng(11)
@@ -171,6 +215,15 @@ class TestApplyUnitary:
 
 
 class TestJones:
+    @pytest.mark.parametrize("theta", np.linspace(0, np.pi, 17))
+    def test_closed_forms_match_rotated_retarders(self, theta):
+        # R(-theta) diag(1, e^{i phi}) R(theta), with phi = pi for the
+        # half-wave plate and pi/2 for the quarter-wave plate.
+        c, s = np.cos(theta), np.sin(theta)
+        r = np.array([[c, s], [-s, c]])
+        for mat, retarder in ((jones_hwp(theta), [1, -1]), (jones_qwp(theta), [1, 1j])):
+            np.testing.assert_allclose(mat, r.T @ np.diag(retarder) @ r, atol=1e-15)
+
     @pytest.mark.parametrize("theta", np.linspace(0, np.pi, 17))
     def test_waveplates_unitary(self, theta):
         for mat in (jones_hwp(theta), jones_qwp(theta)):
@@ -298,7 +351,7 @@ class TestMubStates:
             for bj, (b1, b2) in enumerate(bases):
                 for x in (a1, a2):
                     for y in (b1, b2):
-                        ov = abs(states[x].overlap(states[y])) ** 2
+                        ov = abs(np.vdot(states[x].amplitudes, states[y].amplitudes)) ** 2
                         if bi == bj:
                             assert ov == pytest.approx(1.0 if x == y else 0.0, abs=1e-14)
                         else:
