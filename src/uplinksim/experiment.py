@@ -22,10 +22,10 @@ from .bsm import ACCEPTED_OUTCOMES, BsmModel
 from .linkgeom import (
     LinkModel,
     PassGeometry,
+    _channel_bloch,
     link_loss_db,
     loss_profiles,
     pass_table,
-    polarization_channel_bloch,
 )
 from .photonsrc import SourceModel
 from .timesync import accidental_rate
@@ -223,16 +223,24 @@ def default_schedule(n_orbits: int = 32) -> tuple[str, ...]:
     return tuple(STATE_LABELS[i % 6] for i in range(n_orbits))
 
 
+# The fields of `default_config` that no argument sets, built once at import:
+# the 32 passes, their schedule and the default models with `CALIBRATED` set.
+# All are immutable, so every default config shares them.
+_DEFAULT_FIELDS = {
+    "orbits": default_orbit_plans(),
+    "input_schedule": default_schedule(),
+    **{
+        attr: model(**{k: v for k, v in CALIBRATED.items() if FIELD_MODEL[k] == attr})
+        for attr, model in _MODEL_TYPES.items()
+    },
+}
+
+
 def default_config(seed: int = DEFAULT_SEED, **overrides) -> CampaignConfig:
     """The calibrated 32-orbit campaign configuration: the default models
     with `CALIBRATED` set, and `overrides` replacing whole fields, built as
-    one config."""
-    models = {
-        attr: model(**{k: v for k, v in CALIBRATED.items() if FIELD_MODEL[k] == attr})
-        for attr, model in _MODEL_TYPES.items()
-    }
-    campaign = dict(orbits=default_orbit_plans(), input_schedule=default_schedule(), seed=seed)
-    return CampaignConfig(**{**campaign, **models, **overrides})
+    one config from the parts made once at import."""
+    return CampaignConfig(**{**_DEFAULT_FIELDS, "seed": seed, **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -347,41 +355,42 @@ def build_event_model(config: CampaignConfig, state_label: str) -> tuple[float, 
     outcome, in `ACCEPTED_OUTCOMES` order, for one input state under the
     configured noise.  Each outcome has probability exactly 1/2.
 
-    The model is built once per key and shared: the resource fidelity, the
-    mode overlap, the polarization angle delta and jitter sigma, and the
-    label.
+    The six states' models are built together, once per noise setting (the
+    resource fidelity, the mode overlap, the polarization angle delta and
+    jitter sigma), and shared; this returns the one of `state_label`.
     """
-    return _event_model(
+    models = _event_model(
         config.resource_fidelity,
         config.bsm.mode_overlap,
         config.polarization.delta_rad,
         config.polarization.jitter_sigma_rad,
-        state_label,
     )
+    return models[STATE_LABELS.index(state_label)]
 
 
 @functools.lru_cache(maxsize=1024)
 def _event_model(
-    resource_fidelity: float,
-    mode_overlap: float,
-    delta: float,
-    jitter_sigma: float,
-    state_label: str,
-) -> tuple[float, float]:
+    resource_fidelity: float, mode_overlap: float, delta: float, jitter_sigma: float
+) -> tuple[tuple[float, float], ...]:
+    """The `build_event_model` of each input state, in `STATE_LABELS`
+    order, from one evaluation of the channel."""
     # Closed form on Bloch vectors.  The analyzer effects are
     # ((1 +- m)/2)|phi+><phi+| + ((1 -+ m)/2)|phi-><phi-|, so on a Werner
     # resource with p = (4F - 1)/3 each accepted outcome has probability 1/2
     # and outcome +- leaves p (+-m r_x, +-m r_y, r_z), r the Bloch vector of
     # |chi>; after the channel, the |chi> port fires with (1 + r.v')/2.
     # tests/test_experiment.py keeps the density-matrix build as the oracle.
-    r = STATE_BLOCH[state_label]
     p = (4.0 * resource_fidelity - 1.0) / 3.0
-    port_p = []
-    for sign in (1.0, -1.0):  # ACCEPTED_OUTCOMES order: phi+, phi-
-        v = (sign * p * mode_overlap * r[0], sign * p * mode_overlap * r[1], p * r[2])
-        v = polarization_channel_bloch(v, delta, jitter_sigma)
-        port_p.append(0.5 * (1.0 + (r[0] * v[0] + r[1] * v[1] + r[2] * v[2])))
-    return tuple(port_p)
+    # [state, outcome], ACCEPTED_OUTCOMES order: phi+, phi-
+    rows = [(r, sign) for r in STATE_BLOCH.values() for sign in (1.0, -1.0)]
+    analyzed = [
+        (sign * p * mode_overlap * r[0], sign * p * mode_overlap * r[1], p * r[2]) for r, sign in rows
+    ]
+    received = _channel_bloch(analyzed, delta, jitter_sigma)
+    port_p = [
+        0.5 * (1.0 + (r[0] * v[0] + r[1] * v[1] + r[2] * v[2])) for (r, _), v in zip(rows, received)
+    ]
+    return tuple(zip(port_p[::2], port_p[1::2]))
 
 
 def _state_fidelities(
@@ -398,15 +407,15 @@ def _state_fidelities(
     `settings` freely.
     """
     d = settings["double_pair_fraction"]
+    counts = _state_counts(config, sums, settings)
+    models = _event_model(
+        config.resource_fidelity,
+        settings["mode_overlap"],
+        settings["delta_rad"],
+        settings["jitter_sigma_rad"],
+    )
     fidelities = []
-    for label, signal, accidental in zip(STATE_LABELS, *_state_counts(config, sums, settings)):
-        port_p = _event_model(
-            config.resource_fidelity,
-            settings["mode_overlap"],
-            settings["delta_rad"],
-            settings["jitter_sigma_rad"],
-            label,
-        )
+    for label, port_p, signal, accidental in zip(STATE_LABELS, models, *counts):
         f = 0.0
         for p_signal_port, is_signal in zip(port_p, CORRECT_IS_SIGNAL[label]):
             f += 0.5 * (p_signal_port if is_signal else 1.0 - p_signal_port)

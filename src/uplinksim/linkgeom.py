@@ -281,7 +281,14 @@ def polarization_channel_bloch(
     lam = E[cos 2a]/cos 2delta = exp(-2 sigma^2):
     v' = (v.n)n + lam [cos 2delta (v - (v.n)n) + sin 2delta (n x v)].
     """
-    vx, vy, vz = v
+    return _channel_bloch((v,), delta, jitter_sigma)[0]
+
+
+def _channel_bloch(
+    vectors: Sequence[tuple[float, float, float]], delta: float, jitter_sigma: float
+) -> list[tuple[float, float, float]]:
+    """`polarization_channel_bloch` on each of `vectors`, its factors
+    lam cos 2delta and lam sin 2delta / sqrt(2) evaluated once."""
     # the double angle from cos delta and sin delta, as U carries it: 2 delta
     # itself would overflow for |delta| near the float maximum
     cos_d, sin_d = math.cos(delta), math.sin(delta)
@@ -290,8 +297,11 @@ def polarization_channel_bloch(
     lam = math.exp(-2.0 * jitter_sigma * jitter_sigma)
     c = lam * (cos_d * cos_d - sin_d * sin_d)
     s = lam * 2.0 * sin_d * cos_d / math.sqrt(2.0)  # n x v = (vz, -vz, vy - vx)/sqrt(2)
-    a = 0.5 * (vx + vy)  # (v.n)n = (a, a, 0)
-    return (a + c * (vx - a) + s * vz, a + c * (vy - a) - s * vz, c * vz + s * (vy - vx))
+    out = []
+    for vx, vy, vz in vectors:
+        a = 0.5 * (vx + vy)  # (v.n)n = (a, a, 0)
+        out.append((a + c * (vx - a) + s * vz, a + c * (vy - a) - s * vz, c * vz + s * (vy - vx)))
+    return out
 
 
 def loss_profiles(

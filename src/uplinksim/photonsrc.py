@@ -64,7 +64,9 @@ def prepare_input(alpha: complex, beta: complex) -> PreparedInput:
     """
     if not np.isfinite((alpha, beta)).all():
         raise ValueError("alpha and beta must be finite")
-    norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
+    # products, not float powers: a power raises OverflowError for a huge
+    # amplitude, while the product goes to inf and is renormalized below
+    norm_sq = abs(alpha) * abs(alpha) + abs(beta) * abs(beta)
     if norm_sq < 1e-24:
         raise ValueError("alpha and beta cannot both be zero")
     if abs(norm_sq - 1.0) > 1e-10:

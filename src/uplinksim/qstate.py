@@ -41,7 +41,11 @@ class PureState:
         _num_qubits(vec.size)
         if not np.isfinite(vec).all():
             raise ValueError("amplitudes must be finite")
-        norm = np.linalg.norm(vec)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(vec)
+        if not np.isfinite(norm):  # a huge amplitude: scale every real and imaginary part to <= 1
+            vec = vec / max(np.abs(vec.real).max(), np.abs(vec.imag).max())
+            norm = np.linalg.norm(vec)
         if norm < 1e-12:
             raise ValueError("cannot normalize a zero amplitude vector")
         vec = vec / norm

@@ -379,4 +379,7 @@ def accidental_rate(trigger_rate_hz: float, background_rate_hz: float, window_s:
     for value in (trigger_rate_hz, background_rate_hz, window_s):
         if not (value >= 0 and math.isfinite(value)):  # NaN fails `>= 0`
             raise ValueError("rates and window must be finite and non-negative")
-    return trigger_rate_hz * background_rate_hz * window_s
+    rate = trigger_rate_hz * background_rate_hz * window_s
+    if not math.isfinite(rate):
+        raise ValueError("the accidental rate, trigger rate * background rate * window, overflows")
+    return rate

@@ -141,7 +141,7 @@ def assert_closed_form_matches_density_matrix(keys) -> None:
     """`experiment._event_model` against `density_matrix_event_model` at
     each (resource fidelity, mode overlap, delta, jitter sigma, label) key."""
     for key in keys:
-        closed = experiment._event_model(*key)
+        closed = experiment._event_model(*key[:4])[STATE_LABELS.index(key[4])]
         outcome_probabilities, oracle_port_p, oracle_correct = density_matrix_event_model(*key)
         # The constant 1/2 split that run_orbit and the analytic tier use.
         assert outcome_probabilities.shape == (len(ACCEPTED_OUTCOMES),)
@@ -584,6 +584,12 @@ class TestConfig:
         default_config(3, orbit_duration_s=100.0, link=LinkModel())
         assert len(built) == 2
 
+    def test_default_config_shares_its_fixed_parts(self):
+        a, b = default_config(), default_config(7)
+        assert a is not b
+        for name in ("orbits", "input_schedule", *MODELS):
+            assert getattr(a, name) is getattr(b, name), name
+
     @pytest.mark.parametrize("seed", [0, 7, DEFAULT_SEED, 2**63])
     @pytest.mark.parametrize("name", DEFAULT_OVERRIDES)
     def test_default_config_matches_with_params_oracle(self, seed, name):
@@ -996,12 +1002,29 @@ class TestAnalyticPipeline:
         experiment._event_model.cache_clear()
         run_campaign(cfg)
         error_budget(cfg)
-        assert experiment._event_model.cache_info().misses == 24
+        assert experiment._event_model.cache_info().misses == 4
         model = build_event_model(cfg, "+")
         assert model is build_event_model(cfg, "+")
         for shared in (model, CORRECT_IS_SIGNAL["+"]):
             with pytest.raises(TypeError):
                 shared[0] = shared[1]
+
+    def test_cold_calibration_builds_each_input_once(self, monkeypatch):
+        # A cold calibrate() and the budget of its config, as the benchmark's
+        # calibrate op runs them: no pass plan is rebuilt, and one event-model
+        # build serves each distinct noise setting read.
+        plans, keys = [], []
+        orbit_plans = experiment.default_orbit_plans
+        monkeypatch.setattr(experiment, "default_orbit_plans", lambda *a: plans.append(a) or orbit_plans(*a))
+        event_model = experiment._event_model
+        monkeypatch.setattr(experiment, "_event_model", lambda *key: keys.append(key) or event_model(*key))
+        for cache in (event_model, experiment._exposure, experiment._pass_table):
+            cache.cache_clear()
+        result = calibrate()
+        error_budget(result.apply(default_config()))
+        assert plans == []
+        settings = {key[:4] for key in keys}  # (F, m, delta, sigma)
+        assert len(keys) > event_model.cache_info().misses == len(settings) > 0
 
     def test_analyzer_ports_realizable_with_waveplates(self):
         # The two analyzer projectors used by the pipeline are exactly what

@@ -84,6 +84,13 @@ class TestPrepareInput:
             prep = prepare_input(1.0, 1.0)
         assert fidelity(KET_PLUS, prep.state.density()) > 1 - 1e-12
 
+    def test_huge_amplitude_prepares_h(self):
+        # |alpha|^2 overflows: the norm check must not raise OverflowError
+        with pytest.warns(UserWarning, match="renormalizing"):
+            prep = prepare_input(1e200, 0.0)
+        assert prep.state.amplitudes.tolist() == [1, 0]
+        assert (prep.hwp_angle, prep.qwp_angle) == (0.0, 0.0)
+
     @pytest.mark.parametrize("alpha, beta", [(np.nan, 0.0), (np.inf, 1.0), (1.0, complex(0, np.nan))])
     def test_non_finite_rejected(self, alpha, beta):
         # rejected before the renormalizing warning, and before NaN plate angles

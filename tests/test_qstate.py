@@ -94,6 +94,19 @@ class TestConstruction:
             PureState(amplitudes)
 
     @pytest.mark.parametrize(
+        "amplitudes, expected",
+        [
+            ([1e200, 0], [1, 0]),
+            ([1e308, 1e308], [2**-0.5, 2**-0.5]),
+            ([complex(1e308, 1e308), 0], [complex(2**-0.5, 2**-0.5), 0]),
+        ],
+    )
+    def test_huge_finite_amplitudes_normalize(self, amplitudes, expected):
+        # the plain norm overflows to inf; a RuntimeWarning is an error here
+        state = PureState(amplitudes)
+        assert np.abs(state.amplitudes - np.array(expected)).max() <= 1e-15
+
+    @pytest.mark.parametrize(
         "matrix",
         [np.full((2, 2), np.nan), [[0.5, np.nan], [np.nan, 0.5]], [[0.5, np.inf], [np.inf, 0.5]]],
     )

@@ -891,6 +891,11 @@ class TestAccidentalRate:
             with pytest.raises(ValueError, match="must be finite and non-negative"):
                 accidental_rate(*args)
 
+    def test_overflowing_product_rejected(self):
+        # each input is finite, their product is not
+        with pytest.raises(ValueError, match="overflows"):
+            accidental_rate(1e200, 1e200, 1.0)
+
     def test_matched_accidentals_at_calibrated_herald_rate(self):
         # The campaign's accidental count is accidental_rate(herald rate,
         # satellite background, 3 ns) x live time.  Check that formula at
