@@ -384,7 +384,8 @@ def _event_model(
     # [state, outcome], ACCEPTED_OUTCOMES order: phi+, phi-
     rows = [(r, sign) for r in STATE_BLOCH.values() for sign in (1.0, -1.0)]
     analyzed = [
-        (sign * p * mode_overlap * r[0], sign * p * mode_overlap * r[1], p * r[2]) for r, sign in rows
+        (sign * p * mode_overlap * r[0], sign * p * mode_overlap * r[1], p * r[2])
+        for r, sign in rows
     ]
     received = _channel_bloch(analyzed, delta, jitter_sigma)
     port_p = [

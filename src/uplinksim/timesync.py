@@ -375,7 +375,11 @@ def match_coincidences(
 
 
 def accidental_rate(trigger_rate_hz: float, background_rate_hz: float, window_s: float) -> float:
-    """Rate of uncorrelated clicks falling inside a trigger's window."""
+    """Rate of uncorrelated clicks falling inside a trigger's window.
+
+    Raises ValueError when an input is negative or not finite, or when
+    their product overflows the float range.
+    """
     for value in (trigger_rate_hz, background_rate_hz, window_s):
         if not (value >= 0 and math.isfinite(value)):  # NaN fails `>= 0`
             raise ValueError("rates and window must be finite and non-negative")
