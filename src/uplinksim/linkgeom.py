@@ -268,27 +268,21 @@ def polarization_distortion(delta: float) -> np.ndarray:
     return np.cos(delta) * np.eye(2, dtype=complex) - 1j * np.sin(delta) * ROTATION_AXIS
 
 
-def polarization_channel_bloch(
-    v: tuple[float, float, float], delta: float, jitter_sigma: float
-) -> tuple[float, float, float]:
-    """The uplink polarization channel on the Bloch vector v of a qubit
-    state, in scalar floats: `polarization_distortion` averaged over
-    Gaussian angle jitter, in closed form.
+def _channel_bloch(
+    vectors: Sequence[tuple[float, float, float]], delta: float, jitter_sigma: float
+) -> list[tuple[float, float, float]]:
+    """The uplink polarization channel on each Bloch vector v of `vectors`,
+    in scalar floats: `polarization_distortion` averaged over Gaussian angle
+    jitter, in closed form.
 
     A rotation by 2a with a ~ N(delta, sigma^2) about n = (1, 1, 0)/sqrt(2)
     keeps (v.n)n and turns the rest by +2 delta (right-handed, as
     exp(-i delta n.sigma) does) while damping it by
     lam = E[cos 2a]/cos 2delta = exp(-2 sigma^2):
     v' = (v.n)n + lam [cos 2delta (v - (v.n)n) + sin 2delta (n x v)].
+    The factors lam cos 2delta and lam sin 2delta / sqrt(2) are evaluated
+    once for all of `vectors`.
     """
-    return _channel_bloch((v,), delta, jitter_sigma)[0]
-
-
-def _channel_bloch(
-    vectors: Sequence[tuple[float, float, float]], delta: float, jitter_sigma: float
-) -> list[tuple[float, float, float]]:
-    """`polarization_channel_bloch` on each of `vectors`, its factors
-    lam cos 2delta and lam sin 2delta / sqrt(2) evaluated once."""
     # the double angle from cos delta and sin delta, as U carries it: 2 delta
     # itself would overflow for |delta| near the float maximum
     cos_d, sin_d = math.cos(delta), math.sin(delta)

@@ -207,11 +207,11 @@ def _embed(op: np.ndarray, targets: Sequence[int], num_qubits: int) -> np.ndarra
 
 
 def apply_unitary(state: QuantumState, u: np.ndarray, targets: Sequence[int] | None = None) -> QuantumState:
-    """Apply a unitary to the listed qubits (all qubits when omitted)."""
+    """Apply a unitary to the listed qubits (all qubits when omitted); its
+    qubit i acts on targets[i]."""
     if targets is None:
         targets = range(state.num_qubits)
-    u = _check_unitary(u)
-    full = _embed(u, targets, state.num_qubits) if len(list(targets)) != state.num_qubits else u
+    full = _embed(_check_unitary(u), targets, state.num_qubits)
     if isinstance(state, PureState):
         return PureState(full @ state.amplitudes)
     return DensityMatrix(full @ state.matrix @ full.conj().T)
@@ -235,29 +235,27 @@ def _trace_out(matrix: np.ndarray, n: int, keep: Sequence[int]) -> np.ndarray:
 def condition(
     rho: DensityMatrix, effect: np.ndarray, targets: Sequence[int]
 ) -> tuple[float, DensityMatrix | None]:
-    """Condition on a POVM effect measured destructively on `targets`.
+    """Condition on a POVM effect measured destructively on `targets`; its
+    qubit i is targets[i].
 
     Returns the outcome probability and the normalized post-measurement
     state of the remaining qubits.  The state is None when the outcome
     probability is below 1e-15 (outcome impossible) or when the effect
     covers the whole register, leaving nothing behind.
     """
-    targets = sorted(set(targets))
+    targets = list(targets)
     n = rho.num_qubits
     effect = np.asarray(effect, dtype=complex)
-    k = len(targets)
-    if effect.shape != (2**k, 2**k):
-        raise ValueError("effect shape does not match targets")
+    full = _embed(effect, targets, n)
     if np.max(np.abs(effect - effect.conj().T)) > UNITARY_TOL:
         raise ValueError("effect is not Hermitian")
     evals = np.linalg.eigvalsh(effect)
     if evals.min() < -UNITARY_TOL or evals.max() > 1.0 + UNITARY_TOL:
         raise ValueError("effect must satisfy 0 <= E <= I")
 
-    full = _embed(effect, targets, n) if k != n else effect
     prob = float(np.real(np.trace(full @ rho.matrix)))
     prob = min(max(prob, 0.0), 1.0)
-    if prob < _IMPOSSIBLE_PROB or k == n:
+    if prob < _IMPOSSIBLE_PROB or len(targets) == n:
         return prob, None
 
     keep = [q for q in range(n) if q not in targets]

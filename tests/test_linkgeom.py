@@ -15,7 +15,7 @@ from uplinksim.linkgeom import (
     loss_profile,
     loss_profiles,
     pass_table,
-    polarization_channel_bloch,
+    _channel_bloch,
     polarization_distortion,
     slant_range,
 )
@@ -31,7 +31,7 @@ from uplinksim.qstate import (
 
 
 def polarization_channel(rho: np.ndarray, delta: float, jitter_sigma: float) -> np.ndarray:
-    """Oracle for `polarization_channel_bloch`: the distortion averaged over
+    """Oracle for `_channel_bloch`: the distortion averaged over
     Gaussian angle jitter, on the density matrix, in closed form.
 
     A rotation by 2a with a ~ N(delta, sigma^2) leaves the Bloch component
@@ -415,7 +415,7 @@ class TestPolarizationDistortion:
         dephased = (rho + ROTATION_AXIS @ rho @ ROTATION_AXIS) / 2.0
         np.testing.assert_allclose(polarization_channel(rho, 0.2, 1e300), dephased, atol=1e-15)
         # the Bloch form keeps (v.n)n, also at an angle whose double overflows
-        assert polarization_channel_bloch((0.5, -0.25, 0.75), 1e308, 1e300) == (0.125, 0.125, 0.0)
+        assert _channel_bloch([(0.5, -0.25, 0.75)], 1e308, 1e300)[0] == (0.125, 0.125, 0.0)
 
     def test_bloch_channel_matches_density_matrix_channel(self):
         # Generic vectors pin the rotation sense, +2 delta about n: on the six
@@ -430,5 +430,5 @@ class TestPolarizationDistortion:
             for angle in (delta, 1e300 * delta):  # a huge angle is reduced exactly
                 out = polarization_channel(rho, angle, sigma)
                 expected = [np.real(np.trace(out @ p)) for p in paulis]
-                got = polarization_channel_bloch(tuple(v.tolist()), angle, sigma)
+                got = _channel_bloch([tuple(v.tolist())], angle, sigma)[0]
                 np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)

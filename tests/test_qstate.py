@@ -200,7 +200,9 @@ class TestApplyUnitary:
         assert np.isclose(np.trace(out.matrix).real, 1.0, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "targets,n", [([0, 2], 3), ([2, 0], 3), ([1, 0], 2), ([3, 1], 4), ([0, 1, 3], 4)]
+        "targets,n",
+        [([0, 2], 3), ([2, 0], 3), ([1, 0], 2), ([3, 1], 4), ([0, 1, 3], 4),
+         ([1, 0], 3), ([0, 1], 2), ([2, 0, 1], 3)],
     )
     def test_embedding_matches_elementwise_oracle(self, targets, n):
         # Independent oracle: build the lifted operator entry by entry from
@@ -225,6 +227,34 @@ class TestApplyUnitary:
                 col = sum(jb[t] << (k - 1 - m) for m, t in enumerate(targets))
                 want[i, j] = op[row, col]
         np.testing.assert_allclose(_embed(op, targets, n), want, atol=1e-12)
+
+        # apply_unitary and condition place the operator by the same rule,
+        # also when the targets cover the register or come as an iterator
+        psi, rho = random_pure(rng, n), random_density(rng, n)
+        out = apply_unitary(psi, op, iter(targets))
+        np.testing.assert_allclose(out.amplitudes, want @ psi.amplitudes, atol=1e-12)
+        out = apply_unitary(rho, op, targets)
+        np.testing.assert_allclose(out.matrix, want @ rho.matrix @ want.conj().T, atol=1e-12)
+        # (U + U^dag)/4 + I/2 is an effect, and its lift is linear in the lift of U
+        effect = (op + op.conj().T) / 4.0 + np.eye(2**k) / 2.0
+        lifted = (want + want.conj().T) / 4.0 + np.eye(d) / 2.0
+        prob, post = condition(rho, effect, targets)
+        expected = float(np.real(np.trace(lifted @ rho.matrix)))
+        assert prob == pytest.approx(expected, abs=1e-12)
+        if not rest:
+            assert post is None
+            return
+        w, v = np.linalg.eigh(lifted)
+        root = v @ np.diag(np.sqrt(w)) @ v.conj().T
+        measured = DensityMatrix(root @ rho.matrix @ root / expected)
+        np.testing.assert_allclose(post.matrix, partial_trace(measured, keep=rest).matrix, atol=1e-12)
+
+    def test_duplicate_targets_rejected(self):
+        for n in (2, 3):
+            with pytest.raises(ValueError, match="duplicate target qubits"):
+                apply_unitary(random_pure(np.random.default_rng(n), n), np.eye(4), targets=[0, 0])
+            with pytest.raises(ValueError, match="duplicate target qubits"):
+                condition(random_density(np.random.default_rng(n), n), np.eye(4) / 2.0, targets=[1, 1])
 
 
 class TestJones:
@@ -307,6 +337,15 @@ class TestCondition:
         rho = tensor(KET_H, KET_V).density()
         with pytest.raises(ValueError):
             condition(rho, 2.0 * np.eye(4), targets=[0, 1])
+
+    def test_effect_qubits_follow_target_order(self):
+        # |H><H| (x) |V><V| on targets [1, 0] asks for V on qubit 0 and H on
+        # qubit 1, which |H V +> never shows
+        rho = tensor(tensor(KET_H, KET_V), KET_PLUS).density()
+        effect = np.kron(KET_H.density().matrix, KET_V.density().matrix)
+        assert condition(rho, effect, targets=[0, 1])[0] == pytest.approx(1.0, abs=1e-12)
+        prob, post = condition(rho, effect, targets=[1, 0])
+        assert prob < 1e-15 and post is None
 
     def test_complete_effect_set_sums_to_one(self):
         # Effect set built from scratch: the two coherent same-polarization
