@@ -563,6 +563,9 @@ def estimate_fidelity(n_correct: int, n_wrong: int) -> tuple[float, float]:
     F = c/(c+w), sigma = sqrt(c*w/(c+w)^3)."""
     if not all(n >= 0 and n % 1 == 0 for n in (n_correct, n_wrong)):  # NaN and inf fail
         raise ValueError("counts must be non-negative integers")
+    # Python ints: exact products, so neither total**3 of a huge float count
+    # nor an int64 product can overflow
+    n_correct, n_wrong = int(n_correct), int(n_wrong)
     total = n_correct + n_wrong
     if total < 1:
         raise ValueError("need at least one event")

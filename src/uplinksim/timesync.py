@@ -41,12 +41,22 @@ class ClockModel:
 
     def satellite_time(self, ground_ps):
         ground_ps = np.asarray(ground_ps, dtype=float)
-        return ground_ps + self.offset_ps + self.drift_ppm * 1e-6 * ground_ps
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _mapped(ground_ps, ground_ps + self.offset_ps + self.drift_ppm * 1e-6 * ground_ps)
 
     def ground_time(self, satellite_ps):
-        return (np.asarray(satellite_ps, dtype=float) - self.offset_ps) / (
-            1.0 + self.drift_ppm * 1e-6
-        )
+        satellite_ps = np.asarray(satellite_ps, dtype=float)
+        with np.errstate(over="ignore"):
+            return _mapped(satellite_ps, (satellite_ps - self.offset_ps) / (1.0 + self.drift_ppm * 1e-6))
+
+
+def _mapped(times: np.ndarray, mapped):
+    """`mapped`, the clock map of `times`, unless the map took a finite
+    time out of the float range."""
+    lost = ~np.isfinite(mapped)
+    if lost.any() and np.isfinite(times[lost]).any():
+        raise ValueError("the clock map overflows the float range")
+    return mapped
 
 
 @dataclass(frozen=True)
@@ -251,10 +261,11 @@ def fit_clock(ground_sync_ps, satellite_sync_ps) -> ClockFit:
     n = g.size
     if n < 2:
         raise ValueError("clock fit is unrecoverable with fewer than 2 sync pulses")
-    # In sorted times +-inf can only sit at the ends, and a NaN anywhere
-    # fails the order test, so neither check adds a pass over the pulses.
-    if any(math.isinf(t) for t in (g[0], g[-1], s[0], s[-1])):
-        raise ValueError("sync times must be finite")
+    # Sorted times are bounded by their ends, and a NaN anywhere fails the
+    # order test, so neither check adds a pass over the pulses.  Within
+    # +-2**63 ps, which holds every int64 tag, no sum of the fit overflows.
+    if not all(_INT64_FLOOR <= t <= -_INT64_FLOOR for t in (g[0], g[-1], s[0], s[-1])):
+        raise ValueError("sync times must be finite and within the int64 picosecond range")
     # Scratch: sweep 1 casts into x and r, sweep 2 fills all three.
     x, r, tmp = (np.empty(min(n, _BLOCK) + 1) for _ in range(3))
     half = n // 2
@@ -282,19 +293,26 @@ def fit_clock(ground_sync_ps, satellite_sync_ps) -> ClockFit:
     slope0 = climb / rise if rise else 1.0
 
     sxx = sxr = srr = 0.0
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        xb = np.subtract(_float_block(g, start, stop, x), g_mean, out=x[: stop - start])
-        rb = np.subtract(_float_block(s, start, stop, r), s_mean, out=r[: stop - start])
-        rb -= np.multiply(xb, slope0, out=tmp[: stop - start])
-        sxx += np.einsum("i,i", xb, xb)
-        sxr += np.einsum("i,i", xb, rb)
-        srr += np.einsum("i,i", rb, rb)
-    slope = slope0 + sxr / sxx
-    offset = s_mean - slope * g_mean
-    # The residual sum about the fitted line; it cannot be negative.
-    rms = math.sqrt(max(srr - sxr * sxr / sxx, 0.0) / n)
-    clock = ClockModel(offset_ps=float(offset), drift_ppm=float((slope - 1.0) * 1e6))
+    # Ground times that differ by next to nothing can overflow the slope or
+    # underflow sxx to 0; the results are checked once instead.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, n, _BLOCK):
+            stop = min(start + _BLOCK, n)
+            xb = np.subtract(_float_block(g, start, stop, x), g_mean, out=x[: stop - start])
+            rb = np.subtract(_float_block(s, start, stop, r), s_mean, out=r[: stop - start])
+            rb -= np.multiply(xb, slope0, out=tmp[: stop - start])
+            sxx += np.einsum("i,i", xb, xb)
+            sxr += np.einsum("i,i", xb, rb)
+            srr += np.einsum("i,i", rb, rb)
+        slope = slope0 + sxr / sxx
+        offset = s_mean - slope * g_mean
+        drift = (slope - 1.0) * 1e6
+        # The residual sum about the fitted line; it cannot be negative.
+        rss = srr - sxr * sxr / sxx
+    if not all(math.isfinite(v) for v in (offset, drift, rss)):
+        raise ValueError("the clock fit overflows the float range")
+    rms = math.sqrt(max(rss, 0.0) / n)
+    clock = ClockModel(offset_ps=float(offset), drift_ppm=float(drift))
     return ClockFit(clock=clock, residual_rms_ps=rms, n_pulses=n)
 
 

@@ -406,13 +406,14 @@ EXPOSURE_GRID.update(_random_pass_configs(20, seed=14))
 NOISE_DRAWS = noise_draws(20, seed=16)
 
 
-def pull_configs(n: int, seed: int) -> list[CampaignConfig]:
+def pull_configs(n: int, seed: int, draw_resource: bool = False) -> list[CampaignConfig]:
     """Seeded draws of every noise source and of the receiver efficiency at
     30 times the calibrated fourfold rate (6e3 to 1.1e5 fourfolds per
     campaign), each campaign on its own seed: mode overlap in [0.5, 1],
     double-pair fraction in [0, 0.5], delta in [0, 0.6] rad, jitter in
     [0, 0.5] rad, background in [0, 3000] Hz and receiver efficiency in
-    [0.05, 1], drawn in that order."""
+    [0.05, 1], drawn in that order.  With `draw_resource`, each campaign's
+    draws end with the resource fidelity in [1/4, 1]."""
     rng = np.random.default_rng(seed)
     ranges = {
         "mode_overlap": (0.5, 1.0),
@@ -428,12 +429,17 @@ def pull_configs(n: int, seed: int) -> list[CampaignConfig]:
             base,
             {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in ranges.items()},
             seed=int(rng.integers(2**63)),
+            **({"resource_fidelity": float(rng.uniform(0.25, 1.0))} if draw_resource else {}),
         )
         for _ in range(n)
     ]
 
 
 PULL_CONFIGS = pull_configs(200, seed=23)
+RESOURCE_PULL_CONFIGS = pull_configs(100, seed=29, draw_resource=True)
+DRAWN_CONFIG_LISTS = pytest.mark.parametrize(
+    "configs", [PULL_CONFIGS, RESOURCE_PULL_CONFIGS], ids=["pull", "resource"]
+)
 
 
 class TestExposure:
@@ -734,6 +740,15 @@ class TestEstimateFidelity:
                 estimate_fidelity(*args)
         assert estimate_fidelity(np.int64(8), 2.0) == estimate_fidelity(8, 2)
 
+    @pytest.mark.parametrize(
+        "counts", [(1e308, 1), (1, 1e308), (1e200, 1e200), (np.int64(2**40), np.int64(2**40))]
+    )
+    def test_huge_counts_give_the_exact_integer_result(self, counts):
+        # total**3 overflowed a float count and wrapped an int64 one
+        f, sigma = estimate_fidelity(*counts)
+        assert (f, sigma) == estimate_fidelity(*(int(n) for n in counts))
+        assert np.isfinite([f, sigma]).all()
+
 
 class TestRunOrbit:
     def test_noise_free_events_all_correct(self):
@@ -810,18 +825,20 @@ class TestRunCampaign:
         for label, summary in res.per_state.items():
             assert abs(summary.fidelity - expected[label]) < 3 * summary.sigma
 
-    def test_monte_carlo_pulls_over_drawn_configs(self):
+    @DRAWN_CONFIG_LISTS
+    def test_monte_carlo_pulls_over_drawn_configs(self, configs):
         # Each state's pull, (Monte Carlo - analytic) / the run's sigma, over
-        # 200 drawn campaigns: 1200 pulls, which a sampler that draws what
-        # the analytic tier predicts spreads as a unit normal.  The standard
-        # error of their SD is about 0.02, of their mean about 0.03.
+        # 200 drawn campaigns (100 that also draw the resource fidelity):
+        # 1200 pulls (600), which a sampler that draws what the analytic tier
+        # predicts spreads as a unit normal.  The standard error of their SD
+        # is about 0.02 (0.03), of their mean about 0.03 (0.04).
         pulls = []
-        for config in PULL_CONFIGS:
+        for config in configs:
             expected = analytic_fidelities(config)
             for label, summary in run_campaign(config).per_state.items():
                 pulls.append((summary.fidelity - expected[label]) / summary.sigma)
         pulls = np.array(pulls)
-        assert pulls.shape == (len(PULL_CONFIGS) * len(STATE_LABELS),)
+        assert pulls.shape == (len(configs) * len(STATE_LABELS),)
         assert np.abs(pulls).max() < 4.5
         assert 0.9 <= pulls.std() <= 1.1
         assert abs(pulls.mean()) <= 0.15
@@ -969,11 +986,12 @@ class TestAnalyticPipeline:
             rho = chi.density().matrix
             assert STATE_BLOCH[label] == tuple(np.real(np.trace(rho @ p)) for p in paulis)
 
-    def test_closed_form_matches_density_matrix_oracle_at_pull_configs(self):
+    @DRAWN_CONFIG_LISTS
+    def test_closed_form_matches_density_matrix_oracle_at_pull_configs(self, configs):
         keys = [
             (c.resource_fidelity, c.bsm.mode_overlap, c.polarization.delta_rad,
              c.polarization.jitter_sigma_rad, label)
-            for c in PULL_CONFIGS
+            for c in configs
             for label in STATE_LABELS
         ]
         assert_closed_form_matches_density_matrix(keys)

@@ -443,6 +443,20 @@ class TestTypes:
             with pytest.raises(ValueError, match="duration must be finite and positive"):
                 sync_pulse_times_ps(SyncConfig(), duration)
 
+    @pytest.mark.parametrize(
+        "clock, method, time",
+        [
+            (ClockModel(1e308, 99.0), "satellite_time", 1e308),
+            (ClockModel(-1e308, 0.0), "ground_time", 1e308),
+            (ClockModel(0.0, -50.0), "ground_time", [1.0, -1.7976931348623157e308]),
+        ],
+    )
+    def test_overflowing_clock_map_rejected(self, clock, method, time):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="clock map overflows"):
+                getattr(clock, method)(time)
+
     def test_clock_roundtrip(self):
         clock = ClockModel(offset_ps=1e9, drift_ppm=12.0)
         t = np.array([0.0, 1e12, 3.5e14])
@@ -718,6 +732,27 @@ class TestFitClock:
     def test_adjacent_infinities_inside_unsorted_times_rejected(self):
         with pytest.raises(ValueError, match="sorted ascending"):
             fit_clock([0.0, math.inf, math.inf, 1.0], [0.0, 1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "ground, satellite, message",
+        [
+            ([0.0, 1.0], [0.0, 1e308], "int64 picosecond range"),
+            ([0.0, 1e308], [0.0, 1.0], "int64 picosecond range"),
+            # the slope overflows, or the ground spread's square underflows to 0
+            ([0.0, 1e-300], [0.0, 1e18], "overflows the float range"),
+            ([0.0, 5e-324], [-9e18, 9e18], "overflows the float range"),
+        ],
+    )
+    def test_overflowing_fit_rejected(self, ground, satellite, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                fit_clock(ground, satellite)
+
+    def test_fit_at_int64_limits(self):
+        tags = np.array([np.iinfo(np.int64).min, 0, np.iinfo(np.int64).max])
+        fit = fit_clock(tags, tags)
+        assert (fit.clock.offset_ps, fit.clock.drift_ppm) == (0.0, 0.0)
 
     def test_zero_ground_spread_rejected(self):
         # No line fits sync pulses that all arrive at one ground time; the
