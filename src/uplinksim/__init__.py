@@ -54,4 +54,4 @@ from .experiment import (
     run_orbit,
 )
 
-__version__ = "0.1.8"
+__version__ = "0.1.9"

@@ -266,8 +266,8 @@ def _exposure(
     duration_s: float,
 ) -> tuple[OrbitExposure, ...]:
     table = _pass_table(orbit_altitude_km, min_elevation_deg, max_elevations_deg)
-    sizes, _, index, _, loss = loss_profiles(table, link, duration_s)
-    transmittance = (10.0 ** (-loss / 10.0))[index]
+    sizes, index, _, _, transmittance = loss_profiles(table, link, duration_s)
+    transmittance = transmittance[index]
     transmittance.flags.writeable = False  # shared by every cache hit
     ends = np.cumsum(sizes).tolist()
     slices = [transmittance[start:end] for start, end in zip([0, *ends], ends)]

@@ -178,7 +178,7 @@ def _sin_elevation(elevation_deg):
     return np.sin(np.deg2rad(elevation_deg))
 
 
-def _slant_range(geometry: PassGeometry | PassTable, sin_e):
+def _slant_range(geometry: PassGeometry, sin_e):
     """`slant_range` from the sine of the elevation."""
     r, h = EARTH_RADIUS_KM, geometry.orbit_altitude_km
     return np.sqrt(r**2 * sin_e**2 + 2 * r * h + h**2) - r * sin_e
@@ -227,17 +227,19 @@ def effective_divergence(model: LinkModel) -> float:
     return math.sqrt(ex * ey)
 
 
-def _loss_db(geometry: PassGeometry | PassTable, model: LinkModel, sin_e, rate):
-    """`link_loss_db` from the sine of the elevation and the azimuth rate."""
+def _transmittance(model: LinkModel, range_km, sin_e, rate):
+    """The three loss factors of `link_loss_db`, without the system
+    efficiency: geometric capture, pointing and atmosphere at the given
+    slant range (km), sine of the elevation and azimuth rate."""
     theta = effective_divergence(model)
     with np.errstate(over="ignore", divide="ignore"):  # the saturation of `link_loss_db`
-        spot_m = theta * 1e-6 * _slant_range(geometry, sin_e) * 1e3
+        spot_m = theta * 1e-6 * range_km * 1e3
         eta_geo = np.minimum(1.0, (model.receiver_diameter_m / spot_m) ** 2)
         # the tracking error, inflated by the slew demand
         jitter = model.tracking_error_urad * (1.0 + model.slew_degradation_k * rate / SLEW_RATE_REF)
         eta_point = 1.0 / (1.0 + (2.0 * jitter / theta) ** 2)
         eta_atm = model.zenith_transmittance ** (1.0 / sin_e)  # the airmass is 1/sin e
-        return -10.0 * np.log10(eta_geo * eta_point * eta_atm) + model.system_efficiency_db
+        return eta_geo * eta_point * eta_atm
 
 
 def link_loss_db(elevation_deg, t_s, geometry: PassGeometry, model: LinkModel):
@@ -251,7 +253,10 @@ def link_loss_db(elevation_deg, t_s, geometry: PassGeometry, model: LinkModel):
     that overflows or underflows to zero transmittance gives +inf dB, and a
     receiver-to-spot ratio past the float range caps at full capture.
     """
-    loss = _loss_db(geometry, model, _sin_elevation(elevation_deg), azimuth_rate(geometry, t_s))
+    sin_e = _sin_elevation(elevation_deg)
+    eta = _transmittance(model, _slant_range(geometry, sin_e), sin_e, azimuth_rate(geometry, t_s))
+    with np.errstate(divide="ignore"):  # zero transmittance is +inf dB
+        loss = -10.0 * np.log10(eta) + model.system_efficiency_db
     return float(loss) if loss.ndim == 0 else loss
 
 
@@ -302,17 +307,22 @@ def loss_profiles(
     table: PassTable, model: LinkModel, duration_s: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The sampled passes of `table`, computed in one pass over the t >= 0
-    samples of all of them.
+    samples of all of them, in linear units.
 
     Each pass is sampled over a window of `duration_s` centred on its
     culmination at 1 s steps, clipped to its tracking window, inclusive of
     both endpoints.  A pass is even in t about culmination (cos wt, cos^2
     and sin^2 are), so only t >= 0 is evaluated.  The trig of beta_min is
     evaluated once per pass and that of w t once per time step, then
-    gathered to the samples.  Returns (sizes, t_s, index, elevation_deg,
-    loss_db): the sample count of each pass, the t_s column of all passes
-    in order, and the row of each of those samples in elevation_deg and
-    loss_db, the t >= 0 columns.
+    gathered to the samples.  With cos(beta) = cos(beta_min) cos(w t) and
+    rho = R/(R + h), the law of cosines gives the slant range (R + h) q,
+    q = sqrt((1 - rho)^2 + 2 rho (1 - cos beta)), and sin e =
+    (cos beta - rho)/q; written about (1 - rho)^2, q is exact and sin e
+    exactly 1 at the zenith.  The transmittance is the `link_loss_db`
+    factors times 10^(-system dB / 10).  Returns (sizes, index, sin_e,
+    range_km, transmittance): the sample count of each pass, the row of
+    each sample of all passes in order (t from -half to half) in the
+    others, and the t >= 0 columns.
     """
     if not duration_s > 0:  # inf is the full pass; NaN fails
         raise ValueError("duration must be positive")
@@ -321,26 +331,39 @@ def loss_profiles(
     halves = np.floor(np.minimum(duration_s / 2.0, table.half_duration_s)).astype(np.intp)
     counts, sizes = halves + 1, 2 * halves + 1
     starts = np.cumsum(counts) - counts
-    orbit = np.repeat(np.arange(len(counts)), counts)  # pass and step of each t >= 0 sample
-    step = np.arange(counts.sum()) - starts[orbit]
+    step = np.arange(counts.sum()) - np.repeat(starts, counts)  # time step of each t >= 0 sample
     phase = table.orbital_rate * np.arange(halves.max() + 1.0)
     cos_wt, sin_wt = np.cos(phase), np.sin(phase)
-    # the central angle follows cos(beta) = cos(beta_min) cos(w t)
-    cos_beta = np.cos(table.min_central_angle)[orbit] * cos_wt[step]
-    beta = np.arccos(np.clip(cos_beta, -1.0, 1.0))
-    elev = np.degrees(np.arctan2(cos_beta - table.radius_ratio, np.sin(beta)))
-    sin_b = np.maximum(np.sin(table.min_central_angle), 1e-6)[orbit]
+    sin_b = np.repeat(np.maximum(np.sin(table.min_central_angle), 1e-6), counts)
     rate = _azimuth_rate(table, sin_b, (cos_wt**2)[step], (sin_wt**2)[step])
-    loss = _loss_db(table, model, _sin_elevation(elev), rate)
-    times = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - counts, sizes)
-    return sizes, times.astype(float), np.repeat(starts, sizes) + np.abs(times), elev, loss
+    # The per-sample columns are built in place: q, then sin e in the
+    # cos(beta) array, then the range in the q array.
+    rho = table.radius_ratio
+    sin_e = np.repeat(np.cos(table.min_central_angle), counts)
+    sin_e *= cos_wt[step]
+    range_km = np.subtract(1.0, sin_e)
+    range_km *= 2.0 * rho
+    range_km += (1.0 - rho) * (1.0 - rho)  # a product: its square root is exactly 1 - rho
+    np.sqrt(range_km, out=range_km)
+    sin_e -= rho
+    sin_e /= range_km
+    range_km *= EARTH_RADIUS_KM + table.orbit_altitude_km
+    transmittance = _transmittance(model, range_km, sin_e, rate)
+    transmittance *= 10.0 ** (-model.system_efficiency_db / 10.0)
+    index = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - counts, sizes)  # t of each sample
+    np.abs(index, out=index)
+    index += np.repeat(starts, sizes)
+    return sizes, index, sin_e, range_km, transmittance
 
 
 def loss_profile(geometry: PassGeometry, model: LinkModel, duration_s: float) -> np.ndarray:
     """Sampled pass table, an (n, 4) float64 array with one row
-    (t_s, elevation_deg, range_km, loss_db) per sample: the one-pass view
-    of `loss_profiles`.
+    (t_s, elevation_deg, range_km, loss_db) per sample: the one-pass dB
+    view of `loss_profiles`.
     """
-    _, times, index, elev, loss = loss_profiles(geometry.table, model, duration_s)
-    elev = elev[index]
-    return np.column_stack((times, elev, slant_range(elev, geometry), loss[index]))
+    _, index, sin_e, range_km, transmittance = loss_profiles(geometry.table, model, duration_s)
+    half = len(sin_e) - 1
+    with np.errstate(divide="ignore"):  # zero transmittance is +inf dB
+        loss = -10.0 * np.log10(transmittance)
+    columns = (np.degrees(np.arcsin(sin_e)), range_km, loss)
+    return np.column_stack((np.arange(-half, half + 1.0), *(c[index] for c in columns)))

@@ -181,7 +181,9 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("operator must be a square matrix")
-    if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > UNITARY_TOL:
+    with np.errstate(all="ignore"):  # a non-finite entry gives NaN or inf, which fail the check
+        err = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+    if not err <= UNITARY_TOL:
         raise ValueError("operator is not unitary within tolerance")
     return u
 
@@ -246,11 +248,13 @@ def condition(
     targets = list(targets)
     n = rho.num_qubits
     effect = np.asarray(effect, dtype=complex)
-    full = _embed(effect, targets, n)
-    if np.max(np.abs(effect - effect.conj().T)) > UNITARY_TOL:
+    with np.errstate(all="ignore"):  # a non-finite entry gives NaN or inf, which fail the check
+        full = _embed(effect, targets, n)
+        err = np.max(np.abs(effect - effect.conj().T))
+    if not err <= UNITARY_TOL:
         raise ValueError("effect is not Hermitian")
     evals = np.linalg.eigvalsh(effect)
-    if evals.min() < -UNITARY_TOL or evals.max() > 1.0 + UNITARY_TOL:
+    if not (-UNITARY_TOL <= evals.min() and evals.max() <= 1.0 + UNITARY_TOL):
         raise ValueError("effect must satisfy 0 <= E <= I")
 
     prob = float(np.real(np.trace(full @ rho.matrix)))

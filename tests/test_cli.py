@@ -36,6 +36,7 @@ from uplinksim.experiment import (
     default_config,
     default_schedule,
     error_budget,
+    expected_signal_count,
 )
 from uplinksim.linkgeom import PassGeometry, loss_profile
 
@@ -109,10 +110,10 @@ PINNED_SEED_DIGESTS = {
 # calibration.json of `calibrate --targets` on each targets section: the
 # published targets (converged) and an infeasible polarization deficit.
 PINNED_CALIBRATION_DIGESTS = {
-    "{}": (0, "d387db4c3b6b87c67ae90d5dfea75a4b980b27bd5532881bfa5bbe46b8de3c5f"),
+    "{}": (0, "a1f9e86b25685acbdf8ce55224633976c716a1844d2404b9cf1144e16a30f2e6"),
     '{"deficit_polarization": 0.5}': (
         4,
-        "955f1955269440889ac250df310660537dc446a3002c17c866107a3ba9ea4543",
+        "93fc8bcddc639c0f003b2a0d055d3c54ea887945a3ce561d0692907b0346a575",
     ),
 }
 
@@ -352,7 +353,10 @@ class TestConfigParsing:
             cfg = load_campaign_config(path)
             passes = [(e.transmit_integral_s, e.live_time_s) for e in campaign_exposure(cfg)]
             profile = loss_profile(cfg.geometry(cfg.orbits[0]), cfg.link, cfg.orbit_duration_s)
-            return analytic_fidelities(cfg), error_budget(cfg), passes, profile.tobytes(), cfg.seed
+            # the fidelities do not move when the fourfold and herald rates
+            # scale together, as the fourfold rate scales them; the counts do
+            counts = [expected_signal_count(cfg, orbit) for orbit in cfg.orbits]
+            return analytic_fidelities(cfg), error_budget(cfg), passes, counts, profile.tobytes(), cfg.seed
 
         payload = default_config_dict()
         base = fingerprint(payload)

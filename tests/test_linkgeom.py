@@ -355,13 +355,45 @@ class TestLinkLoss:
             with pytest.raises(ValueError, match="duration must be positive"):
                 loss_profiles(table, m, duration)
         # the full passes, each evaluated at t >= 0 and mirrored about culmination
-        sizes, times, index, elev, loss = loss_profiles(table, m, np.inf)
+        sizes, index, sin_e, range_km, transmittance = loss_profiles(table, m, np.inf)
         halves = [int(h) for h in table.half_duration_s]
         assert sizes.tolist() == [2 * h + 1 for h in halves]
-        assert len(elev) == len(loss) == sum(h + 1 for h in halves)
-        first = elev[index[: sizes[0]]]
-        assert np.array_equal(times[: sizes[0]], np.arange(-halves[0], halves[0] + 1))
+        assert len(sin_e) == len(range_km) == len(transmittance) == sum(h + 1 for h in halves)
+        assert len(index) == sizes.sum()
+        first = sin_e[index[: sizes[0]]]
+        assert np.array_equal(index[: sizes[0]], np.abs(np.arange(-halves[0], halves[0] + 1)))
         assert np.array_equal(first, first[::-1])
+
+    def test_closed_form_matches_trig_oracle_over_drawn_passes(self):
+        # Each kernel sample against the elevation, slant range and dB loss
+        # of the trig path: seeded draws of altitude (300-1200 km), tracking
+        # limit (5-30 deg), culminations (90 deg in every draw) and duration
+        # (the full pass in every third draw).
+        rng = np.random.default_rng(31)
+        m = calibrated_link()
+        for draw in range(12):
+            altitude = float(rng.uniform(300.0, 1200.0))
+            low = float(rng.uniform(5.0, 30.0))
+            culminations = [*rng.uniform(low + 0.1, 90.0, size=5).tolist(), 90.0]
+            duration = np.inf if draw % 3 == 0 else float(rng.uniform(1.0, 1200.0))
+            table = pass_table(altitude, low, culminations)
+            sizes, index, sin_e, range_km, transmittance = loss_profiles(table, m, duration)
+            ends = np.cumsum(sizes)
+            for culmination, start, end in zip(culminations, ends - sizes, ends):
+                g = PassGeometry(altitude, culmination, low)
+                half = (end - start - 1) // 2
+                times = np.arange(-half, half + 1.0)
+                elev = elevation_profile(g, times)
+                rows = index[start:end]
+                expected = (
+                    np.sin(np.deg2rad(elev)),
+                    slant_range(elev, g),
+                    10.0 ** (-link_loss_db(elev, times, g, m) / 10.0),
+                )
+                for got, want in zip((sin_e, range_km, transmittance), expected):
+                    np.testing.assert_allclose(got[rows], want, rtol=1e-12, atol=0.0)
+                if culmination == 90.0:
+                    assert sin_e[rows[half]] == 1.0
 
     def test_culmination_bump_from_slew_degradation(self):
         g = PassGeometry()

@@ -1,3 +1,4 @@
+import itertools
 import string
 
 import numpy as np
@@ -186,6 +187,15 @@ class TestApplyUnitary:
         with pytest.raises(ValueError):
             apply_unitary(KET_H, np.array([[1, 0], [0, 0.5]]))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e200])
+    def test_non_finite_operator_rejected(self, entry):
+        # NaN passed the check (and reached only the state's finiteness
+        # check); inf and an overflowing product warned first.
+        u = np.array([[entry, 0.0], [0.0, 1.0]])
+        for state, targets in ((KET_H, None), (tensor(KET_H, KET_V), [1])):
+            with pytest.raises(ValueError, match="operator is not unitary within tolerance"):
+                apply_unitary(state, u, targets)
+
     def test_embedded_target(self):
         # Z on qubit 1 of |++> flips only the second factor.
         psi = tensor(KET_PLUS, KET_PLUS)
@@ -337,6 +347,16 @@ class TestCondition:
         rho = tensor(KET_H, KET_V).density()
         with pytest.raises(ValueError):
             condition(rho, 2.0 * np.eye(4), targets=[0, 1])
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_effect_rejected(self, entry):
+        # One NaN entry gave probability NaN, an all-NaN effect a LinAlgError
+        # from eigvalsh, and inf a warning first.
+        rho = tensor(KET_H, KET_V).density()
+        effects = (np.diag([entry, 0.0, 0.0, 0.0]), np.full((4, 4), entry))
+        for effect, targets in itertools.product(effects, ([0, 1], [1, 2])):
+            with pytest.raises(ValueError, match="effect is not Hermitian"):
+                condition(tensor(rho, KET_PLUS.density()), effect, targets)
 
     def test_effect_qubits_follow_target_order(self):
         # |H><H| (x) |V><V| on targets [1, 0] asks for V on qubit 0 and H on
