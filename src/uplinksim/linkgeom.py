@@ -320,9 +320,9 @@ def loss_profiles(
     (cos beta - rho)/q; written about (1 - rho)^2, q is exact and sin e
     exactly 1 at the zenith.  The transmittance is the `link_loss_db`
     factors times 10^(-system dB / 10).  Returns (sizes, index, sin_e,
-    range_km, transmittance): the sample count of each pass, the row of
-    each sample of all passes in order (t from -half to half) in the
-    others, and the t >= 0 columns.
+    range_km, transmittance): the sample count of each pass; for each
+    sample of all passes in order, t from -half to half, its row in the
+    other three, the t >= 0 columns.
     """
     if not duration_s > 0:  # inf is the full pass; NaN fails
         raise ValueError("duration must be positive")
@@ -336,12 +336,12 @@ def loss_profiles(
     cos_wt, sin_wt = np.cos(phase), np.sin(phase)
     sin_b = np.repeat(np.maximum(np.sin(table.min_central_angle), 1e-6), counts)
     rate = _azimuth_rate(table, sin_b, (cos_wt**2)[step], (sin_wt**2)[step])
-    # The per-sample columns are built in place: q, then sin e in the
-    # cos(beta) array, then the range in the q array.
+    # In place, so that few per-sample arrays live at once: sin_e holds
+    # cos(beta) until q is known, and range_km holds q until sin e is.
     rho = table.radius_ratio
     sin_e = np.repeat(np.cos(table.min_central_angle), counts)
     sin_e *= cos_wt[step]
-    range_km = np.subtract(1.0, sin_e)
+    range_km = 1.0 - sin_e
     range_km *= 2.0 * rho
     range_km += (1.0 - rho) * (1.0 - rho)  # a product: its square root is exactly 1 - rho
     np.sqrt(range_km, out=range_km)

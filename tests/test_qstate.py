@@ -352,11 +352,12 @@ class TestCondition:
     def test_non_finite_effect_rejected(self, entry):
         # One NaN entry gave probability NaN, an all-NaN effect a LinAlgError
         # from eigvalsh, and inf a warning first.
-        rho = tensor(KET_H, KET_V).density()
+        hv = tensor(KET_H, KET_V)
         effects = (np.diag([entry, 0.0, 0.0, 0.0]), np.full((4, 4), entry))
-        for effect, targets in itertools.product(effects, ([0, 1], [1, 2])):
+        cases = ((hv, [0, 1]), (tensor(hv, KET_PLUS), [1, 2]))
+        for effect, (state, targets) in itertools.product(effects, cases):
             with pytest.raises(ValueError, match="effect is not Hermitian"):
-                condition(tensor(rho, KET_PLUS.density()), effect, targets)
+                condition(state.density(), effect, targets)
 
     def test_effect_qubits_follow_target_order(self):
         # |H><H| (x) |V><V| on targets [1, 0] asks for V on qubit 0 and H on
