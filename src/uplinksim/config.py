@@ -34,9 +34,9 @@ _NUMBER = (int, float)
 # dataclass it fills
 SECTIONS = MODELS
 
-# Most passes a campaign may give.  A fresh `simulate` of 1e4 passes took 1.2-1.6 s and
-# 263 MB peak RSS (2-core Xeon); 1e5 was never run: scaled linearly, the exposure build
-# alone needs about 2.1 GB.
+# Most passes a campaign may give.  A fresh `simulate` of 1e4 passes took 0.65-0.74 s and
+# 187 MB peak RSS (2-core Xeon, one BLAS thread); 1e5 was never run: scaled linearly from
+# its 146 MB peak at 1e4 passes, the exposure build alone needs about 1.5 GB.
 MAX_PASSES = 10**5
 
 # field -> (file key, file units per field unit), for keys named with a unit

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import MISSING, dataclass, field, fields, replace
 
@@ -583,6 +584,62 @@ class StateSummary:
     sigma: float
 
 
+# The templates of `CampaignResult.to_json`, laid out as json's indent
+# encoder lays them out (a pure-Python path: CPython's C encoder runs only
+# without an indent), keys in sorted order.  Strings take json's ASCII
+# escape, floats float.__repr__ and ints int.__repr__, as json does.
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_number(x: float) -> str:
+    """A number as json prints it: an int (an `OrbitPlan` built with an int
+    culmination keeps it) without a decimal point."""
+    return float.__repr__(x) if isinstance(x, float) else int.__repr__(x)
+
+
+# Each count key, "<analyzer outcome>/<port>", sorted, and its position in
+# an `OrbitRecord`'s counts.ravel().
+_COUNT_KEYS, _COUNT_POSITIONS = zip(*sorted(
+    (f"{outcome.value}/{port}", 2 * i + j)
+    for i, outcome in enumerate(ACCEPTED_OUTCOMES)
+    for j, port in enumerate(("signal", "orthogonal"))
+))
+_count_row = operator.itemgetter(*_COUNT_POSITIONS)
+
+_RESULT_JSON = """{
+  "mean_fidelity": %s,
+  "mean_sigma": %s,
+  "orbits": [
+%s
+  ],
+  "per_state": {
+%s
+  },
+  "total_fourfolds": %s
+}"""
+
+_ORBIT_JSON = (
+    '    {\n      "counts": {\n'
+    + ",\n".join(f"        {_json_str(key)}: %s" for key in _COUNT_KEYS)
+    + """
+      },
+      "label": %s,
+      "live_time_s": %s,
+      "max_elevation_deg": %s,
+      "n_accidental_truth": %s,
+      "n_signal_truth": %s,
+      "state": %s
+    }"""
+)
+
+_STATE_JSON = """    %s: {
+      "fidelity": %s,
+      "n_correct": %s,
+      "n_wrong": %s,
+      "sigma": %s
+    }"""
+
+
 @dataclass(frozen=True)
 class CampaignResult:
     orbits: tuple[OrbitRecord, ...]
@@ -591,40 +648,40 @@ class CampaignResult:
     mean_fidelity: float
     mean_sigma: float
 
-    def to_dict(self) -> dict:
-        return {
-            "total_fourfolds": self.total_fourfolds,
-            "mean_fidelity": self.mean_fidelity,
-            "mean_sigma": self.mean_sigma,
-            "per_state": {
-                label: {
-                    "n_correct": s.n_correct,
-                    "n_wrong": s.n_wrong,
-                    "fidelity": s.fidelity,
-                    "sigma": s.sigma,
-                }
-                for label, s in self.per_state.items()
-            },
-            "orbits": [
-                {
-                    "label": o.label,
-                    "state": o.state_label,
-                    "max_elevation_deg": o.max_elevation_deg,
-                    "live_time_s": o.live_time_s,
-                    "counts": {
-                        f"{outcome.value}/{port}": n
-                        for outcome, row in zip(ACCEPTED_OUTCOMES, o.counts.tolist())
-                        for port, n in zip(("signal", "orthogonal"), row)
-                    },
-                    "n_signal_truth": o.n_signal_truth,
-                    "n_accidental_truth": o.n_accidental_truth,
-                }
-                for o in self.orbits
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """The result as canonical JSON (ASCII, sorted keys, two-space
+        indent): the bytes `json.dumps(..., indent=2, sort_keys=True)` gives
+        for it, rendered from fixed templates.  `run_campaign` gives every
+        result at least six orbits and the six states."""
+        orbits = ",\n".join([
+            _ORBIT_JSON % (
+                *map(int.__repr__, _count_row(o.counts.ravel().tolist())),
+                _json_str(o.label),
+                float.__repr__(o.live_time_s),
+                _json_number(o.max_elevation_deg),
+                int.__repr__(o.n_accidental_truth),
+                int.__repr__(o.n_signal_truth),
+                _json_str(o.state_label),
+            )
+            for o in self.orbits
+        ])
+        states = ",\n".join([
+            _STATE_JSON % (
+                _json_str(label),
+                float.__repr__(s.fidelity),
+                int.__repr__(s.n_correct),
+                int.__repr__(s.n_wrong),
+                float.__repr__(s.sigma),
+            )
+            for label, s in sorted(self.per_state.items())
+        ])
+        return _RESULT_JSON % (
+            float.__repr__(self.mean_fidelity),
+            float.__repr__(self.mean_sigma),
+            orbits,
+            states,
+            int.__repr__(self.total_fourfolds),
+        )
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
@@ -657,7 +714,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     return CampaignResult(
         orbits=tuple(records),
         per_state=per_state,
-        total_fourfolds=sum(r.total_fourfolds for r in records),
+        total_fourfolds=int(counts.sum()),
         mean_fidelity=float(np.mean(fidelities)),
         mean_sigma=float(np.sqrt(np.sum(np.square(sigmas)))) / len(sigmas),
     )

@@ -251,10 +251,15 @@ def link_loss_db(elevation_deg, t_s, geometry: PassGeometry, model: LinkModel):
 
     Extreme but valid parameters saturate at the physical limit: a factor
     that overflows or underflows to zero transmittance gives +inf dB, and a
-    receiver-to-spot ratio past the float range caps at full capture.
+    receiver-to-spot ratio past the float range caps at full capture.  A
+    time past the tracking limit, |t| > `half_duration_s()`, is rejected.
     """
     sin_e = _sin_elevation(elevation_deg)
-    eta = _transmittance(model, _slant_range(geometry, sin_e), sin_e, azimuth_rate(geometry, t_s))
+    rate = azimuth_rate(geometry, t_s)  # rejects a non-finite time first
+    half = geometry.half_duration_s()
+    if (np.abs(np.asarray(t_s, dtype=float)) > half).any():
+        raise ValueError(f"time must lie within the pass, |t| <= {half:.6g} s")
+    eta = _transmittance(model, _slant_range(geometry, sin_e), sin_e, rate)
     with np.errstate(divide="ignore"):  # zero transmittance is +inf dB
         loss = -10.0 * np.log10(eta) + model.system_efficiency_db
     return float(loss) if loss.ndim == 0 else loss

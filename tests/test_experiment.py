@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import sys
 import tracemalloc
@@ -21,6 +22,7 @@ from uplinksim.experiment import (
     CalibrationResult,
     CalibrationTargets,
     CampaignConfig,
+    CampaignResult,
     DetectionModel,
     FIELD_MODEL,
     MODELS,
@@ -805,12 +807,104 @@ class TestRunOrbit:
         assert rec.live_time_s < cfg.orbit_duration_s * 0.7
 
 
+def campaign_result_dict(result: CampaignResult) -> dict:
+    """Oracle for `CampaignResult.to_json`: the result as a dict, which
+    `json.dumps(..., indent=2, sort_keys=True)` renders byte for byte as
+    `to_json` must."""
+    return {
+        "total_fourfolds": result.total_fourfolds,
+        "mean_fidelity": result.mean_fidelity,
+        "mean_sigma": result.mean_sigma,
+        "per_state": {
+            label: {
+                "n_correct": s.n_correct,
+                "n_wrong": s.n_wrong,
+                "fidelity": s.fidelity,
+                "sigma": s.sigma,
+            }
+            for label, s in result.per_state.items()
+        },
+        "orbits": [
+            {
+                "label": o.label,
+                "state": o.state_label,
+                "max_elevation_deg": o.max_elevation_deg,
+                "live_time_s": o.live_time_s,
+                "counts": {
+                    f"{outcome.value}/{port}": n
+                    for outcome, row in zip(ACCEPTED_OUTCOMES, o.counts.tolist())
+                    for port, n in zip(("signal", "orthogonal"), row)
+                },
+                "n_signal_truth": o.n_signal_truth,
+                "n_accidental_truth": o.n_accidental_truth,
+            }
+            for o in result.orbits
+        ],
+    }
+
+
+# Orbit labels that json escapes: non-ASCII (one past the BMP), a quote, a
+# backslash and control characters.
+ESCAPED_LABELS = ("pass-\u00e9t\u00e9", "\u03a9-\U0001f6f0", 'say "hi"', "back\\slash", "tab\tnl\n\x7f")
+
+
+def rendered_configs(n: int, seed: int) -> dict[str, CampaignConfig]:
+    """Campaigns whose `campaign_result.json` the oracle renders: fixed
+    edge cases, then `n` seeded draws of the pass count (6 to 60), the
+    culminations (16 to 89 degrees, a third of them Python ints), the
+    labels, the fourfold rate (1 to 30 times calibrated), the polarization
+    jitter (0 to 0.3 rad) and the seed."""
+    rng = np.random.default_rng(seed)
+    base = default_config()
+    seven = (
+        OrbitPlan("\u00fcberflug-\u03b1", 50),
+        *campaign_of(60.0, 45.5, 30.0, 76.0, 20.0, 33.0).orbits,
+    )
+    configs = {
+        "default": base,
+        "dense": dense_config(),
+        "seven passes, int culmination, non-ASCII label": default_config(
+            orbits=seven, input_schedule=default_schedule(len(seven))
+        ),
+    }
+    for i in range(n):
+        n_orbits = int(rng.integers(6, 61))
+        orbits = []
+        for k in range(n_orbits):
+            elevation = float(rng.uniform(16.0, 89.0))
+            if rng.random() < 1 / 3:
+                elevation = int(elevation)
+            label = ESCAPED_LABELS[int(rng.integers(len(ESCAPED_LABELS)))] + f"-{k}"
+            orbits.append(OrbitPlan(label, elevation))
+        configs[f"draw {i}"] = default_config(
+            seed=int(rng.integers(2**63)),
+            orbits=tuple(orbits),
+            input_schedule=default_schedule(n_orbits),
+            source=replace(
+                base.source,
+                fourfold_ground_rate=base.source.fourfold_ground_rate * float(rng.uniform(1.0, 30.0)),
+            ),
+            polarization=replace(base.polarization, jitter_sigma_rad=float(rng.uniform(0.0, 0.3))),
+        )
+    return configs
+
+
+RENDERED_CONFIGS = rendered_configs(12, seed=31)
+
+
 class TestRunCampaign:
     def test_deterministic_given_seed(self):
         cfg = default_config()
         a = run_campaign(cfg)
         b = run_campaign(cfg)
         assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize("config", RENDERED_CONFIGS.values(), ids=RENDERED_CONFIGS.keys())
+    def test_json_matches_stdlib_encoder(self, config):
+        result = run_campaign(config)
+        expected = json.dumps(campaign_result_dict(result), indent=2, sort_keys=True)
+        assert result.to_json() == expected
+        assert json.loads(result.to_json()) == campaign_result_dict(result)
 
     def test_noise_free_campaign_is_perfect(self):
         res = run_campaign(quiet_config())

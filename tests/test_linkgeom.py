@@ -328,6 +328,17 @@ class TestLinkLoss:
             with pytest.raises(ValueError, match="time must be finite"):
                 call()
 
+    @pytest.mark.parametrize("halves", [10.0, -10.0, [0.0, 1.5], "next float"])
+    def test_time_outside_pass_rejected(self, halves):
+        # 76 degrees at ten half-durations read 40.52 dB, a loss no point of
+        # the pass has.  The tracking limit itself, either side, is in the pass.
+        g, m = PassGeometry(), LinkModel()
+        half = g.half_duration_s()
+        t_s = np.nextafter(half, np.inf) if halves == "next float" else np.multiply(halves, half)
+        with pytest.raises(ValueError, match="time must lie within the pass"):
+            link_loss_db(76.0, t_s, g, m)
+        assert np.isfinite(link_loss_db(14.5, [-half, half], g, m)).all()
+
     def test_profile_within_published_band(self):
         g = PassGeometry()
         m = calibrated_link()

@@ -29,14 +29,11 @@ EXEMPT = {
 }
 
 
-def _loaded_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
-    """Every name that `tree` loads as a bare name or as an attribute,
-    outside the subtree `skip`."""
+def _loaded_names(tree: ast.AST) -> set[str]:
+    """Every name that `tree` loads as a bare name or as an attribute."""
     names, stack = set(), [tree]
     while stack:
         node = stack.pop()
-        if node is skip:
-            continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -49,12 +46,16 @@ def _unread_definitions() -> set[str]:
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     readers = [tree for name, tree in trees.items() if name != "__init__.py"]
     readers.append(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    # The names each top-level statement of each reader loads, in one walk
+    # per tree.  A definition is itself a top-level statement, so the names
+    # loaded outside its body are those of every other statement.
+    loads = [(stmt, _loaded_names(stmt)) for reader in readers for stmt in reader.body]
     return {
         node.name
         for tree in trees.values()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not any(node.name in _loaded_names(reader, skip=node) for reader in readers)
+        and not any(node.name in names for stmt, names in loads if stmt is not node)
     }
 
 
