@@ -255,9 +255,10 @@ def link_loss_db(elevation_deg, t_s, geometry: PassGeometry, model: LinkModel):
     time past the tracking limit, |t| > `half_duration_s()`, is rejected.
     """
     sin_e = _sin_elevation(elevation_deg)
+    t_s = np.asarray(t_s, dtype=float)
     rate = azimuth_rate(geometry, t_s)  # rejects a non-finite time first
     half = geometry.half_duration_s()
-    if (np.abs(np.asarray(t_s, dtype=float)) > half).any():
+    if (np.abs(t_s) > half).any():
         raise ValueError(f"time must lie within the pass, |t| <= {half:.6g} s")
     eta = _transmittance(model, _slant_range(geometry, sin_e), sin_e, rate)
     with np.errstate(divide="ignore"):  # zero transmittance is +inf dB

@@ -328,13 +328,15 @@ class TestLinkLoss:
             with pytest.raises(ValueError, match="time must be finite"):
                 call()
 
-    @pytest.mark.parametrize("halves", [10.0, -10.0, [0.0, 1.5], "next float"])
+    # the last factor rounds to a time one float or more past the limit
+    @pytest.mark.parametrize("halves", [10.0, -10.0, [0.0, 1.5], 1.0 + 2.0**-52])
     def test_time_outside_pass_rejected(self, halves):
         # 76 degrees at ten half-durations read 40.52 dB, a loss no point of
         # the pass has.  The tracking limit itself, either side, is in the pass.
         g, m = PassGeometry(), LinkModel()
         half = g.half_duration_s()
-        t_s = np.nextafter(half, np.inf) if halves == "next float" else np.multiply(halves, half)
+        t_s = np.multiply(halves, half)
+        assert np.max(np.abs(t_s)) > half
         with pytest.raises(ValueError, match="time must lie within the pass"):
             link_loss_db(76.0, t_s, g, m)
         assert np.isfinite(link_loss_db(14.5, [-half, half], g, m)).all()
