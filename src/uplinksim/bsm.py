@@ -12,12 +12,13 @@ flag.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+# The analyzer's parameters and outcomes are defined with the campaign
+# models, which the counting tier reads without loading this module.
+from .experiment import ACCEPTED_OUTCOMES, BsmModel, BsmOutcome
 from .qstate import (
     PAULI_Z,
     DensityMatrix,
@@ -28,27 +29,6 @@ from .qstate import (
     tensor,
 )
 from .photonsrc import werner_pair
-
-
-@dataclass(frozen=True)
-class BsmModel:
-    """Analyzer parameters: `mode_overlap` is the two-photon interference
-    visibility between the to-be-teleported photon and its partner."""
-
-    mode_overlap: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.mode_overlap <= 1.0:
-            raise ValueError("mode_overlap must lie in [0, 1]")
-
-
-class BsmOutcome(enum.Enum):
-    PHI_PLUS = "phi+"
-    PHI_MINUS = "phi-"
-    FAIL = "fail"
-
-
-ACCEPTED_OUTCOMES = (BsmOutcome.PHI_PLUS, BsmOutcome.PHI_MINUS)
 
 
 class BsmEffects(NamedTuple):
@@ -77,8 +57,7 @@ def bsm_effects(model: BsmModel) -> BsmEffects:
     return BsmEffects(phi_plus=plus, phi_minus=minus, fail=fail)
 
 
-@dataclass(frozen=True)
-class BsmBranch:
+class BsmBranch(NamedTuple):
     outcome: BsmOutcome
     probability: float
     conditional: DensityMatrix | None
@@ -110,8 +89,7 @@ def feed_forward(outcome: BsmOutcome, rho: DensityMatrix) -> DensityMatrix:
     raise ValueError("no feed-forward correction exists for a failed analyzer event")
 
 
-@dataclass(frozen=True)
-class TeleportExpectation:
+class TeleportExpectation(NamedTuple):
     """Expected teleporter output per analyzer outcome (before any channel).
 
     `corrected` holds the post-feed-forward state for each accepted

@@ -10,16 +10,17 @@ ratios, with no background subtraction.
 
 from __future__ import annotations
 
+import enum
 import functools
 import json
 import math
 import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .bsm import ACCEPTED_OUTCOMES, BsmModel
 from .linkgeom import (
     LinkModel,
     PassGeometry,
@@ -28,8 +29,6 @@ from .linkgeom import (
     loss_profiles,
     pass_table,
 )
-from .photonsrc import SourceModel
-from .timesync import accidental_rate
 
 SECONDS_PER_YEAR = 365.25 * 86400.0
 
@@ -49,6 +48,47 @@ STATE_LABELS = tuple(STATE_BLOCH)
 class SimulationError(RuntimeError):
     """A valid configuration the model cannot simulate (for example a
     campaign that collects no events for some input state)."""
+
+
+@dataclass(frozen=True)
+class SourceModel:
+    """Measured operating point of the multiplexed four-photon source.
+
+    `fourfold_ground_rate` is the bench fourfold count rate per second;
+    `double_pair_fraction` is the fraction of heralded events caused by a
+    same-crystal double pair.  The resource-pair fidelity is a campaign
+    parameter (`CampaignConfig.resource_fidelity`).
+    """
+
+    double_pair_fraction: float = 0.0
+    fourfold_ground_rate: float = 8210.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.fourfold_ground_rate < np.inf:  # NaN fails too
+            raise ValueError("fourfold_ground_rate must be finite and non-negative")
+        if not 0.0 <= self.double_pair_fraction < 1.0:
+            raise ValueError("double_pair_fraction must lie in [0, 1)")
+
+
+@dataclass(frozen=True)
+class BsmModel:
+    """Analyzer parameters: `mode_overlap` is the two-photon interference
+    visibility between the to-be-teleported photon and its partner."""
+
+    mode_overlap: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.mode_overlap <= 1.0:
+            raise ValueError("mode_overlap must lie in [0, 1]")
+
+
+class BsmOutcome(enum.Enum):
+    PHI_PLUS = "phi+"
+    PHI_MINUS = "phi-"
+    FAIL = "fail"
+
+
+ACCEPTED_OUTCOMES = (BsmOutcome.PHI_PLUS, BsmOutcome.PHI_MINUS)
 
 
 @dataclass(frozen=True)
@@ -248,8 +288,7 @@ def default_config(seed: int = DEFAULT_SEED, **overrides) -> CampaignConfig:
 # Exposure: where the photons go, before any quantum state enters.
 
 
-@dataclass(frozen=True)
-class OrbitExposure:
+class OrbitExposure(NamedTuple):
     live_time_s: float
     transmit_integral_s: float  # integral of channel transmittance over the pass
     transmittance: np.ndarray  # per-second channel transmittance (read-only)
@@ -292,6 +331,21 @@ _SETTINGS = (
 def _settings(config: CampaignConfig) -> dict[str, float]:
     """The `_SETTINGS` fields of `config`, by name."""
     return {name: getattr(getattr(config, FIELD_MODEL[name]), name) for name in _SETTINGS}
+
+
+def accidental_rate(trigger_rate_hz: float, background_rate_hz: float, window_s: float) -> float:
+    """Rate of uncorrelated clicks falling inside a trigger's window.
+
+    Raises ValueError when an input is negative or not finite, or when
+    their product overflows the float range.
+    """
+    for value in (trigger_rate_hz, background_rate_hz, window_s):
+        if not (value >= 0 and math.isfinite(value)):  # NaN fails `>= 0`
+            raise ValueError("rates and window must be finite and non-negative")
+    rate = trigger_rate_hz * background_rate_hz * window_s
+    if not math.isfinite(rate):
+        raise ValueError("the accidental rate, trigger rate * background rate * window, overflows")
+    return rate
 
 
 def _rates(config: CampaignConfig, settings: Mapping[str, float]) -> tuple[float, float]:
@@ -457,8 +511,7 @@ POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 _DRAW_BLOCK = 1 << 12
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(NamedTuple):
     """Raw fourfold counts of one pass.  `counts` is a read-only (2, 2) int
     tally indexed [analyzer outcome in `ACCEPTED_OUTCOMES` order, port], the
     port being 0 for the signal (|chi>) port and 1 for the orthogonal one."""
@@ -470,10 +523,6 @@ class OrbitRecord:
     counts: np.ndarray
     n_signal_truth: int
     n_accidental_truth: int
-
-    @property
-    def total_fourfolds(self) -> int:
-        return int(self.counts.sum())
 
 
 def _uniform_blocks(rngs: Sequence[np.random.Generator], n_events: Sequence[int], width: int):
@@ -575,8 +624,7 @@ def estimate_fidelity(n_correct: int, n_wrong: int) -> tuple[float, float]:
     return float(f), sigma
 
 
-@dataclass(frozen=True)
-class StateSummary:
+class StateSummary(NamedTuple):
     state_label: str
     n_correct: int
     n_wrong: int
@@ -640,8 +688,7 @@ _STATE_JSON = """    %s: {
     }"""
 
 
-@dataclass(frozen=True)
-class CampaignResult:
+class CampaignResult(NamedTuple):
     orbits: tuple[OrbitRecord, ...]
     per_state: dict[str, StateSummary]
     total_fourfolds: int
@@ -783,8 +830,7 @@ CALIBRATION_BOUNDS = {
 }
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(NamedTuple):
     params: dict[str, float]
     residuals: dict[str, float]
     converged: bool
@@ -987,8 +1033,7 @@ def classical_baseline(n_samples: int, rng: np.random.Generator) -> float:
     return float(fidelities.mean())
 
 
-@dataclass(frozen=True)
-class FibreComparison:
+class FibreComparison(NamedTuple):
     total_loss_db: float
     transmittance: float
     expected_wait_s: float

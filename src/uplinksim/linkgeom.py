@@ -18,15 +18,13 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .qstate import PAULI_X, PAULI_Y
-
 EARTH_RADIUS_KM = 6371.0
 GM_EARTH_KM3_S2 = 398600.4418
 SLEW_RATE_REF = 0.062  # azimuth rate (rad/s) that doubles the tracking error at unit slew gain
 
 # Fixed equatorial rotation axis of the uplink polarization distortion,
-# midway between the diagonal and circular axes.
-ROTATION_AXIS = (PAULI_X + PAULI_Y) / np.sqrt(2.0)
+# midway between the diagonal and circular axes: (X + Y)/sqrt(2) in Paulis.
+ROTATION_AXIS = np.array([[0, 1 - 1j], [1 + 1j, 0]]) / np.sqrt(2.0)
 
 
 class PassTable(NamedTuple):

@@ -9,35 +9,17 @@ drawn from the fourfold rate, not pulse by pulse.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+# The source's operating point is defined with the campaign models, which
+# the counting tier reads without loading this module.
+from .experiment import SourceModel
 from .qstate import BellState, DensityMatrix, PureState
 
 
-@dataclass(frozen=True)
-class SourceModel:
-    """Measured operating point of the multiplexed four-photon source.
-
-    `fourfold_ground_rate` is the bench fourfold count rate per second;
-    `double_pair_fraction` is the fraction of heralded events caused by a
-    same-crystal double pair.  The resource-pair fidelity is a campaign
-    parameter (`CampaignConfig.resource_fidelity`).
-    """
-
-    double_pair_fraction: float = 0.0
-    fourfold_ground_rate: float = 8210.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.fourfold_ground_rate < np.inf:  # NaN fails too
-            raise ValueError("fourfold_ground_rate must be finite and non-negative")
-        if not 0.0 <= self.double_pair_fraction < 1.0:
-            raise ValueError("double_pair_fraction must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
-class PreparedInput:
+class PreparedInput(NamedTuple):
     """A prepared single-qubit state and one waveplate setting producing it.
 
     The physical order is quarter-wave plate first, then half-wave plate,

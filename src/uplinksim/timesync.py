@@ -12,8 +12,13 @@ import math
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
+
+# Defined beside the count model that reads it, and importable from here
+# too, beside the tag chain whose accidentals it predicts.
+from .experiment import accidental_rate
 
 MAX_DRIFT_PPM = 100.0
 # Float bounds of the int64 picosecond range: -2**63 is exact, and the
@@ -213,8 +218,7 @@ def generate_streams(
     return ground, satellite
 
 
-@dataclass(frozen=True)
-class ClockFit:
+class ClockFit(NamedTuple):
     clock: ClockModel
     residual_rms_ps: float
     n_pulses: int
@@ -316,8 +320,7 @@ def fit_clock(ground_sync_ps, satellite_sync_ps) -> ClockFit:
     return ClockFit(clock=clock, residual_rms_ps=rms, n_pulses=n)
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     pairs: tuple[tuple[int, int], ...]
     n_ground_unmatched: int
     n_satellite_unmatched: int
@@ -390,18 +393,3 @@ def match_coincidences(
         n_ground_unmatched=g.size - len(pairs),
         n_satellite_unmatched=s.size - len(pairs),
     )
-
-
-def accidental_rate(trigger_rate_hz: float, background_rate_hz: float, window_s: float) -> float:
-    """Rate of uncorrelated clicks falling inside a trigger's window.
-
-    Raises ValueError when an input is negative or not finite, or when
-    their product overflows the float range.
-    """
-    for value in (trigger_rate_hz, background_rate_hz, window_s):
-        if not (value >= 0 and math.isfinite(value)):  # NaN fails `>= 0`
-            raise ValueError("rates and window must be finite and non-negative")
-    rate = trigger_rate_hz * background_rate_hz * window_s
-    if not math.isfinite(rate):
-        raise ValueError("the accidental rate, trigger rate * background rate * window, overflows")
-    return rate

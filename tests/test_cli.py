@@ -826,13 +826,10 @@ class TestParsers:
         assert len(readme_rows) == len(table.splitlines())
 
 
-def test_import_loads_no_scipy():
-    # A fresh interpreter, so that modules imported by other tests do not count.
+def fresh_python(probe: str) -> str:
+    """What `probe` prints in a fresh interpreter, so that modules imported
+    by other tests do not count."""
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = (
-        "import sys, uplinksim, uplinksim.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-    )
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -840,7 +837,65 @@ def test_import_loads_no_scipy():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    probe = (
+        "import sys, uplinksim, uplinksim.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    assert fresh_python(probe) == "[]"
+
+
+def test_package_import_loads_no_module():
+    probe = "import sys, uplinksim; print(sorted(m for m in sys.modules if m.startswith('uplinksim.')))"
+    assert fresh_python(probe) == "[]"
+
+
+def test_cli_loads_neither_the_exact_tier_nor_the_tag_chain():
+    probe = "import json, sys, uplinksim.cli; print(json.dumps([m for m in sys.modules if m.startswith('uplinksim.')]))"
+    loaded = set(json.loads(fresh_python(probe)))
+    assert "uplinksim.cli" in loaded
+    assert not loaded & {f"uplinksim.{m}" for m in ("qstate", "bsm", "photonsrc", "timesync")}
+
+
+# The names `uplinksim` exports, pinned: each is read from its defining module
+# on first access.
+EXPORTS = [
+    "BellState", "BsmModel", "BsmOutcome", "CalibrationTargets", "CampaignConfig",
+    "CampaignResult", "ClockModel", "DensityMatrix", "LinkModel", "PassGeometry",
+    "PreparedInput", "PureState", "SimulationError", "SourceModel", "SyncConfig",
+    "TimeTagStream", "accidental_rate", "analytic_mean_fidelity", "apply_unitary", "bsm_apply",
+    "bsm_effects", "calibrate", "classical_baseline", "condition", "default_config",
+    "effective_divergence", "error_budget", "estimate_fidelity", "feed_forward", "fibre_comparison",
+    "fidelity", "fit_clock", "generate_streams", "link_loss_db", "loss_profile",
+    "match_coincidences", "mub_states", "polarization_distortion", "prepare_input", "run_campaign",
+    "run_orbit", "slant_range", "teleport_expected", "tensor", "werner_pair",
+]
+
+
+def test_every_export_resolves_to_its_definition():
+    probe = (
+        "import importlib, json, uplinksim\n"
+        f"names = {EXPORTS!r}\n"
+        "homes = {n: getattr(uplinksim, n).__module__ for n in names}\n"
+        "same = [n for n in names if getattr(importlib.import_module(homes[n]), n) is getattr(uplinksim, n)]\n"
+        "try:\n"
+        "    uplinksim.no_such_name\n"
+        "    unknown = None\n"
+        "except AttributeError as err:\n"
+        "    unknown = str(err)\n"
+        "from uplinksim import experiment\n"
+        "print(json.dumps([uplinksim.__all__, homes, same, unknown, experiment.__name__]))"
+    )
+    exported, homes, same, unknown, submodule = json.loads(fresh_python(probe))
+    assert len(EXPORTS) == 45
+    assert exported == EXPORTS
+    assert all(home.startswith("uplinksim.") for home in homes.values()), homes
+    assert same == EXPORTS
+    assert unknown == "module 'uplinksim' has no attribute 'no_such_name'"
+    assert submodule == "uplinksim.experiment"
 
 
 def test_default_outputs_match_pinned_digests(tmp_path):

@@ -770,7 +770,7 @@ class TestRunOrbit:
         total = 0
         for index in range(6):
             rec = run_orbit(cfg, index, rng)
-            total += rec.total_fourfolds
+            total += rec.counts.sum()
             assert not rec.counts.flags.writeable
             for (n_signal_port, n_orthogonal), is_signal in zip(
                 rec.counts, CORRECT_IS_SIGNAL[rec.state_label]
@@ -785,7 +785,7 @@ class TestRunOrbit:
         expected = expected_signal_count(cfg, cfg.orbits[0]) + expected_accidental_count(
             cfg, cfg.orbits[0]
         )
-        assert abs(rec.total_fourfolds - expected) < 4 * np.sqrt(expected)
+        assert abs(rec.counts.sum() - expected) < 4 * np.sqrt(expected)
 
     def test_extra_loss_scales_counts_tenfold(self):
         cfg = default_config()

@@ -26,6 +26,8 @@ EXEMPT = {
     "match_coincidences": "perfbench/workloads.py",
     # public API kept by choice, for the next re-anchor to decide
     "prepare_input": None,
+    # read by the import system (PEP 562)
+    "__getattr__": None,
 }
 
 
