@@ -22,7 +22,7 @@ _EXPORTS = {
         "mub_states",
         "tensor",
     ),
-    "photonsrc": ("PreparedInput", "prepare_input", "werner_pair"),
+    "photonsrc": ("werner_pair",),
     "bsm": ("bsm_apply", "bsm_effects", "feed_forward", "teleport_expected"),
     "linkgeom": (
         "LinkModel",
@@ -66,7 +66,7 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_HOME)
 
-__version__ = "0.1.9"
+__version__ = "0.1.10"
 
 
 def __getattr__(name):

@@ -25,6 +25,7 @@ from .linkgeom import (
     LinkModel,
     PassGeometry,
     _channel_bloch,
+    _pass_at,
     link_loss_db,
     loss_profiles,
     pass_table,
@@ -909,7 +910,8 @@ def calibrate(
     elev = np.array([config.min_elevation_deg, 76.0])
     t = np.array([ref_geom.half_duration_s(), 0.0])
     target = np.array([targets.loss_max_db, targets.loss_min_db])
-    rows = np.column_stack((1.0 / np.sin(np.deg2rad(elev)), np.ones(2)))
+    sin_e = _pass_at(ref_geom, probe, t)[0]  # the pass's own, as the loss reads it
+    rows = np.column_stack((1.0 / sin_e, np.ones(2)))
     x_db, sys_db = np.linalg.solve(rows, target - link_loss_db(elev, t, ref_geom, probe))
     x_db = max(x_db, 0.0)
     sys_db = max(sys_db, 0.0)

@@ -102,15 +102,6 @@ class PassGeometry:
         args = (self.orbit_altitude_km, self.min_elevation_deg, (self.max_elevation_deg,))
         object.__setattr__(self, "table", pass_table(*args))
 
-    @property
-    def orbital_rate(self) -> float:
-        """Two-body angular rate in rad/s."""
-        return self.table.orbital_rate
-
-    @property
-    def min_central_angle(self) -> float:
-        return float(self.table.min_central_angle[0])
-
     def half_duration_s(self) -> float:
         """Seconds from culmination to the tracking limit."""
         return float(self.table.half_duration_s[0])
@@ -176,41 +167,15 @@ def _sin_elevation(elevation_deg):
     return np.sin(np.deg2rad(elevation_deg))
 
 
-def _slant_range(geometry: PassGeometry, sin_e):
-    """`slant_range` from the sine of the elevation."""
-    r, h = EARTH_RADIUS_KM, geometry.orbit_altitude_km
-    return np.sqrt(r**2 * sin_e**2 + 2 * r * h + h**2) - r * sin_e
-
-
 def slant_range(elevation_deg, geometry: PassGeometry):
     """Line-of-sight distance in km at the given elevation (degrees).
 
     Closed form: L = sqrt(R^2 sin^2(e) + 2 R h + h^2) - R sin(e).
     """
-    out = _slant_range(geometry, _sin_elevation(elevation_deg))
+    sin_e = _sin_elevation(elevation_deg)
+    r, h = EARTH_RADIUS_KM, geometry.orbit_altitude_km
+    out = np.sqrt(r**2 * sin_e**2 + 2 * r * h + h**2) - r * sin_e
     return float(out) if out.ndim == 0 else out
-
-
-def _azimuth_rate(geometry: PassGeometry | PassTable, sin_b, cos2_wt, sin2_wt):
-    """`azimuth_rate` from max(sin(beta_min), 1e-6), cos^2(w t) and sin^2(w t)."""
-    # a product, not sin_b**2: a numpy scalar squares through pow and an
-    # array by a multiply, which can differ in the last bit
-    return geometry.orbital_rate * sin_b / (sin_b * sin_b * cos2_wt + sin2_wt)
-
-
-def azimuth_rate(geometry: PassGeometry, t_s):
-    """Ground-mount azimuth rate (rad/s) along the pass.
-
-    Peaks at culmination as w/sin(beta_min): near-overhead passes demand
-    slews an alt-az mount can barely follow.
-    """
-    t_s = np.asarray(t_s, dtype=float)
-    if not np.isfinite(t_s).all():
-        raise ValueError("time must be finite")
-    phase = geometry.orbital_rate * t_s
-    sin_b = np.maximum(np.sin(geometry.min_central_angle), 1e-6)
-    rate = _azimuth_rate(geometry, sin_b, np.cos(phase) ** 2, np.sin(phase) ** 2)
-    return float(rate) if rate.ndim == 0 else rate
 
 
 def effective_divergence(model: LinkModel) -> float:
@@ -225,40 +190,96 @@ def effective_divergence(model: LinkModel) -> float:
     return math.sqrt(ex * ey)
 
 
-def _transmittance(model: LinkModel, range_km, sin_e, rate):
-    """The three loss factors of `link_loss_db`, without the system
-    efficiency: geometric capture, pointing and atmosphere at the given
-    slant range (km), sine of the elevation and azimuth rate."""
+def _pass_point(table: PassTable, model: LinkModel, cos_b, sin_b, cos_wt, sin_wt):
+    """The one formula of a pass point: (sin e, slant range in km,
+    transmittance) from cos(beta_min), max(sin(beta_min), 1e-6), cos(w t)
+    and sin(w t), 1-d arrays that broadcast together.  The last two must
+    be arrays of their own: sin e and the slant range are built in their
+    buffers, so that few per-sample arrays live at once.
+
+    With cos(beta) = cos(beta_min) cos(w t) and rho = R/(R + h), the law of
+    cosines gives the slant range (R + h) q, q = sqrt((1 - rho)^2 +
+    2 rho (1 - cos beta)), and sin e = (cos beta - rho)/q; written about
+    (1 - rho)^2, q is exact and sin e exactly 1 at the zenith.  The
+    transmittance is geometric capture, pointing and atmosphere, without
+    the system efficiency.  The pointing jitter grows with the mount's
+    azimuth rate w sin(beta_min)/(sin^2(beta_min) cos^2(w t) + sin^2(w t)),
+    which peaks at culmination as w/sin(beta_min).
+    """
+    rate = cos_wt * cos_wt
+    rate *= sin_b * sin_b
+    sin_wt *= sin_wt
+    rate += sin_wt
+    np.divide(table.orbital_rate * sin_b, rate, out=rate)
+    # sin_e holds cos(beta) until q is known, and range_km holds q until sin e is
+    rho = table.radius_ratio
+    sin_e = cos_wt
+    sin_e *= cos_b
+    range_km = np.subtract(1.0, sin_e, out=sin_wt)
+    range_km *= 2.0 * rho
+    range_km += (1.0 - rho) * (1.0 - rho)  # a product: its square root is exactly 1 - rho
+    np.sqrt(range_km, out=range_km)
+    sin_e -= rho
+    sin_e /= range_km
+    range_km *= EARTH_RADIUS_KM + table.orbit_altitude_km
     theta = effective_divergence(model)
     with np.errstate(over="ignore", divide="ignore"):  # the saturation of `link_loss_db`
-        spot_m = theta * 1e-6 * range_km * 1e3
-        eta_geo = np.minimum(1.0, (model.receiver_diameter_m / spot_m) ** 2)
-        # the tracking error, inflated by the slew demand
+        # pointing: the tracking error, inflated by the slew demand
         jitter = model.tracking_error_urad * (1.0 + model.slew_degradation_k * rate / SLEW_RATE_REF)
-        eta_point = 1.0 / (1.0 + (2.0 * jitter / theta) ** 2)
-        eta_atm = model.zenith_transmittance ** (1.0 / sin_e)  # the airmass is 1/sin e
-        return eta_geo * eta_point * eta_atm
+        eta = 1.0 / (1.0 + (2.0 * jitter / theta) ** 2)
+        eta *= np.minimum(1.0, (model.receiver_diameter_m / (theta * 1e-6 * range_km * 1e3)) ** 2)
+        eta *= model.zenith_transmittance ** (1.0 / sin_e)  # the airmass is 1/sin e
+        return sin_e, range_km, eta
 
 
-def link_loss_db(elevation_deg, t_s, geometry: PassGeometry, model: LinkModel):
-    """Total uplink attenuation in dB at one instant of a pass.
-
-    Combines the capped far-field geometric factor, the pointing factor
-    1/(1 + (2 sigma_p / theta)^2), the plane-parallel atmosphere
-    T_zenith^(1/sin e), and the lumped system efficiency.
-
-    Extreme but valid parameters saturate at the physical limit: a factor
-    that overflows or underflows to zero transmittance gives +inf dB, and a
-    receiver-to-spot ratio past the float range caps at full capture.  A
-    time past the tracking limit, |t| > `half_duration_s()`, is rejected.
-    """
-    sin_e = _sin_elevation(elevation_deg)
+def _pass_at(geometry: PassGeometry, model: LinkModel, t_s):
+    """`_pass_point` at the times t_s (s, relative to culmination) of one
+    pass, each shaped like t_s.  A time that is not finite, or one past
+    the tracking limit, |t| > `half_duration_s()`, is rejected."""
     t_s = np.asarray(t_s, dtype=float)
-    rate = azimuth_rate(geometry, t_s)  # rejects a non-finite time first
+    if not np.isfinite(t_s).all():
+        raise ValueError("time must be finite")
     half = geometry.half_duration_s()
     if (np.abs(t_s) > half).any():
         raise ValueError(f"time must lie within the pass, |t| <= {half:.6g} s")
-    eta = _transmittance(model, _slant_range(geometry, sin_e), sin_e, rate)
+    table = geometry.table
+    beta_min, phase = table.min_central_angle, table.orbital_rate * t_s.ravel()
+    sin_b = np.maximum(np.sin(beta_min), 1e-6)
+    point = _pass_point(table, model, np.cos(beta_min), sin_b, np.cos(phase), np.sin(phase))
+    return tuple(column.reshape(t_s.shape) for column in point)
+
+
+# Largest |sin e - sin(elevation)| that `link_loss_db` accepts as the pass's
+# elevation at t: the 6-decimal elevations of `fig2_loss.csv` differ from
+# the kernel's by up to 8.6e-9.
+_ELEVATION_SIN_TOL = 1e-7
+
+
+def link_loss_db(elevation_deg, t_s, geometry: PassGeometry, model: LinkModel):
+    """Total uplink attenuation in dB at the times t_s of a pass, whose
+    elevations there are `elevation_deg`.
+
+    Reads `_pass_point` at w t: the capped far-field geometric factor, the
+    pointing factor 1/(1 + (2 sigma_p / theta)^2), the plane-parallel
+    atmosphere T_zenith^(1/sin e), and the lumped system efficiency.  The
+    elevation only checks the time: one whose sine differs from the pass's
+    sin e at t by more than `_ELEVATION_SIN_TOL`, or a time past the
+    tracking limit, is rejected: no point of the pass has its loss.
+
+    Extreme but valid parameters saturate at the physical limit: a factor
+    that overflows or underflows to zero transmittance gives +inf dB, and a
+    receiver-to-spot ratio past the float range caps at full capture.
+    """
+    elevation_deg, t_s = np.broadcast_arrays(elevation_deg, t_s)
+    given = _sin_elevation(elevation_deg)
+    sin_e, _, eta = _pass_at(geometry, model, t_s)
+    mismatch = np.abs(given - sin_e) > _ELEVATION_SIN_TOL
+    if mismatch.any():
+        e, t, at = (a[mismatch][0] for a in (elevation_deg, t_s, sin_e))
+        raise ValueError(
+            f"elevation {e:g} deg is not the pass's elevation at t = {t:g} s, "
+            f"{np.degrees(np.arcsin(at)):.6g} deg"
+        )
     with np.errstate(divide="ignore"):  # zero transmittance is +inf dB
         loss = -10.0 * np.log10(eta) + model.system_efficiency_db
     return float(loss) if loss.ndim == 0 else loss
@@ -318,11 +339,7 @@ def loss_profiles(
     both endpoints.  A pass is even in t about culmination (cos wt, cos^2
     and sin^2 are), so only t >= 0 is evaluated.  The trig of beta_min is
     evaluated once per pass and that of w t once per time step, then
-    gathered to the samples.  With cos(beta) = cos(beta_min) cos(w t) and
-    rho = R/(R + h), the law of cosines gives the slant range (R + h) q,
-    q = sqrt((1 - rho)^2 + 2 rho (1 - cos beta)), and sin e =
-    (cos beta - rho)/q; written about (1 - rho)^2, q is exact and sin e
-    exactly 1 at the zenith.  The transmittance is the `link_loss_db`
+    gathered to the samples of `_pass_point`.  The transmittance is its
     factors times 10^(-system dB / 10).  Returns (sizes, index, sin_e,
     range_km, transmittance): the sample count of each pass; for each
     sample of all passes in order, t from -half to half, its row in the
@@ -338,21 +355,11 @@ def loss_profiles(
     step = np.arange(counts.sum()) - np.repeat(starts, counts)  # time step of each t >= 0 sample
     phase = table.orbital_rate * np.arange(halves.max() + 1.0)
     cos_wt, sin_wt = np.cos(phase), np.sin(phase)
+    cos_b = np.repeat(np.cos(table.min_central_angle), counts)
     sin_b = np.repeat(np.maximum(np.sin(table.min_central_angle), 1e-6), counts)
-    rate = _azimuth_rate(table, sin_b, (cos_wt**2)[step], (sin_wt**2)[step])
-    # In place, so that few per-sample arrays live at once: sin_e holds
-    # cos(beta) until q is known, and range_km holds q until sin e is.
-    rho = table.radius_ratio
-    sin_e = np.repeat(np.cos(table.min_central_angle), counts)
-    sin_e *= cos_wt[step]
-    range_km = 1.0 - sin_e
-    range_km *= 2.0 * rho
-    range_km += (1.0 - rho) * (1.0 - rho)  # a product: its square root is exactly 1 - rho
-    np.sqrt(range_km, out=range_km)
-    sin_e -= rho
-    sin_e /= range_km
-    range_km *= EARTH_RADIUS_KM + table.orbit_altitude_km
-    transmittance = _transmittance(model, range_km, sin_e, rate)
+    sin_e, range_km, transmittance = _pass_point(
+        table, model, cos_b, sin_b, cos_wt[step], sin_wt[step]
+    )
     transmittance *= 10.0 ** (-model.system_efficiency_db / 10.0)
     index = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - counts, sizes)  # t of each sample
     np.abs(index, out=index)

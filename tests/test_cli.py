@@ -110,10 +110,10 @@ PINNED_SEED_DIGESTS = {
 # calibration.json of `calibrate --targets` on each targets section: the
 # published targets (converged) and an infeasible polarization deficit.
 PINNED_CALIBRATION_DIGESTS = {
-    "{}": (0, "a1f9e86b25685acbdf8ce55224633976c716a1844d2404b9cf1144e16a30f2e6"),
+    "{}": (0, "2e5b52b9fe8f8dd16c82e709be46e5f676332a50201b93a42c67a92c4e96d661"),
     '{"deficit_polarization": 0.5}': (
         4,
-        "93fc8bcddc639c0f003b2a0d055d3c54ea887945a3ce561d0692907b0346a575",
+        "eb54771427ba1dcd29612b87a7392cd4b06ce2a01105e5fd440ea8f16a1db560",
     ),
 }
 
@@ -864,14 +864,14 @@ def test_cli_loads_neither_the_exact_tier_nor_the_tag_chain():
 # on first access.
 EXPORTS = [
     "BellState", "BsmModel", "BsmOutcome", "CalibrationTargets", "CampaignConfig",
-    "CampaignResult", "ClockModel", "DensityMatrix", "LinkModel", "PassGeometry",
-    "PreparedInput", "PureState", "SimulationError", "SourceModel", "SyncConfig",
-    "TimeTagStream", "accidental_rate", "analytic_mean_fidelity", "apply_unitary", "bsm_apply",
-    "bsm_effects", "calibrate", "classical_baseline", "condition", "default_config",
-    "effective_divergence", "error_budget", "estimate_fidelity", "feed_forward", "fibre_comparison",
-    "fidelity", "fit_clock", "generate_streams", "link_loss_db", "loss_profile",
-    "match_coincidences", "mub_states", "polarization_distortion", "prepare_input", "run_campaign",
-    "run_orbit", "slant_range", "teleport_expected", "tensor", "werner_pair",
+    "CampaignResult", "ClockModel", "DensityMatrix", "LinkModel", "PassGeometry", "PureState",
+    "SimulationError", "SourceModel", "SyncConfig", "TimeTagStream", "accidental_rate",
+    "analytic_mean_fidelity", "apply_unitary", "bsm_apply", "bsm_effects", "calibrate",
+    "classical_baseline", "condition", "default_config", "effective_divergence", "error_budget",
+    "estimate_fidelity", "feed_forward", "fibre_comparison", "fidelity", "fit_clock",
+    "generate_streams", "link_loss_db", "loss_profile", "match_coincidences", "mub_states",
+    "polarization_distortion", "run_campaign", "run_orbit", "slant_range", "teleport_expected",
+    "tensor", "werner_pair",
 ]
 
 
@@ -890,7 +890,7 @@ def test_every_export_resolves_to_its_definition():
         "print(json.dumps([uplinksim.__all__, homes, same, unknown, experiment.__name__]))"
     )
     exported, homes, same, unknown, submodule = json.loads(fresh_python(probe))
-    assert len(EXPORTS) == 45
+    assert len(EXPORTS) == 43
     assert exported == EXPORTS
     assert all(home.startswith("uplinksim.") for home in homes.values()), homes
     assert same == EXPORTS

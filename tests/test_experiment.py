@@ -56,7 +56,6 @@ from uplinksim.config import SCHEMA, SECTIONS
 from uplinksim.linkgeom import (
     LinkModel,
     PassGeometry,
-    link_loss_db,
     loss_profile,
     loss_profiles,
     polarization_distortion,
@@ -64,7 +63,7 @@ from uplinksim.linkgeom import (
 )
 from uplinksim.photonsrc import SourceModel, werner_pair
 from uplinksim.qstate import mub_states, tensor
-from test_linkgeom import elevation_profile, polarization_channel
+from test_linkgeom import elevation_profile, first_loss_profiles, polarization_channel, trig_loss_db
 
 from dataclasses import fields, is_dataclass, replace
 
@@ -312,7 +311,7 @@ def per_orbit_loss_table(config: CampaignConfig, orbit: OrbitPlan) -> np.ndarray
     times = np.arange(-n, n + 1, dtype=float)
     elev = elevation_profile(geometry, times)
     rng_km = slant_range(elev, geometry)
-    loss = link_loss_db(elev, times, geometry, config.link)
+    loss = trig_loss_db(elev, times, geometry, config.link)
     return np.column_stack((times, elev, rng_km, loss))
 
 
@@ -470,6 +469,15 @@ class TestExposure:
             sizes.add(len(transmittance))
         if name == "unequal sample counts":
             assert len(sizes) == len(config.orbits)
+
+    @pytest.mark.parametrize("name", EXPOSURE_GRID)
+    def test_kernel_bits_are_the_first_closed_form(self, name):
+        config = EXPOSURE_GRID[name]
+        table = experiment._pass_table(*config._pass_key)
+        got = loss_profiles(table, config.link, config.orbit_duration_s)
+        want = first_loss_profiles(table, config.link, config.orbit_duration_s)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
     def test_cache_holds_one_campaign(self):
         # A process that reads campaign after campaign keeps the exposure of
@@ -1149,7 +1157,7 @@ class TestAnalyticPipeline:
         # a QWP + HWP + polarizing splitter realizes: with plate angles that
         # prepare |chi> from |H>, the transmitted-port projector is
         # U |H><H| U^dag = |chi><chi| and the reflected port its complement.
-        from uplinksim.photonsrc import prepare_input
+        from test_photonsrc import prepare_input
         from test_qstate import jones_hwp, jones_qwp
 
         for label, chi in mub_states().items():

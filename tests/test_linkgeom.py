@@ -8,7 +8,6 @@ from uplinksim.linkgeom import (
     ROTATION_AXIS,
     LinkModel,
     PassGeometry,
-    azimuth_rate,
     central_angle,
     effective_divergence,
     link_loss_db,
@@ -54,17 +53,73 @@ def elevation_profile(geometry: PassGeometry, t_s):
     The central angle follows cos(beta(t)) = cos(beta_min) cos(w t); the
     profile is symmetric about t = 0 and peaks at max_elevation.
     """
-    phase = geometry.orbital_rate * np.asarray(t_s, dtype=float)
-    cos_beta = np.cos(geometry.min_central_angle) * np.cos(phase)
+    table = geometry.table
+    phase = table.orbital_rate * np.asarray(t_s, dtype=float)
+    cos_beta = np.cos(table.min_central_angle[0]) * np.cos(phase)
     beta = np.arccos(np.clip(cos_beta, -1.0, 1.0))
-    elev = np.degrees(np.arctan2(cos_beta - geometry.table.radius_ratio, np.sin(beta)))
+    elev = np.degrees(np.arctan2(cos_beta - table.radius_ratio, np.sin(beta)))
     return float(elev) if elev.ndim == 0 else elev
+
+
+def azimuth_rate(geometry: PassGeometry, t_s):
+    """Oracle for the slew demand of `link_loss_db`: the ground-mount
+    azimuth rate (rad/s) at time t of one pass, from the trig of beta_min
+    and w t at t.
+
+    Peaks at culmination as w/sin(beta_min): near-overhead passes demand
+    slews an alt-az mount can barely follow.
+    """
+    table = geometry.table
+    phase = table.orbital_rate * np.asarray(t_s, dtype=float)
+    sin_b = np.maximum(np.sin(table.min_central_angle[0]), 1e-6)
+    return table.orbital_rate * sin_b / (sin_b * sin_b * np.cos(phase) ** 2 + np.sin(phase) ** 2)
 
 
 def pointing_jitter_urad(model: LinkModel, geometry: PassGeometry, t_s):
     """Tracking error inflated by the instantaneous slew demand."""
     rate = azimuth_rate(geometry, t_s)
     return model.tracking_error_urad * (1.0 + model.slew_degradation_k * rate / SLEW_RATE_REF)
+
+
+def trig_loss_db(elevation_deg, t_s, geometry: PassGeometry, model: LinkModel):
+    """Oracle for `link_loss_db`: the loss in dB from the elevation by the
+    trig path, sin(deg2rad(e)) and `slant_range`, with the slew demand at
+    t, and no check that the two agree."""
+    sin_e = np.sin(np.deg2rad(elevation_deg))
+    theta = effective_divergence(model)
+    spot_m = theta * 1e-6 * slant_range(elevation_deg, geometry) * 1e3
+    eta_geo = np.minimum(1.0, (model.receiver_diameter_m / spot_m) ** 2)
+    eta_point = 1.0 / (1.0 + (2.0 * pointing_jitter_urad(model, geometry, t_s) / theta) ** 2)
+    eta_atm = model.zenith_transmittance ** (1.0 / sin_e)
+    return -10.0 * np.log10(eta_geo * eta_point * eta_atm) + model.system_efficiency_db
+
+
+def first_loss_profiles(table, model: LinkModel, duration_s: float):
+    """Oracle for the bits of `loss_profiles`: the kernel as it was first
+    written in closed form, with cos^2(w t) and sin^2(w t) squared on the
+    time axis before the gather and the loss factors inline."""
+    halves = np.floor(np.minimum(duration_s / 2.0, table.half_duration_s)).astype(np.intp)
+    counts, sizes = halves + 1, 2 * halves + 1
+    starts = np.cumsum(counts) - counts
+    step = np.arange(counts.sum()) - np.repeat(starts, counts)
+    phase = table.orbital_rate * np.arange(halves.max() + 1.0)
+    cos_wt, sin_wt = np.cos(phase), np.sin(phase)
+    sin_b = np.repeat(np.maximum(np.sin(table.min_central_angle), 1e-6), counts)
+    rate = table.orbital_rate * sin_b / (sin_b * sin_b * (cos_wt**2)[step] + (sin_wt**2)[step])
+    rho = table.radius_ratio
+    cos_beta = np.repeat(np.cos(table.min_central_angle), counts) * cos_wt[step]
+    q = np.sqrt((1.0 - cos_beta) * (2.0 * rho) + (1.0 - rho) * (1.0 - rho))
+    sin_e = (cos_beta - rho) / q
+    range_km = q * (EARTH_RADIUS_KM + table.orbit_altitude_km)
+    theta = effective_divergence(model)
+    with np.errstate(over="ignore", divide="ignore"):
+        eta_geo = np.minimum(1.0, (model.receiver_diameter_m / (theta * 1e-6 * range_km * 1e3)) ** 2)
+        jitter = model.tracking_error_urad * (1.0 + model.slew_degradation_k * rate / SLEW_RATE_REF)
+        eta_point = 1.0 / (1.0 + (2.0 * jitter / theta) ** 2)
+        eta_atm = model.zenith_transmittance ** (1.0 / sin_e)
+    transmittance = eta_geo * eta_point * eta_atm * 10.0 ** (-model.system_efficiency_db / 10.0)
+    index = np.abs(np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - counts, sizes))
+    return sizes, index + np.repeat(starts, sizes), sin_e, range_km, transmittance
 
 
 def calibrated_link(slew_k: float = 1.0) -> LinkModel:
@@ -154,6 +209,20 @@ NO_PASS = {
 }
 
 
+def drawn_passes(seed: int = 31, draws: int = 12):
+    """Seeded (altitude, tracking limit, culminations, duration) draws:
+    altitude 300-1200 km, tracking limit 5-30 deg, five culminations above
+    it and 90 deg, and a duration of 1-1200 s or, in every third draw, the
+    full pass."""
+    rng = np.random.default_rng(seed)
+    for draw in range(draws):
+        altitude = float(rng.uniform(300.0, 1200.0))
+        low = float(rng.uniform(5.0, 30.0))
+        culminations = [*rng.uniform(low + 0.1, 90.0, size=5).tolist(), 90.0]
+        duration = np.inf if draw % 3 == 0 else float(rng.uniform(1.0, 1200.0))
+        yield altitude, low, culminations, duration
+
+
 class TestPassTable:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_scalar_oracle_bit_for_bit(self, seed):
@@ -168,8 +237,8 @@ class TestPassTable:
                 assert (table.orbital_rate, table.radius_ratio) == (rate, ratio)
                 assert (table.min_central_angle[k], table.half_duration_s[k]) == (beta_min, half)
                 g = PassGeometry(altitude, e, min_elevation)
-                assert (g.orbital_rate, g.table.radius_ratio) == (rate, ratio)
-                assert (g.min_central_angle, g.half_duration_s()) == (beta_min, half)
+                assert (g.table.orbital_rate, g.table.radius_ratio) == (rate, ratio)
+                assert (g.table.min_central_angle[0], g.half_duration_s()) == (beta_min, half)
 
     @pytest.mark.parametrize("name", NO_PASS)
     def test_rejects_what_each_pass_rejects(self, name):
@@ -249,7 +318,7 @@ class TestElevationProfile:
         # pass stays above the 14.5 deg tracking limit for about 365 s,
         # consistent with the published 350 s data window.
         g = PassGeometry()
-        assert g.orbital_rate == pytest.approx(1.1085e-3, abs=2e-7)
+        assert g.table.orbital_rate == pytest.approx(1.1085e-3, abs=2e-7)
         assert 2 * g.half_duration_s() == pytest.approx(365.2, abs=0.5)
         assert abs(2 * g.half_duration_s() - 350.0) <= 20.0
 
@@ -265,7 +334,7 @@ class TestElevationProfile:
         rates = azimuth_rate(g, t)
         assert np.argmax(rates) == 50
         assert azimuth_rate(g, 0.0) == pytest.approx(
-            g.orbital_rate / np.sin(g.min_central_angle), rel=1e-12
+            g.table.orbital_rate / np.sin(g.table.min_central_angle[0]), rel=1e-12
         )
 
 
@@ -293,7 +362,7 @@ class TestLinkLoss:
         assert abs(culm - 41.0) <= 2.0
 
     def test_huge_receiver_caps_at_system_floor(self):
-        g = PassGeometry()
+        g = PassGeometry(max_elevation_deg=45.0)
         m = LinkModel(
             receiver_diameter_m=1e6,
             tracking_error_urad=0.0,
@@ -303,11 +372,37 @@ class TestLinkLoss:
         assert link_loss_db(45.0, 0.0, g, m) == pytest.approx(5.0, abs=1e-12)
 
     def test_increases_with_range_at_fixed_pointing(self):
-        g = PassGeometry()
-        m = calibrated_link()
+        # each elevation at the culmination of its own pass, with no slew term
+        m = calibrated_link(slew_k=0.0)
         elev = np.linspace(90.0, 1.0, 120)
-        loss = link_loss_db(elev, np.zeros_like(elev), g, m)
+        loss = [link_loss_db(e, 0.0, PassGeometry(500.0, e, 0.5), m) for e in elev.tolist()]
         assert np.all(np.diff(loss) > 0)
+
+    @pytest.mark.parametrize(
+        "elevation, at_limit",
+        [(14.5, False), (76.0, True), (80.0, False)],
+        ids=["tracking limit at culmination", "culmination at the tracking limit", "above the pass"],
+    )
+    def test_elevation_not_the_pass_at_t_rejected(self, elevation, at_limit):
+        # Each read a loss no point of the 76 degree pass has: 52.48, 40.52
+        # and 40.87 dB.
+        g, m = PassGeometry(), calibrated_link()
+        t_s = g.half_duration_s() if at_limit else 0.0
+        with pytest.raises(ValueError, match="is not the pass's elevation at t") as info:
+            link_loss_db(elevation, t_s, g, m)
+        assert "\n" not in str(info.value)
+        # one mismatched pair in an array is enough
+        with pytest.raises(ValueError, match="is not the pass's elevation at t"):
+            link_loss_db([76.0, elevation], [0.0, t_s], g, m)
+
+    @pytest.mark.parametrize("altitude, culmination", [(500.0, 76.0), (300.0, 90.0), (1200.0, 40.0)])
+    def test_reads_the_profile_at_its_printed_elevations(self, altitude, culmination):
+        # The 6-decimal elevations of `fig2_loss.csv` are inside the
+        # tolerance, and the loss is the profile's at each whole second.
+        g, m = PassGeometry(altitude, culmination, 14.5), calibrated_link()
+        rows = loss_profile(g, m, np.inf)
+        loss = link_loss_db(np.round(rows[:, 1], 6), rows[:, 0], g, m)
+        np.testing.assert_allclose(loss, rows[:, 3], rtol=1e-14, atol=0.0)
 
     def test_nonpositive_elevation_rejected(self):
         with pytest.raises(ValueError):
@@ -324,9 +419,8 @@ class TestLinkLoss:
     @pytest.mark.parametrize("t_s", [np.nan, np.inf, -np.inf, [0.0, np.nan]])
     def test_time_not_finite_rejected(self, t_s):
         g, m = PassGeometry(), LinkModel()
-        for call in (lambda: azimuth_rate(g, t_s), lambda: link_loss_db(45.0, t_s, g, m)):
-            with pytest.raises(ValueError, match="time must be finite"):
-                call()
+        with pytest.raises(ValueError, match="time must be finite"):
+            link_loss_db(45.0, t_s, g, m)
 
     # the last factor rounds to a time one float or more past the limit
     @pytest.mark.parametrize("halves", [10.0, -10.0, [0.0, 1.5], 1.0 + 2.0**-52])
@@ -382,13 +476,8 @@ class TestLinkLoss:
         # of the trig path: seeded draws of altitude (300-1200 km), tracking
         # limit (5-30 deg), culminations (90 deg in every draw) and duration
         # (the full pass in every third draw).
-        rng = np.random.default_rng(31)
         m = calibrated_link()
-        for draw in range(12):
-            altitude = float(rng.uniform(300.0, 1200.0))
-            low = float(rng.uniform(5.0, 30.0))
-            culminations = [*rng.uniform(low + 0.1, 90.0, size=5).tolist(), 90.0]
-            duration = np.inf if draw % 3 == 0 else float(rng.uniform(1.0, 1200.0))
+        for altitude, low, culminations, duration in drawn_passes():
             table = pass_table(altitude, low, culminations)
             sizes, index, sin_e, range_km, transmittance = loss_profiles(table, m, duration)
             ends = np.cumsum(sizes)
@@ -401,12 +490,35 @@ class TestLinkLoss:
                 expected = (
                     np.sin(np.deg2rad(elev)),
                     slant_range(elev, g),
-                    10.0 ** (-link_loss_db(elev, times, g, m) / 10.0),
+                    10.0 ** (-trig_loss_db(elev, times, g, m) / 10.0),
                 )
                 for got, want in zip((sin_e, range_km, transmittance), expected):
                     np.testing.assert_allclose(got[rows], want, rtol=1e-12, atol=0.0)
                 if culmination == 90.0:
                     assert sin_e[rows[half]] == 1.0
+
+    def test_point_loss_matches_trig_oracle_between_the_seconds(self):
+        # `link_loss_db` at drawn fractions of each drawn pass's half
+        # duration, culmination and tracking limit included.
+        rng = np.random.default_rng(33)
+        m = calibrated_link()
+        for altitude, low, culminations, _ in drawn_passes():
+            for culmination in culminations:
+                g = PassGeometry(altitude, culmination, low)
+                fractions = np.concatenate(([-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, size=20)))
+                times = fractions * g.half_duration_s()
+                elev = elevation_profile(g, times)
+                np.testing.assert_allclose(
+                    link_loss_db(elev, times, g, m), trig_loss_db(elev, times, g, m), rtol=1e-12, atol=0.0
+                )
+
+    def test_kernel_bits_are_the_first_closed_form(self):
+        m = calibrated_link()
+        for altitude, low, culminations, duration in drawn_passes():
+            got = loss_profiles(pass_table(altitude, low, culminations), m, duration)
+            want = first_loss_profiles(pass_table(altitude, low, culminations), m, duration)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
     def test_culmination_bump_from_slew_degradation(self):
         g = PassGeometry()

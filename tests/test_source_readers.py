@@ -1,7 +1,8 @@
-"""Every module-level function and class in `src/uplinksim/` has a reader
-outside its own body: the package itself (bar `__init__.py`, whose exports
-are not readers) or the acceptance suite.  A name that only the other tests
-read belongs in those tests, as their oracle."""
+"""Every module-level function and class in `src/uplinksim/`, and every
+method and property of those classes, has a reader outside its own body:
+the package itself (bar `__init__.py`, whose exports are not readers) or
+the acceptance suite.  A name that only the other tests read belongs in
+those tests, as their oracle."""
 
 import ast
 import re
@@ -12,6 +13,7 @@ PACKAGE = ROOT / "src" / "uplinksim"
 
 # Names without such a reader, kept on purpose: each maps to the file
 # outside src/ that still reads it, or to None for public API kept by choice.
+# A method or property is named after its class, "Class.name".
 EXEMPT = {
     # traced for the run_orbit.* and polarization_distortion.* counters
     "run_orbit": "perfbench/tracing.py",
@@ -24,8 +26,9 @@ EXEMPT = {
     "generate_streams": "perfbench/workloads.py",
     "fit_clock": "perfbench/workloads.py",
     "match_coincidences": "perfbench/workloads.py",
-    # public API kept by choice, for the next re-anchor to decide
-    "prepare_input": None,
+    # the calibrate op's error budget, and the tags op's pair count check
+    "CalibrationResult.apply": "perfbench/workloads.py",
+    "MatchResult.n_matched": "perfbench/workloads.py",
     # read by the import system (PEP 562)
     "__getattr__": None,
 }
@@ -44,21 +47,49 @@ def _loaded_names(tree: ast.AST) -> set[str]:
     return names
 
 
-def _unread_definitions() -> set[str]:
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+def _is_definition(node: ast.AST) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+
+
+def _unread(definitions, units) -> set[str]:
+    """The (name, node) pairs of `definitions` whose name no unit but the
+    node itself loads, with the names each unit loads found in one walk."""
+    loads = [(unit, _loaded_names(unit)) for unit in units]
+    return {
+        name
+        for name, node in definitions
+        if not any(node.name in names for unit, names in loads if unit is not node)
+    }
+
+
+def _unread_definitions(sources: dict[str, str] | None = None) -> set[str]:
+    """The names in `sources` (file name -> source text, by default the
+    package's) that nothing in the package or the acceptance suite reads."""
+    if sources is None:
+        sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    trees = {name: ast.parse(text) for name, text in sources.items()}
     readers = [tree for name, tree in trees.items() if name != "__init__.py"]
     readers.append(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
-    # The names each top-level statement of each reader loads, in one walk
-    # per tree.  A definition is itself a top-level statement, so the names
-    # loaded outside its body are those of every other statement.
-    loads = [(stmt, _loaded_names(stmt)) for reader in readers for stmt in reader.body]
-    return {
-        node.name
+    # A module-level definition is itself a top-level statement, so the
+    # names loaded outside its body are those of every other statement.
+    statements = [stmt for reader in readers for stmt in reader.body]
+    top = [(node.name, node) for tree in trees.values() for node in tree.body if _is_definition(node)]
+    # A method is a statement of its class body: the units are then each
+    # statement of a class body, and each other top-level statement.
+    members = [
+        stmt
+        for reader in statements
+        for stmt in (reader.body if isinstance(reader, ast.ClassDef) else (reader,))
+    ]
+    methods = [
+        (f"{cls.name}.{node.name}", node)
         for tree in trees.values()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not any(node.name in names for stmt, names in loads if stmt is not node)
-    }
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if _is_definition(node) and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    return _unread(top, statements) | _unread(methods, members)
 
 
 def test_every_source_name_has_a_reader():
@@ -68,4 +99,14 @@ def test_every_source_name_has_a_reader():
 def test_each_exemption_still_has_its_reader():
     for name, path in EXEMPT.items():
         if path is not None:
-            assert re.search(rf"\b{name}\b", (ROOT / path).read_text()), (name, path)
+            attribute = name.rpartition(".")[2]
+            assert re.search(rf"\b{attribute}\b", (ROOT / path).read_text()), (name, path)
+
+
+def test_an_unread_method_is_seen():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    sources["linkgeom.py"] = sources["linkgeom.py"].replace(
+        "    def half_duration_s(self) -> float:",
+        "    def never_read(self) -> float:\n        return 0.0\n\n    def half_duration_s(self) -> float:",
+    )
+    assert _unread_definitions(sources) == {*EXEMPT, "PassGeometry.never_read"}
