@@ -25,8 +25,8 @@ from .linkgeom import (
     LinkModel,
     PassGeometry,
     _channel_bloch,
+    _loss_db,
     _pass_at,
-    link_loss_db,
     loss_profiles,
     pass_table,
 )
@@ -904,15 +904,16 @@ def calibrate(
     residuals: dict[str, float] = {}
 
     # Channel: linear in (dB per airmass, system dB) at the two anchors, the
-    # tracking limit (loss_max_db) and culmination (loss_min_db).
+    # tracking limit (loss_max_db) and culmination (loss_min_db).  One kernel
+    # call gives each anchor's airmass 1/sin e and its loss with neither
+    # term; a second gives the fitted loss.
     ref_geom = config.geometry(OrbitPlan("reference", 76.0))
     probe = replace(config.link, zenith_transmittance=1.0, system_efficiency_db=0.0)
-    elev = np.array([config.min_elevation_deg, 76.0])
     t = np.array([ref_geom.half_duration_s(), 0.0])
     target = np.array([targets.loss_max_db, targets.loss_min_db])
-    sin_e = _pass_at(ref_geom, probe, t)[0]  # the pass's own, as the loss reads it
+    sin_e, _, eta = _pass_at(ref_geom, probe, t)
     rows = np.column_stack((1.0 / sin_e, np.ones(2)))
-    x_db, sys_db = np.linalg.solve(rows, target - link_loss_db(elev, t, ref_geom, probe))
+    x_db, sys_db = np.linalg.solve(rows, target - _loss_db(eta, probe))
     x_db = max(x_db, 0.0)
     sys_db = max(sys_db, 0.0)
     # past about 3230 dB per airmass 10 ** (-x / 10) underflows to 0, outside
@@ -920,7 +921,7 @@ def calibrate(
     params["zenith_transmittance"] = max(float(10.0 ** (-x_db / 10.0)), math.ulp(0.0))
     params["system_efficiency_db"] = float(sys_db)
     config = with_fields(config, params)
-    fitted = link_loss_db(elev, t, ref_geom, config.link) - target
+    fitted = _loss_db(_pass_at(ref_geom, config.link, t)[2], config.link) - target
     residuals["loss_max_db"], residuals["loss_min_db"] = fitted.tolist()
     sums, settings = _state_sums(config), _settings(config)
 

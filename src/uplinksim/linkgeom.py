@@ -159,12 +159,12 @@ class LinkModel:
             raise ValueError("slew degradation gain must be non-negative")
 
 
-def _sin_elevation(elevation_deg):
-    """sin of the elevation(s) in degrees, which must lie in (0, 90]."""
+def _checked_elevation(elevation_deg) -> np.ndarray:
+    """The elevation(s) in degrees as a float array; they must lie in (0, 90]."""
     elevation_deg = np.asarray(elevation_deg, dtype=float)
     if elevation_deg.size and not (elevation_deg.min() > 0 and elevation_deg.max() <= 90):  # NaN fails
         raise ValueError("elevation must lie in (0, 90] degrees")
-    return np.sin(np.deg2rad(elevation_deg))
+    return elevation_deg
 
 
 def slant_range(elevation_deg, geometry: PassGeometry):
@@ -172,7 +172,7 @@ def slant_range(elevation_deg, geometry: PassGeometry):
 
     Closed form: L = sqrt(R^2 sin^2(e) + 2 R h + h^2) - R sin(e).
     """
-    sin_e = _sin_elevation(elevation_deg)
+    sin_e = np.sin(np.deg2rad(_checked_elevation(elevation_deg)))
     r, h = EARTH_RADIUS_KM, geometry.orbit_altitude_km
     out = np.sqrt(r**2 * sin_e**2 + 2 * r * h + h**2) - r * sin_e
     return float(out) if out.ndim == 0 else out
@@ -195,7 +195,8 @@ def _pass_point(table: PassTable, model: LinkModel, cos_b, sin_b, cos_wt, sin_wt
     transmittance) from cos(beta_min), max(sin(beta_min), 1e-6), cos(w t)
     and sin(w t), 1-d arrays that broadcast together.  The last two must
     be arrays of their own: sin e and the slant range are built in their
-    buffers, so that few per-sample arrays live at once.
+    buffers, and the transmittance in that of the azimuth rate, with one
+    scratch array beside them, so that few per-sample arrays live at once.
 
     With cos(beta) = cos(beta_min) cos(w t) and rho = R/(R + h), the law of
     cosines gives the slant range (R + h) q, q = sqrt((1 - rho)^2 +
@@ -204,13 +205,16 @@ def _pass_point(table: PassTable, model: LinkModel, cos_b, sin_b, cos_wt, sin_wt
     transmittance is geometric capture, pointing and atmosphere, without
     the system efficiency.  The pointing jitter grows with the mount's
     azimuth rate w sin(beta_min)/(sin^2(beta_min) cos^2(w t) + sin^2(w t)),
-    which peaks at culmination as w/sin(beta_min).
+    which peaks at culmination as w/sin(beta_min).  Each in-place step
+    rounds as the written-out formula does: a product or sum is the same
+    float in either order.
     """
     rate = cos_wt * cos_wt
-    rate *= sin_b * sin_b
+    scratch = np.multiply(sin_b, sin_b, out=np.empty_like(rate))
+    rate *= scratch
     sin_wt *= sin_wt
     rate += sin_wt
-    np.divide(table.orbital_rate * sin_b, rate, out=rate)
+    np.divide(np.multiply(sin_b, table.orbital_rate, out=scratch), rate, out=rate)
     # sin_e holds cos(beta) until q is known, and range_km holds q until sin e is
     rho = table.radius_ratio
     sin_e = cos_wt
@@ -224,11 +228,26 @@ def _pass_point(table: PassTable, model: LinkModel, cos_b, sin_b, cos_wt, sin_wt
     range_km *= EARTH_RADIUS_KM + table.orbit_altitude_km
     theta = effective_divergence(model)
     with np.errstate(over="ignore", divide="ignore"):  # the saturation of `link_loss_db`
-        # pointing: the tracking error, inflated by the slew demand
-        jitter = model.tracking_error_urad * (1.0 + model.slew_degradation_k * rate / SLEW_RATE_REF)
-        eta = 1.0 / (1.0 + (2.0 * jitter / theta) ** 2)
-        eta *= np.minimum(1.0, (model.receiver_diameter_m / (theta * 1e-6 * range_km * 1e3)) ** 2)
-        eta *= model.zenith_transmittance ** (1.0 / sin_e)  # the airmass is 1/sin e
+        # pointing: the tracking error, inflated by the slew demand, in the rate's buffer
+        eta = rate
+        eta *= model.slew_degradation_k
+        eta /= SLEW_RATE_REF
+        eta += 1.0
+        eta *= model.tracking_error_urad
+        eta *= 2.0
+        eta /= theta
+        np.square(eta, out=eta)
+        eta += 1.0
+        np.divide(1.0, eta, out=eta)
+        # capture: (D / spot)^2, capped at 1
+        np.multiply(range_km, theta * 1e-6, out=scratch)
+        scratch *= 1e3
+        np.divide(model.receiver_diameter_m, scratch, out=scratch)
+        np.square(scratch, out=scratch)
+        eta *= np.minimum(scratch, 1.0, out=scratch)
+        # atmosphere: the airmass is 1/sin e
+        np.divide(1.0, sin_e, out=scratch)
+        eta *= np.power(model.zenith_transmittance, scratch, out=scratch)
         return sin_e, range_km, eta
 
 
@@ -245,14 +264,22 @@ def _pass_at(geometry: PassGeometry, model: LinkModel, t_s):
     table = geometry.table
     beta_min, phase = table.min_central_angle, table.orbital_rate * t_s.ravel()
     sin_b = np.maximum(np.sin(beta_min), 1e-6)
-    point = _pass_point(table, model, np.cos(beta_min), sin_b, np.cos(phase), np.sin(phase))
+    cos_wt = np.cos(phase)
+    point = _pass_point(table, model, np.cos(beta_min), sin_b, cos_wt, np.sin(phase, out=phase))
     return tuple(column.reshape(t_s.shape) for column in point)
 
 
-# Largest |sin e - sin(elevation)| that `link_loss_db` accepts as the pass's
-# elevation at t: the 6-decimal elevations of `fig2_loss.csv` differ from
-# the kernel's by up to 8.6e-9.
-_ELEVATION_SIN_TOL = 1e-7
+# Largest |elevation - the pass's elevation at t| (degrees) that
+# `link_loss_db` accepts, the pass's read as `loss_profile` prints it: the
+# 6-decimal elevations of `fig2_loss.csv` are off by up to 5e-7 degrees.
+_ELEVATION_TOL_DEG = 1e-5
+
+
+def _loss_db(eta, model: LinkModel):
+    """The loss in dB of the transmittance(s) `eta` of `_pass_point`: its
+    three factors and the lumped system efficiency."""
+    with np.errstate(divide="ignore"):  # zero transmittance is +inf dB
+        return -10.0 * np.log10(eta) + model.system_efficiency_db
 
 
 def link_loss_db(elevation_deg, t_s, geometry: PassGeometry, model: LinkModel):
@@ -262,8 +289,8 @@ def link_loss_db(elevation_deg, t_s, geometry: PassGeometry, model: LinkModel):
     Reads `_pass_point` at w t: the capped far-field geometric factor, the
     pointing factor 1/(1 + (2 sigma_p / theta)^2), the plane-parallel
     atmosphere T_zenith^(1/sin e), and the lumped system efficiency.  The
-    elevation only checks the time: one whose sine differs from the pass's
-    sin e at t by more than `_ELEVATION_SIN_TOL`, or a time past the
+    elevation only checks the time: one more than `_ELEVATION_TOL_DEG` from
+    the pass's elevation at t, arcsin(sin e) in degrees, or a time past the
     tracking limit, is rejected: no point of the pass has its loss.
 
     Extreme but valid parameters saturate at the physical limit: a factor
@@ -271,17 +298,16 @@ def link_loss_db(elevation_deg, t_s, geometry: PassGeometry, model: LinkModel):
     receiver-to-spot ratio past the float range caps at full capture.
     """
     elevation_deg, t_s = np.broadcast_arrays(elevation_deg, t_s)
-    given = _sin_elevation(elevation_deg)
+    elevation_deg = _checked_elevation(elevation_deg)
     sin_e, _, eta = _pass_at(geometry, model, t_s)
-    mismatch = np.abs(given - sin_e) > _ELEVATION_SIN_TOL
+    at = np.degrees(np.arcsin(sin_e))
+    mismatch = np.abs(elevation_deg - at) > _ELEVATION_TOL_DEG
     if mismatch.any():
-        e, t, at = (a[mismatch][0] for a in (elevation_deg, t_s, sin_e))
+        e, t, at = (a[mismatch][0] for a in (elevation_deg, t_s, at))
         raise ValueError(
-            f"elevation {e:g} deg is not the pass's elevation at t = {t:g} s, "
-            f"{np.degrees(np.arcsin(at)):.6g} deg"
+            f"elevation {e:g} deg is not the pass's elevation at t = {t:g} s, {at:.6g} deg"
         )
-    with np.errstate(divide="ignore"):  # zero transmittance is +inf dB
-        loss = -10.0 * np.log10(eta) + model.system_efficiency_db
+    loss = _loss_db(eta, model)
     return float(loss) if loss.ndim == 0 else loss
 
 
@@ -352,16 +378,18 @@ def loss_profiles(
     halves = np.floor(np.minimum(duration_s / 2.0, table.half_duration_s)).astype(np.intp)
     counts, sizes = halves + 1, 2 * halves + 1
     starts = np.cumsum(counts) - counts
-    step = np.arange(counts.sum()) - np.repeat(starts, counts)  # time step of each t >= 0 sample
+    step = np.arange(counts.sum())
+    step -= np.repeat(starts, counts)  # the time step of each t >= 0 sample
     phase = table.orbital_rate * np.arange(halves.max() + 1.0)
-    cos_wt, sin_wt = np.cos(phase), np.sin(phase)
+    cos_wt, sin_wt = np.cos(phase)[step], np.sin(phase)[step]
+    del step
     cos_b = np.repeat(np.cos(table.min_central_angle), counts)
     sin_b = np.repeat(np.maximum(np.sin(table.min_central_angle), 1e-6), counts)
-    sin_e, range_km, transmittance = _pass_point(
-        table, model, cos_b, sin_b, cos_wt[step], sin_wt[step]
-    )
+    sin_e, range_km, transmittance = _pass_point(table, model, cos_b, sin_b, cos_wt, sin_wt)
+    del cos_b, sin_b  # spent: let them go before the index is built
     transmittance *= 10.0 ** (-model.system_efficiency_db / 10.0)
-    index = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - counts, sizes)  # t of each sample
+    index = np.arange(sizes.sum())
+    index -= np.repeat(np.cumsum(sizes) - counts, sizes)  # t of each sample
     np.abs(index, out=index)
     index += np.repeat(starts, sizes)
     return sizes, index, sin_e, range_km, transmittance

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uplinksim import bsm, experiment, photonsrc, qstate
+from uplinksim import bsm, experiment, linkgeom, photonsrc, qstate
 from uplinksim.bsm import ACCEPTED_OUTCOMES, BsmModel, BsmOutcome, bsm_apply, teleport_expected
 from uplinksim.experiment import (
     BUDGET_SOURCES,
@@ -524,6 +524,25 @@ class TestExposure:
         assert experiment._exposure.cache_info().misses == 1
         # the 76 degree reference of the channel fit is the one pass built alone
         assert [g.max_elevation_deg for g in built] == [76.0]
+
+    def test_cold_calibration_evaluates_the_loss_kernel_three_times(self, monkeypatch):
+        # The two anchors, read once for the fit and once for its residual,
+        # and the campaign's exposure; none of them through `link_loss_db`.
+        calls = {"_pass_point": 0, "link_loss_db": 0}
+        for name in calls:
+            fn = getattr(linkgeom, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            for module in (linkgeom, experiment):  # wherever the name is bound
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counted)
+        for cache in (experiment._pass_table, experiment._exposure):
+            cache.cache_clear()
+        calibrate()
+        assert calls == {"_pass_point": 3, "link_loss_db": 0}
 
     def test_simulate_builds_one_pass_table_and_loss_pass(self, tmp_path):
         for cache in (experiment._pass_table, experiment._exposure):

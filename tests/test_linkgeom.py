@@ -17,6 +17,7 @@ from uplinksim.linkgeom import (
     _channel_bloch,
     polarization_distortion,
     slant_range,
+    _pass_at,
 )
 from uplinksim.qstate import (
     KET_H,
@@ -27,6 +28,7 @@ from uplinksim.qstate import (
     apply_unitary,
     fidelity,
 )
+from test_timesync import traced_peak
 
 
 def polarization_channel(rho: np.ndarray, delta: float, jitter_sigma: float) -> np.ndarray:
@@ -395,7 +397,10 @@ class TestLinkLoss:
         with pytest.raises(ValueError, match="is not the pass's elevation at t"):
             link_loss_db([76.0, elevation], [0.0, t_s], g, m)
 
-    @pytest.mark.parametrize("altitude, culmination", [(500.0, 76.0), (300.0, 90.0), (1200.0, 40.0)])
+    @pytest.mark.parametrize(
+        "altitude, culmination",
+        [(500.0, 76.0), (300.0, 90.0), (1200.0, 40.0), (300.0, 89.98), (800.0, 89.99999)],
+    )
     def test_reads_the_profile_at_its_printed_elevations(self, altitude, culmination):
         # The 6-decimal elevations of `fig2_loss.csv` are inside the
         # tolerance, and the loss is the profile's at each whole second.
@@ -403,6 +408,26 @@ class TestLinkLoss:
         rows = loss_profile(g, m, np.inf)
         loss = link_loss_db(np.round(rows[:, 1], 6), rows[:, 0], g, m)
         np.testing.assert_allclose(loss, rows[:, 3], rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("culmination, at_limit", [(76.0, True), (89.98, False)])
+    def test_elevation_tolerance_is_in_degrees(self, culmination, at_limit):
+        # 2e-5 degrees off is rejected and 5e-6 accepted alike at the
+        # tracking limit and at a culmination 0.02 degrees from the zenith,
+        # where sin e is flat in the elevation.
+        g, m = PassGeometry(500.0, culmination, 14.5), calibrated_link()
+        t_s = g.half_duration_s() if at_limit else 0.0
+        elevation = 14.5 if at_limit else culmination
+        exact = link_loss_db(elevation, t_s, g, m)
+        assert link_loss_db(elevation - 5e-6, t_s, g, m) == exact
+        with pytest.raises(ValueError, match="is not the pass's elevation at t"):
+            link_loss_db(elevation - 2e-5, t_s, g, m)
+
+    def test_zenith_is_not_a_near_zenith_culmination(self):
+        # A tolerance of 1e-7 in sin e accepted 90 degrees here and read
+        # the 89.98 degree culmination's 82.93 dB.
+        g = PassGeometry(500.0, 89.98, 14.5)
+        with pytest.raises(ValueError, match=r"is not the pass's elevation at t = 0 s, 89\.98 deg"):
+            link_loss_db(90.0, 0.0, g, LinkModel())
 
     def test_nonpositive_elevation_rejected(self):
         with pytest.raises(ValueError):
@@ -519,6 +544,24 @@ class TestLinkLoss:
             want = first_loss_profiles(pass_table(altitude, low, culminations), m, duration)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
+
+    def test_point_peak_allocation(self):
+        # sin e, the slant range and the transmittance are built in the
+        # buffers of cos(w t), sin(w t) and the azimuth rate, beside one
+        # scratch array: four arrays of the sample count.
+        g, m = PassGeometry(), calibrated_link()
+        half = g.half_duration_s()
+        t_s = np.linspace(-half, half, 100_000)
+        (sin_e, _, _), peak = traced_peak(_pass_at, g, m, t_s)
+        assert sin_e.shape == t_s.shape
+        assert peak <= 4 * t_s.nbytes + 16384, peak / t_s.nbytes
+
+    def test_profiles_peak_allocation(self):
+        # The default campaign's 32 passes: the kernel's five columns, or
+        # its three outputs beside the index and one of its two terms.
+        table = pass_table(500.0, 14.5, np.linspace(76.0, 20.0, 32))
+        (_, _, sin_e, _, _), peak = traced_peak(loss_profiles, table, calibrated_link(), 350.0)
+        assert peak <= 7.5 * sin_e.nbytes, peak / sin_e.nbytes
 
     def test_culmination_bump_from_slew_degradation(self):
         g = PassGeometry()
