@@ -4,8 +4,7 @@ polarization qubits, from the four-photon source to the satellite receiver.
 Importing the package loads none of its modules.  Each export is imported
 from its defining module on first access, so a command that runs only the
 counting tier (`experiment`, `linkgeom`, `config`, `cli`) never loads the
-exact density-matrix tier (`qstate`, `bsm`, `photonsrc`) or the tag chain
-(`timesync`).
+exact density-matrix tier (`qstate`, `bsm`) or the tag chain (`timesync`).
 """
 
 import importlib
@@ -13,7 +12,6 @@ import importlib
 # defining module -> the names the package exports from it
 _EXPORTS = {
     "qstate": (
-        "BellState",
         "DensityMatrix",
         "PureState",
         "apply_unitary",
@@ -22,8 +20,7 @@ _EXPORTS = {
         "mub_states",
         "tensor",
     ),
-    "photonsrc": ("werner_pair",),
-    "bsm": ("bsm_apply", "bsm_effects", "feed_forward", "teleport_expected"),
+    "bsm": ("bsm_apply", "bsm_effects", "feed_forward", "teleport_expected", "werner_pair"),
     "linkgeom": (
         "LinkModel",
         "PassGeometry",

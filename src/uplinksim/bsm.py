@@ -7,7 +7,8 @@ between the two interfering photons scales only the |HH><VV| coherence:
 same-polarization coincidences need no interference to be detected, but
 telling the two resolved states apart in the diagonal bases does.  The
 heralding photon never enters the analyzer and is treated as a classical
-flag.
+flag.  The resource pair is the entangled source's |phi+> with white
+noise mixed in.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .qstate import (
     fidelity,
     tensor,
 )
-from .photonsrc import werner_pair
 
 
 class BsmEffects(NamedTuple):
@@ -87,6 +87,20 @@ def feed_forward(outcome: BsmOutcome, rho: DensityMatrix) -> DensityMatrix:
     if outcome is BsmOutcome.PHI_MINUS:
         return apply_unitary(rho, PAULI_Z)
     raise ValueError("no feed-forward correction exists for a failed analyzer event")
+
+
+def werner_pair(f_ent: float) -> DensityMatrix:
+    """Entangled resource with white-noise admixture matching fidelity f_ent.
+
+    Returns p |phi+><phi+| + (1-p) I/4 with p = (4 f_ent - 1)/3, the
+    single-parameter model used for the bench-measured pair fidelity.
+    """
+    if not 0.25 <= f_ent <= 1.0:
+        raise ValueError("entangled fidelity must lie in [1/4, 1]")
+    p = (4.0 * f_ent - 1.0) / 3.0
+    phi = np.zeros((4, 4))
+    phi[0, 0] = phi[0, 3] = phi[3, 0] = phi[3, 3] = 0.5  # (|HH> + |VV>)/sqrt(2)
+    return DensityMatrix(p * phi + (1.0 - p) * np.eye(4) / 4.0)
 
 
 class TeleportExpectation(NamedTuple):

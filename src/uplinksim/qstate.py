@@ -9,7 +9,6 @@ to 0 and |V> to 1, so for two qubits the basis order is
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Sequence
 
 import numpy as np
@@ -120,29 +119,7 @@ KET_MINUS = PureState([1, -1])
 KET_R = PureState([1, 1j])
 KET_L = PureState([1, -1j])
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-class BellState(enum.Enum):
-    """The four maximally entangled two-qubit states."""
-
-    PHI_PLUS = "phi+"
-    PHI_MINUS = "phi-"
-    PSI_PLUS = "psi+"
-    PSI_MINUS = "psi-"
-
-    @property
-    def state(self) -> PureState:
-        s = 1.0 / np.sqrt(2.0)
-        vectors = {
-            BellState.PHI_PLUS: [s, 0, 0, s],
-            BellState.PHI_MINUS: [s, 0, 0, -s],
-            BellState.PSI_PLUS: [0, s, s, 0],
-            BellState.PSI_MINUS: [0, s, -s, 0],
-        }
-        return PureState(vectors[self])
 
 
 def mub_states() -> dict[str, PureState]:

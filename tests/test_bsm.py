@@ -17,13 +17,13 @@ from uplinksim.qstate import (
     KET_H,
     KET_MINUS,
     KET_PLUS,
-    BellState,
     DensityMatrix,
     PureState,
     fidelity,
     mub_states,
     tensor,
 )
+from test_qstate import BellState
 
 
 def ideal_joint(input_state: PureState) -> DensityMatrix:

@@ -857,13 +857,13 @@ def test_cli_loads_neither_the_exact_tier_nor_the_tag_chain():
     probe = "import json, sys, uplinksim.cli; print(json.dumps([m for m in sys.modules if m.startswith('uplinksim.')]))"
     loaded = set(json.loads(fresh_python(probe)))
     assert "uplinksim.cli" in loaded
-    assert not loaded & {f"uplinksim.{m}" for m in ("qstate", "bsm", "photonsrc", "timesync")}
+    assert not loaded & {f"uplinksim.{m}" for m in ("qstate", "bsm", "timesync")}
 
 
 # The names `uplinksim` exports, pinned: each is read from its defining module
 # on first access.
 EXPORTS = [
-    "BellState", "BsmModel", "BsmOutcome", "CalibrationTargets", "CampaignConfig",
+    "BsmModel", "BsmOutcome", "CalibrationTargets", "CampaignConfig",
     "CampaignResult", "ClockModel", "DensityMatrix", "LinkModel", "PassGeometry", "PureState",
     "SimulationError", "SourceModel", "SyncConfig", "TimeTagStream", "accidental_rate",
     "analytic_mean_fidelity", "apply_unitary", "bsm_apply", "bsm_effects", "calibrate",
@@ -890,7 +890,7 @@ def test_every_export_resolves_to_its_definition():
         "print(json.dumps([uplinksim.__all__, homes, same, unknown, experiment.__name__]))"
     )
     exported, homes, same, unknown, submodule = json.loads(fresh_python(probe))
-    assert len(EXPORTS) == 43
+    assert len(EXPORTS) == 42
     assert exported == EXPORTS
     assert all(home.startswith("uplinksim.") for home in homes.values()), homes
     assert same == EXPORTS

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uplinksim import bsm, experiment, linkgeom, photonsrc, qstate
-from uplinksim.bsm import ACCEPTED_OUTCOMES, BsmModel, BsmOutcome, bsm_apply, teleport_expected
+from uplinksim import bsm, experiment, linkgeom, qstate
+from uplinksim.bsm import ACCEPTED_OUTCOMES, BsmModel, BsmOutcome, bsm_apply, teleport_expected, werner_pair
 from uplinksim.experiment import (
     BUDGET_SOURCES,
     CALIBRATED,
@@ -30,6 +30,7 @@ from uplinksim.experiment import (
     OrbitPlan,
     PolarizationNoise,
     SimulationError,
+    SourceModel,
     analytic_fidelities,
     analytic_mean_fidelity,
     build_event_model,
@@ -61,9 +62,9 @@ from uplinksim.linkgeom import (
     polarization_distortion,
     slant_range,
 )
-from uplinksim.photonsrc import SourceModel, werner_pair
 from uplinksim.qstate import mub_states, tensor
 from test_linkgeom import elevation_profile, first_loss_profiles, polarization_channel, trig_loss_db
+from test_qstate import PAULI_X, PAULI_Y
 
 from dataclasses import fields, is_dataclass, replace
 
@@ -1108,7 +1109,7 @@ class TestAnalyticPipeline:
         )
         assert len(grid) == 1152
         assert_closed_form_matches_density_matrix(grid)
-        paulis = (qstate.PAULI_X, qstate.PAULI_Y, qstate.PAULI_Z)
+        paulis = (PAULI_X, PAULI_Y, qstate.PAULI_Z)
         for label, chi in mub_states().items():
             rho = chi.density().matrix
             assert STATE_BLOCH[label] == tuple(np.real(np.trace(rho @ p)) for p in paulis)
@@ -1130,7 +1131,7 @@ class TestAnalyticPipeline:
         def forbidden(*args, **kwargs):
             raise AssertionError("density-matrix build on the hot path")
 
-        for fn in (bsm.bsm_apply, qstate.condition, qstate.tensor, photonsrc.werner_pair):
+        for fn in (bsm.bsm_apply, qstate.condition, qstate.tensor, bsm.werner_pair):
             for name, module in list(sys.modules.items()):
                 if name.startswith("uplinksim") and getattr(module, fn.__name__, None) is fn:
                     monkeypatch.setattr(module, fn.__name__, forbidden)

@@ -21,13 +21,12 @@ from uplinksim.linkgeom import (
 )
 from uplinksim.qstate import (
     KET_H,
-    PAULI_X,
-    PAULI_Y,
     PAULI_Z,
     PureState,
     apply_unitary,
     fidelity,
 )
+from test_qstate import PAULI_X, PAULI_Y
 from test_timesync import traced_peak
 
 

@@ -4,17 +4,17 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from uplinksim.photonsrc import SourceModel, werner_pair
+from uplinksim.bsm import werner_pair
+from uplinksim.experiment import SourceModel
 from uplinksim.qstate import (
     KET_H,
     KET_PLUS,
     KET_R,
-    BellState,
     PureState,
     apply_unitary,
     fidelity,
 )
-from test_qstate import jones_hwp, jones_qwp
+from test_qstate import BellState, jones_hwp, jones_qwp
 
 
 # The waveplate preparation of an input state: the check that each state the

@@ -1,3 +1,4 @@
+import enum
 import itertools
 import string
 
@@ -12,7 +13,6 @@ from uplinksim.qstate import (
     KET_R,
     KET_V,
     PAULI_Z,
-    BellState,
     DensityMatrix,
     PureState,
     apply_unitary,
@@ -21,6 +21,32 @@ from uplinksim.qstate import (
     mub_states,
     tensor,
 )
+
+
+# Oracles: the two Paulis beside the package's PAULI_Z, and the four Bell
+# states, of which the entangled source's resource pair is PHI_PLUS.
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+
+
+class BellState(enum.Enum):
+    """The four maximally entangled two-qubit states."""
+
+    PHI_PLUS = "phi+"
+    PHI_MINUS = "phi-"
+    PSI_PLUS = "psi+"
+    PSI_MINUS = "psi-"
+
+    @property
+    def state(self) -> PureState:
+        s = 1.0 / np.sqrt(2.0)
+        vectors = {
+            BellState.PHI_PLUS: [s, 0, 0, s],
+            BellState.PHI_MINUS: [s, 0, 0, -s],
+            BellState.PSI_PLUS: [0, s, s, 0],
+            BellState.PSI_MINUS: [0, s, -s, 0],
+        }
+        return PureState(vectors[self])
 
 
 def random_density(rng: np.random.Generator, n_qubits: int) -> DensityMatrix:

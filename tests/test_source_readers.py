@@ -1,8 +1,8 @@
-"""Every module-level function and class in `src/uplinksim/`, and every
-method and property of those classes, has a reader outside its own body:
-the package itself (bar `__init__.py`, whose exports are not readers) or
-the acceptance suite.  A name that only the other tests read belongs in
-those tests, as their oracle."""
+"""Every module-level function, class and assignment in `src/uplinksim/`,
+and every method and property of those classes, has a reader outside its
+own statement: the package itself or the acceptance suite.  `__init__.py`
+names its exports as strings, so they read nothing there.  A name that only
+the other tests read belongs in those tests, as their oracle."""
 
 import ast
 import re
@@ -51,14 +51,32 @@ def _is_definition(node: ast.AST) -> bool:
     return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _bindings(stmt: ast.AST) -> list[str]:
+    """The names an assignment statement binds, dunders skipped."""
+    if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        return []
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+    return [
+        node.id
+        for target in targets
+        for node in ast.walk(target)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and not _is_dunder(node.id)
+    ]
+
+
 def _unread(definitions, units) -> set[str]:
-    """The (name, node) pairs of `definitions` whose name no unit but the
-    node itself loads, with the names each unit loads found in one walk."""
+    """The names of the (name, node) `definitions` that no unit but the
+    node itself loads, with the names each unit loads found in one walk; a
+    method "Class.name" is read as "name"."""
     loads = [(unit, _loaded_names(unit)) for unit in units]
     return {
         name
         for name, node in definitions
-        if not any(node.name in names for unit, names in loads if unit is not node)
+        if not any(name.rpartition(".")[2] in names for unit, names in loads if unit is not node)
     }
 
 
@@ -68,12 +86,13 @@ def _unread_definitions(sources: dict[str, str] | None = None) -> set[str]:
     if sources is None:
         sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    readers = [tree for name, tree in trees.items() if name != "__init__.py"]
-    readers.append(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
-    # A module-level definition is itself a top-level statement, so the
-    # names loaded outside its body are those of every other statement.
+    readers = [*trees.values(), ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())]
+    # A module-level definition or assignment is itself a top-level
+    # statement, so the names loaded outside it are those of every other
+    # statement, its own module's included.
     statements = [stmt for reader in readers for stmt in reader.body]
     top = [(node.name, node) for tree in trees.values() for node in tree.body if _is_definition(node)]
+    top += [(name, stmt) for tree in trees.values() for stmt in tree.body for name in _bindings(stmt)]
     # A method is a statement of its class body: the units are then each
     # statement of a class body, and each other top-level statement.
     members = [
@@ -87,7 +106,7 @@ def _unread_definitions(sources: dict[str, str] | None = None) -> set[str]:
         for cls in tree.body
         if isinstance(cls, ast.ClassDef)
         for node in cls.body
-        if _is_definition(node) and not (node.name.startswith("__") and node.name.endswith("__"))
+        if _is_definition(node) and not _is_dunder(node.name)
     ]
     return _unread(top, statements) | _unread(methods, members)
 
@@ -110,3 +129,10 @@ def test_an_unread_method_is_seen():
         "    def never_read(self) -> float:\n        return 0.0\n\n    def half_duration_s(self) -> float:",
     )
     assert _unread_definitions(sources) == {*EXEMPT, "PassGeometry.never_read"}
+
+
+def test_an_unread_constant_is_seen():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    sources["linkgeom.py"] += "\nNEVER_READ = 0.0\n"
+    sources["__init__.py"] += "\n_never_read, _NEVER_READ_EITHER = 1, 2\n"
+    assert _unread_definitions(sources) == {*EXEMPT, "NEVER_READ", "_never_read", "_NEVER_READ_EITHER"}
